@@ -30,11 +30,6 @@
 //!   Statistics are bit-identical either way (the CI purity check
 //!   compares the two paths); the flag exists for A/B wall-clock
 //!   comparisons.
-//! * `--no-lpt` — dispatch cells in push (arrival) order instead of
-//!   the default longest-predicted-first order driven by the static
-//!   cost model (DESIGN.md §13). Statistics and the canonical report
-//!   are bit-identical either way; the flag exists for A/B wall-clock
-//!   comparisons (EXPERIMENTS.md).
 //! * `--out PATH` — JSON destination (default `BENCH_sweep.json`).
 //! * `--canonical` — write the provenance-free canonical form of the
 //!   report (see [`SweepReport::canonical`]): byte-identical across
@@ -104,9 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sweep = threads.map_or_else(Sweep::new, Sweep::with_threads);
     if args.iter().any(|a| a == "--no-workload-cache") {
         sweep.set_workload_cache(false);
-    }
-    if args.iter().any(|a| a == "--no-lpt") {
-        sweep.set_lpt_schedule(false);
     }
     let mut policy = SweepPolicy::default();
     if let Some(n) = breaker {

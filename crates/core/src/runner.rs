@@ -539,47 +539,15 @@ fn run_prepared_parts(
     let ir = kernel.ir();
     let in_words = ir.record_in_words() as usize;
     let out_words = ir.record_out_words() as usize;
-    // Pad the record count to a whole number of unrolled iterations.
-    let padded_records = sim_records(prepared, records);
-    let mut machine = Machine::new(params.grid, params.timing, prepared.mech);
-    if let Some(ticks) = params.watchdog {
-        machine.set_watchdog(ticks);
-    }
-    // Install the injector before staging so DMA faults during SMC
-    // staging are part of the deterministic schedule too.
-    if !params.fault.is_none() {
-        machine.install_fault_plan(params.fault, params.seed);
-    }
-
-    let workload = match &scratch.workloads {
-        Some(cache) => cache.get(kernel, padded_records, params.seed),
-        None => Arc::new(kernel.workload(padded_records, params.seed)),
-    };
-    stage(&mut machine, &workload, in_words)?;
-
+    let workloads = scratch.workloads.as_deref();
+    let (mut machine, workload) =
+        stage_lane(kernel, prepared, records, params, in_words, workloads)?;
     let stats = match &prepared.variant {
-        PreparedVariant::Mimd { progs, table } => {
-            if !table.is_empty() {
-                if prepared.mech.l0_data_store {
-                    machine.load_l0_table(table)?;
-                } else {
-                    machine.memory_mut().write_words(memmap::TABLE_BASE, table);
-                }
-            }
+        PreparedVariant::Mimd { progs, .. } => {
             machine.run_mimd_in(progs, records as u64, &mut scratch.arena)?
         }
         PreparedVariant::Dataflow(sched) => {
-            if !sched.table_image.is_empty() {
-                if sched.tables_in_l0 {
-                    machine.load_l0_table(&sched.table_image)?;
-                } else {
-                    machine.memory_mut().write_words(memmap::TABLE_BASE, &sched.table_image);
-                }
-            }
-            for (reg, v) in &sched.const_regs {
-                machine.set_reg(*reg, *v);
-            }
-            let iterations = (padded_records / sched.unroll) as u64;
+            let iterations = (sim_records(prepared, records) / sched.unroll) as u64;
             // The lowering statically verified this block as its final
             // step (verification subsumes the engine's shape checks), so
             // the engine need not re-hash it per cell.
@@ -591,8 +559,68 @@ fn run_prepared_parts(
             machine.run_dataflow_in(&sched.block, iterations, &mut scratch.arena)?
         }
     };
-
     Ok((stats, machine, workload, out_words))
+}
+
+/// Build one lane's machine and stage everything a run of `prepared`
+/// needs before the engine starts: the lane's watchdog and fault plan,
+/// the workload (from `workloads` when a cache is installed) written to
+/// memory with its SMC window staged, the lookup-table image, and the
+/// constant registers. Returns the machine and the workload, whose
+/// `expected` holds the reference outputs.
+fn stage_lane(
+    kernel: &dyn DlpKernel,
+    prepared: &PreparedProgram,
+    records: usize,
+    params: &ExperimentParams,
+    in_words: usize,
+    workloads: Option<&WorkloadCache>,
+) -> Result<(Machine, Arc<Workload>), DlpError> {
+    // Pad the record count to a whole number of unrolled iterations.
+    let padded_records = sim_records(prepared, records);
+    let mut machine = Machine::new(params.grid, params.timing, prepared.mech);
+    if let Some(ticks) = params.watchdog {
+        machine.set_watchdog(ticks);
+    }
+    // Install the injector before staging so DMA faults during SMC
+    // staging are part of the deterministic schedule too.
+    if !params.fault.is_none() {
+        machine.install_fault_plan(params.fault, params.seed);
+    }
+    let workload = match workloads {
+        Some(cache) => cache.get(kernel, padded_records, params.seed),
+        None => Arc::new(kernel.workload(padded_records, params.seed)),
+    };
+
+    machine.memory_mut().write_words(memmap::BASE_IN, &workload.input_words);
+    if !workload.tex_words.is_empty() {
+        machine.memory_mut().write_words(memmap::TEX_BASE, &workload.tex_words);
+    }
+    if machine.mechanisms().smc {
+        let len = (workload.records * in_words) as u64;
+        machine.stage_smc(memmap::BASE_IN..memmap::BASE_IN + len)?;
+    }
+    // Touch the output region so the memory footprint is allocated up
+    // front rather than during timing-sensitive simulation.
+    let _ = machine.memory().read(memmap::BASE_OUT);
+
+    let (table, tables_in_l0) = match &prepared.variant {
+        PreparedVariant::Mimd { table, .. } => (table, prepared.mech.l0_data_store),
+        PreparedVariant::Dataflow(sched) => (&sched.table_image, sched.tables_in_l0),
+    };
+    if !table.is_empty() {
+        if tables_in_l0 {
+            machine.load_l0_table(table)?;
+        } else {
+            machine.memory_mut().write_words(memmap::TABLE_BASE, table);
+        }
+    }
+    if let PreparedVariant::Dataflow(sched) = &prepared.variant {
+        for (reg, v) in &sched.const_regs {
+            machine.set_reg(*reg, *v);
+        }
+    }
+    Ok((machine, workload))
 }
 
 /// One lane of a batched dispatch: the record count and experiment
@@ -725,12 +753,11 @@ fn run_classes_scalar(
 }
 
 /// The lockstep core of [`run_prepared_batch_in`]: one machine per
-/// class, staged exactly as [`run_prepared_in`] stages its single
-/// machine, then one batched engine dispatch with per-class record
-/// counts (classes with shorter tails mask off as they finish). Every
-/// lane then verifies its own record prefix against its class's
-/// outputs. Returns `None` if any class's setup errors (the caller
-/// falls back to scalar).
+/// class, each staged by the same [`stage_lane`] as [`run_prepared_in`],
+/// then one batched engine dispatch with per-class record counts
+/// (classes with shorter tails mask off as they finish). Every lane then
+/// verifies its own record prefix against its class's outputs. Returns
+/// `None` if any class's setup errors (the caller falls back to scalar).
 fn run_classes_lockstep(
     kernel: &dyn DlpKernel,
     prepared: &PreparedProgram,
@@ -743,56 +770,21 @@ fn run_classes_lockstep(
     let in_words = ir.record_in_words() as usize;
     let out_words = ir.record_out_words() as usize;
 
-    // Per-class machine + workload setup, mirroring `run_prepared_in`
-    // statement for statement (each class stages its own padded count).
-    let mut machines: Vec<Machine> = Vec::with_capacity(reps.len());
-    let mut workloads: Vec<Arc<Workload>> = Vec::with_capacity(reps.len());
-    for &r in reps {
-        let params = &lanes[r].params;
-        let padded_records = sim_records(prepared, lanes[r].records);
-        let mut machine = Machine::new(params.grid, params.timing, prepared.mech);
-        if let Some(ticks) = params.watchdog {
-            machine.set_watchdog(ticks);
-        }
-        if !params.fault.is_none() {
-            machine.install_fault_plan(params.fault, params.seed);
-        }
-        let workload = match &scratch.workloads {
-            Some(cache) => cache.get(kernel, padded_records, params.seed),
-            None => Arc::new(kernel.workload(padded_records, params.seed)),
-        };
-        stage(&mut machine, &workload, in_words).ok()?;
-        machines.push(machine);
-        workloads.push(workload);
-    }
+    let workloads = scratch.workloads.as_deref();
+    let (mut machines, workloads): (Vec<Machine>, Vec<Arc<Workload>>) = reps
+        .iter()
+        .map(|&r| stage_lane(kernel, prepared, lanes[r].records, &lanes[r].params, in_words, workloads))
+        .collect::<Result<Vec<_>, _>>()
+        .ok()?
+        .into_iter()
+        .unzip();
 
     let results = match &prepared.variant {
-        PreparedVariant::Mimd { progs, table } => {
-            if !table.is_empty() {
-                for machine in &mut machines {
-                    if prepared.mech.l0_data_store {
-                        machine.load_l0_table(table).ok()?;
-                    } else {
-                        machine.memory_mut().write_words(memmap::TABLE_BASE, table);
-                    }
-                }
-            }
+        PreparedVariant::Mimd { progs, .. } => {
             let records: Vec<u64> = reps.iter().map(|&r| lanes[r].records as u64).collect();
             trips_sim::batch::run_mimd_batch_in(&mut machines, progs, &records, &mut scratch.arena)
         }
         PreparedVariant::Dataflow(sched) => {
-            for machine in &mut machines {
-                if !sched.table_image.is_empty() {
-                    if sched.tables_in_l0 {
-                        machine.load_l0_table(&sched.table_image).ok()?;
-                    } else {
-                        machine.memory_mut().write_words(memmap::TABLE_BASE, &sched.table_image);
-                    }
-                }
-                for (reg, v) in &sched.const_regs {
-                    machine.set_reg(*reg, *v);
-                }
-            }
             let iterations: Vec<u64> = reps
                 .iter()
                 .map(|&r| (sim_records(prepared, lanes[r].records) / sched.unroll) as u64)
@@ -827,22 +819,6 @@ fn run_classes_lockstep(
             })
             .collect(),
     )
-}
-
-/// Write a workload into memory and stage the SMC window.
-fn stage(machine: &mut Machine, workload: &Workload, in_words: usize) -> Result<(), DlpError> {
-    machine.memory_mut().write_words(memmap::BASE_IN, &workload.input_words);
-    if !workload.tex_words.is_empty() {
-        machine.memory_mut().write_words(memmap::TEX_BASE, &workload.tex_words);
-    }
-    if machine.mechanisms().smc {
-        let len = (workload.records * in_words) as u64;
-        machine.stage_smc(memmap::BASE_IN..memmap::BASE_IN + len)?;
-    }
-    // Touch the output region so the memory footprint is allocated up
-    // front rather than during timing-sensitive simulation.
-    let _ = machine.memory().read(memmap::BASE_OUT);
-    Ok(())
 }
 
 #[cfg(test)]

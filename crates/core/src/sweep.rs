@@ -153,7 +153,6 @@ pub struct Sweep {
     manifest: Option<Arc<ManifestWriter>>,
     resume: Option<SweepManifest>,
     dlq: Option<Arc<DeadLetterQueue>>,
-    lpt_schedule: bool,
 }
 
 /// Degradation policy for failing cells: how hard a sweep tries before
@@ -265,7 +264,6 @@ impl Sweep {
             manifest: None,
             resume: None,
             dlq: None,
-            lpt_schedule: true,
         }
     }
 
@@ -292,18 +290,6 @@ impl Sweep {
     /// the CI purity cross-check, not correctness.
     pub fn set_workload_cache(&mut self, enabled: bool) {
         self.workload_cache = enabled;
-    }
-
-    /// Enable or disable longest-predicted-first dispatch ordering
-    /// (on by default). When enabled, phase 2 sorts its work-stealing
-    /// groups by descending static cycle bound (DESIGN.md §13) so the
-    /// slowest lowerings start first and no worker idles behind one
-    /// giant cell stranded at the tail of the queue. Disabling falls
-    /// back to push (arrival) order. Either way the report — and every
-    /// determinism contract over it — is bit-identical: results are
-    /// keyed by cell index, so ordering only moves wall-clock.
-    pub fn set_lpt_schedule(&mut self, enabled: bool) {
-        self.lpt_schedule = enabled;
     }
 
     /// Whether [`Sweep::run`] will share workloads through a
@@ -669,7 +655,7 @@ impl Sweep {
         // definition) and under a soft timeout (a wall-clock budget is
         // per-cell and cannot be attributed inside a shared dispatch).
         let breaker = self.policy.breaker_threshold.filter(|&t| t > 0);
-        let groups: Vec<DispatchGroup> = match breaker {
+        let mut groups: Vec<DispatchGroup> = match breaker {
             Some(_) => {
                 let mut order: Vec<(String, Vec<usize>)> = Vec::new();
                 for (i, cell) in self.cells.iter().enumerate() {
@@ -741,31 +727,19 @@ impl Sweep {
         // results are keyed by index, so the report and every
         // determinism contract over it are order-invariant; only
         // wall-clock moves.
-        let groups: Vec<DispatchGroup> = if self.lpt_schedule {
-            let weight = |members: &[usize]| -> u64 {
-                members
-                    .iter()
-                    .map(|&i| match (&resolved[i], &plans[cell_plan[i]]) {
-                        (None, Some(Ok(p))) => p.estimate_ticks(self.cells[i].records),
-                        _ => 0,
-                    })
-                    .max()
-                    .unwrap_or(0)
-            };
-            let mut keyed: Vec<(u64, DispatchGroup)> = groups
-                .into_iter()
-                .map(|g| {
-                    let w = match &g {
-                        DispatchGroup::Batch(m) | DispatchGroup::Chain(m) => weight(m),
-                    };
-                    (w, g)
+        let weight = |members: &[usize]| -> u64 {
+            members
+                .iter()
+                .map(|&i| match (&resolved[i], &plans[cell_plan[i]]) {
+                    (None, Some(Ok(p))) => p.estimate_ticks(self.cells[i].records),
+                    _ => 0,
                 })
-                .collect();
-            keyed.sort_by_key(|&(w, _)| std::cmp::Reverse(w));
-            keyed.into_iter().map(|(_, g)| g).collect()
-        } else {
-            groups
+                .max()
+                .unwrap_or(0)
         };
+        groups.sort_by_cached_key(|g| match g {
+            DispatchGroup::Batch(m) | DispatchGroup::Chain(m) => std::cmp::Reverse(weight(m)),
+        });
         let workload_cache =
             if self.workload_cache { Some(Arc::new(WorkloadCache::new())) } else { None };
         let group_results: Vec<Vec<(usize, Resolved)>> = self.parallel_map_with(

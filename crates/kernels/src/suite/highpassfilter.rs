@@ -61,12 +61,16 @@ impl DlpKernel for HighPassFilter {
                 }
             },
             |asm| {
-                asm.ld(MemSpace::Smc, 1, R_IN_ADDR, 0);
-                asm.alu(Opcode::FMul, 2, 1, 17);
-                for i in 1..9u8 {
+                // t0..t8 into r2..r10, then the reference's tree order:
+                // the coefficients sum to 1, so a serial accumulation
+                // cancels differently and drifts past f32 tolerance.
+                for i in 0..9u8 {
                     asm.ld(MemSpace::Smc, 1, R_IN_ADDR, i64::from(i));
-                    asm.alu(Opcode::FMul, 3, 1, 17 + i);
-                    asm.alu(Opcode::FAdd, 2, 2, 3);
+                    asm.alu(Opcode::FMul, 2 + i, 1, 17 + i);
+                }
+                // s01 s23 s45 s67, a = s01+s23, b = s45+s67, a+b, +t8.
+                for (a, b) in [(2, 3), (4, 5), (6, 7), (8, 9), (2, 4), (6, 8), (2, 6), (2, 10)] {
+                    asm.alu(Opcode::FAdd, a, a, b);
                 }
                 asm.st(MemSpace::Smc, R_OUT_ADDR, 0, 2);
             },

@@ -51,7 +51,7 @@ impl EngineArena {
         slots_per_node: usize,
     ) {
         let fp = (std::ptr::from_ref(block) as usize, block.len(), grid, slots_per_node);
-        self.dataflow.validated = Some(fp);
+        self.dataflow.tables.validated = Some(fp);
         self.batch_dataflow.tables.validated = Some(fp);
     }
 }

@@ -1,28 +1,30 @@
 //! Batched dataflow execution: the dataflow half of the lane-batched
 //! lockstep engine (see the [`batch`](super) module docs for the
-//! determinism argument and SoA layout).
+//! determinism argument and SoA layout). Instruction semantics come from
+//! `semantics::dataflow`, called once per lane class; this file holds
+//! only the SoA state, the merge window, and the lane-vectorized pass.
 
 use dlp_common::{DlpError, SimStats, Tick, Value};
-use trips_isa::{DataflowBlock, MemSpace, OpClass, OpRole, Opcode, Port};
+use trips_isa::{DataflowBlock, OpClass, OpRole, Port};
 use trips_mem::Throttle;
-use trips_noc::Endpoint;
 
-use super::{mask, BatchEv, MergeBuf, MAX_CLASSES, NO_INST, NO_ROW};
-use crate::dataflow::{port_idx, reserve_cycle, DataflowScratch, ResolvedTarget};
+use super::{
+    assert_lanes, divergence_guards, mask, take_results, BatchEv, MergeBuf, NO_INST, NO_ROW,
+};
 use crate::equeue::CalendarQueue;
+use crate::semantics::dataflow::{self as sem, port_idx, BlockTables, Ev};
+use crate::semantics::reserve_cycle;
 use crate::{EngineArena, Machine};
 
 /// Recyclable storage for one batched dataflow run, owned by an
-/// [`EngineArena`](crate::EngineArena). Block-shape tables live in the
-/// embedded [`DataflowScratch`] and are built by the same
-/// `build_tables` the scalar engine uses, so routing and readiness are
+/// [`EngineArena`](crate::EngineArena). Block-shape tables are the same
+/// [`BlockTables`] the scalar engine builds, so routing and readiness are
 /// bit-identical by construction.
 #[derive(Default)]
 pub(crate) struct BatchDataflowScratch {
-    /// Shared block tables (only the table fields are used here).
-    pub(crate) tables: DataflowScratch,
+    pub(crate) tables: BlockTables,
     events: CalendarQueue<(), BatchEv>,
-    buf: MergeBuf,
+    out: Outbox,
     /// Operand values, `[frame][inst][port][class]` (class innermost).
     ops_val: Vec<Value>,
     /// Operand-present bitmasks, one per `[frame][inst][port]`.
@@ -31,19 +33,14 @@ pub(crate) struct BatchDataflowScratch {
     executed: Vec<u64>,
     /// Executed-instruction counts, `[frame][class]`.
     exec_count: Vec<u32>,
-    /// Outstanding events per `[frame][class]`.
-    pending: Vec<u32>,
     /// Latest event tick per `[frame][class]`.
     frame_last_tick: Vec<Tick>,
     /// Kernel iteration per `[frame][class]`.
     frame_iter: Vec<u64>,
     /// Issue throttles, `[node][class]`.
     node_issue: Vec<Throttle>,
-    /// Register-bank read-port throttles, `[bank][class]`.
+    /// Register-bank read-port throttles, `[class][bank]`.
     reg_bank_ports: Vec<Throttle>,
-    /// Per-class value rows: row `r` is `rows[r*nc..(r+1)*nc]`.
-    rows: Vec<Value>,
-    free_rows: Vec<u32>,
     // Per-class run state.
     /// Requested iteration count per class (cross-record tails).
     iterations: Vec<u64>,
@@ -53,8 +50,6 @@ pub(crate) struct BatchDataflowScratch {
     next_iter: Vec<u64>,
     done_iters: Vec<u64>,
     final_tick: Vec<Tick>,
-    /// Outstanding queued events per class (frames summed).
-    live: Vec<u64>,
     stats: Vec<SimStats>,
     /// Useful-op counts accumulated by the lane-vectorized execute pass,
     /// folded into `stats` at finalize (sums are order-independent).
@@ -71,68 +66,71 @@ pub(crate) struct BatchDataflowScratch {
     dead: u64,
 }
 
+/// The merge window plus the per-class counters every push bumps: the
+/// push sink the shared semantics write into.
+#[derive(Default)]
+struct Outbox {
+    buf: MergeBuf,
+    /// Per-class value rows: row `r` is `rows[r*nc..(r+1)*nc]`.
+    rows: Vec<Value>,
+    free_rows: Vec<u32>,
+    /// Outstanding events per `[frame][class]`.
+    pending: Vec<u32>,
+    /// Outstanding queued events per class (frames summed).
+    live: Vec<u64>,
+}
+
+impl Outbox {
+    /// Buffer class `c`'s push of `ev` at `tick` on `frame`.
+    fn push(&mut self, nc: usize, c: usize, frame: usize, tick: Tick, ev: Ev) {
+        let (inst, port, value) = match ev {
+            Ev::Operand { inst, port, value } => (inst as u32, port_idx(port) as u8, Some(value)),
+            Ev::Quiesce => (NO_INST, 0, None),
+        };
+        let (idx, appended) = self.buf.push(c, tick, frame as u32, inst, port);
+        if let Some(value) = value {
+            if appended {
+                self.buf.pend[idx].row = match self.free_rows.pop() {
+                    Some(r) => r,
+                    None => {
+                        let r = (self.rows.len() / nc) as u32;
+                        self.rows.resize(self.rows.len() + nc, Value::ZERO);
+                        r
+                    }
+                };
+            }
+            let row = self.buf.pend[idx].row as usize;
+            self.rows[row * nc + c] = value;
+        }
+        self.pending[frame * nc + c] += 1;
+        self.live[c] += 1;
+    }
+}
+
 /// Loop-invariant context for one batched dataflow run.
 #[derive(Clone, Copy)]
 struct DfCtx {
     nc: usize,
     len: usize,
-    banks: u16,
-    reg_cols: u8,
+    banks: usize,
     op_revit: bool,
-    inst_revit: bool,
-    per_fetch: Tick,
-    revitalize_delay: Tick,
+    fetch: sem::Fetch,
     /// All machines share one timing model: ALU latencies are uniform,
     /// so whole-instruction lane passes are legal.
     uniform_timing: bool,
 }
 
-fn df_alloc_row(s: &mut BatchDataflowScratch, nc: usize) -> u32 {
-    if let Some(r) = s.free_rows.pop() {
-        return r;
-    }
-    let r = (s.rows.len() / nc) as u32;
-    s.rows.resize(s.rows.len() + nc, Value::ZERO);
-    r
-}
-
-/// Buffer one operand/quiesce push for class `c`. `inst == NO_INST`
-/// means quiesce (no value row).
-#[allow(clippy::too_many_arguments)]
-fn df_buffer(
-    s: &mut BatchDataflowScratch,
-    ctx: DfCtx,
-    c: usize,
-    tick: Tick,
-    frame: usize,
-    inst: u32,
-    port: u8,
-    value: Value,
-) {
-    let (idx, appended) = s.buf.push(c, tick, frame as u32, inst, port);
-    if inst != NO_INST {
-        if appended {
-            let row = df_alloc_row(s, ctx.nc);
-            s.buf.pend[idx].row = row;
-        }
-        let row = s.buf.pend[idx].row as usize;
-        s.rows[row * ctx.nc + c] = value;
-    }
-    s.pending[frame * ctx.nc + c] += 1;
-    s.live[c] += 1;
-}
-
 fn df_flush(s: &mut BatchDataflowScratch) {
-    for idx in 0..s.buf.pend.len() {
-        let p = s.buf.pend[idx];
+    let buf = &mut s.out.buf;
+    for p in &buf.pend {
         s.events.push(
             p.tick,
             (),
             BatchEv { mask: p.mask, frame: p.slot, inst: p.inst, port: p.port, row: p.row },
         );
     }
-    s.buf.pend.clear();
-    for cur in &mut s.buf.cursors {
+    buf.pend.clear();
+    for cur in &mut buf.cursors {
         *cur = 0;
     }
 }
@@ -143,7 +141,7 @@ fn df_kill(s: &mut BatchDataflowScratch, c: usize, err: DlpError) {
 }
 
 /// Seed one iteration's initial activity for class `c` at `start` on
-/// `frame` — the exact scalar `seed_iteration`, buffered.
+/// `frame`: the shared register reads, then every source instruction.
 #[allow(clippy::too_many_arguments)]
 fn df_seed_iteration(
     ctx: DfCtx,
@@ -160,28 +158,17 @@ fn df_seed_iteration(
     s.frame_iter[frame * nc + c] = iter;
     let lt = &mut s.frame_last_tick[frame * nc + c];
     *lt = (*lt).max(start);
-    for (ri, rr) in block.reg_reads().iter().enumerate() {
-        if !first && ctx.op_revit && rr.persistent {
-            continue; // value survived revitalization
-        }
-        let bank = (rr.reg % ctx.banks) as usize;
-        let inject = reserve_cycle(&mut s.reg_bank_ports[bank * nc + c], start);
-        s.stats[c].reg_reads += 1;
-        let bank_col = (bank as u8).min(ctx.reg_cols - 1);
-        let value = m.regs[rr.reg as usize];
-        let (span_start, span_end) = s.tables.reg_read_span[ri];
-        for k in span_start..span_end {
-            let (inst, port, node) = s.tables.reg_read_dsts[k as usize];
-            let arrive = m.router.send_faulty(
-                Endpoint::RegBank(bank_col),
-                Endpoint::Node(node),
-                inject,
-                &mut m.fault,
-            );
-            let arrive = m.fault.operand_write(arrive);
-            df_buffer(s, ctx, c, arrive, frame, inst as u32, port_idx(port) as u8, value);
-        }
-    }
+    let out = &mut s.out;
+    sem::seed_reg_reads(
+        m,
+        &mut s.stats[c],
+        block,
+        &s.tables,
+        &mut s.reg_bank_ports[c * ctx.banks..(c + 1) * ctx.banks],
+        start,
+        !first && ctx.op_revit,
+        &mut |t, ev| out.push(nc, c, frame, t, ev),
+    );
     // Source instructions with no required operands fire at start.
     let bit = 1u64 << c;
     for i in 0..ctx.len {
@@ -199,26 +186,10 @@ fn df_seed_iteration(
     }
 }
 
-/// True for opcodes the scalar engine evaluates through
-/// [`trips_isa::exec::eval`] — the arms eligible for the lane-vectorized
-/// execute pass. Engine-special opcodes (immediates, iteration counters,
-/// memory, table lookups) keep the scalar per-class path.
-fn df_is_eval_op(op: Opcode) -> bool {
-    !matches!(
-        op,
-        Opcode::MovI
-            | Opcode::Iter
-            | Opcode::Nop
-            | Opcode::Lut
-            | Opcode::Load(_)
-            | Opcode::Lmw
-            | Opcode::Store(_)
-    )
-}
-
-/// Issue and execute instruction `i` for class `c` — the exact scalar
-/// `execute`, against class-local machine and SoA state.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+/// Issue and execute instruction `i` for class `c`: mark it executed in
+/// the SoA state, gather the class's operands, and run the shared
+/// `execute` against the class's machine.
+#[allow(clippy::too_many_arguments)]
 fn df_execute(
     ctx: DfCtx,
     block: &DataflowBlock,
@@ -231,141 +202,24 @@ fn df_execute(
 ) {
     let nc = ctx.nc;
     let bit = 1u64 << c;
-    let inst = &block.insts()[i];
-    let node = inst.slot.node;
-    let node_idx = s.tables.inst_node[i];
-    let issue = reserve_cycle(&mut s.node_issue[node_idx * nc + c], t);
     s.executed[frame * ctx.len + i] |= bit;
     s.exec_count[frame * nc + c] += 1;
-
-    let lat = inst.op.latency(&m.params().ops);
     let b3 = (frame * ctx.len + i) * 3;
-    let op_val = |s: &BatchDataflowScratch, p: usize| -> Option<Value> {
-        if s.ops_set[b3 + p] & bit != 0 {
-            Some(s.ops_val[(b3 + p) * nc + c])
-        } else {
-            None
-        }
-    };
-    let l = op_val(s, 0).unwrap_or(Value::ZERO);
-    let r = op_val(s, 1).or(inst.imm).unwrap_or(Value::ZERO);
-    let p = op_val(s, 2).unwrap_or(Value::ZERO);
-    let iter = s.frame_iter[frame * nc + c];
-
-    // Metric accounting.
-    match inst.op {
-        Opcode::Load(_) | Opcode::Lmw => s.stats[c].loads += 1,
-        Opcode::Store(_) => s.stats[c].stores += 1,
-        Opcode::Lut => s.stats[c].l0_accesses += 1,
-        _ => {}
-    }
-    let countable = !inst.op.is_mem() && inst.op.class() != OpClass::Mov;
-    if countable && inst.role == OpRole::Useful {
-        s.stats[c].useful_ops += 1;
-    } else {
-        s.stats[c].overhead_ops += 1;
-    }
-
-    let row = node.row;
-    match inst.op {
-        Opcode::MovI => {
-            let v = inst.imm.unwrap_or(Value::ZERO);
-            df_fan_out(ctx, block, s, m, c, frame, i, issue + lat, v);
-        }
-        Opcode::Iter => {
-            df_fan_out(ctx, block, s, m, c, frame, i, issue + lat, Value::from_u64(iter));
-        }
-        Opcode::Nop => {}
-        Opcode::Lut => {
-            let index = l.as_u64().wrapping_add(inst.imm.map_or(0, |v| v.as_u64()));
-            let v = m.l0_data.get(index as usize).copied().unwrap_or(Value::ZERO);
-            let done = issue + m.params().mem.l0_latency;
-            df_fan_out(ctx, block, s, m, c, frame, i, done, v);
-        }
-        Opcode::Load(space) => {
-            let addr = l.as_u64().wrapping_add(inst.imm.map_or(0, |v| v.as_u64()));
-            let handoff = issue + lat;
-            let req = m.router.send_faulty(
-                Endpoint::Node(node),
-                Endpoint::MemPort(row),
-                handoff,
-                &mut m.fault,
-            );
-            let served = match space {
-                MemSpace::Smc => {
-                    s.stats[c].smc_accesses += 1;
-                    m.smc[row as usize].access_faulty(addr, req, &mut m.fault)
-                }
-                MemSpace::L1 => {
-                    s.stats[c].l1_accesses += 1;
-                    let (t2, hit) = m.l1[row as usize].access_faulty(addr, req, &mut m.fault);
-                    if !hit {
-                        s.stats[c].l1_misses += 1;
-                    }
-                    t2
-                }
-            };
-            let back = m.router.send_faulty(
-                Endpoint::MemPort(row),
-                Endpoint::Node(node),
-                served,
-                &mut m.fault,
-            );
-            let v = m.mem.read(addr);
-            df_fan_out(ctx, block, s, m, c, frame, i, back, v);
-        }
-        Opcode::Lmw => {
-            let addr = l.as_u64();
-            let n = inst.imm.map_or(0, |v| v.as_u64()) as u32;
-            let handoff = issue + lat;
-            let req = m.router.send_faulty(
-                Endpoint::Node(node),
-                Endpoint::MemPort(row),
-                handoff,
-                &mut m.fault,
-            );
-            s.stats[c].smc_accesses += 1;
-            s.stats[c].lmw_words += u64::from(n);
-            let served = m.smc[row as usize].access_wide_faulty(addr, n, req, &mut m.fault);
-            // The streaming channel delivers word k straight to target k.
-            let (span_start, span_end) = s.tables.resolved_span[i];
-            for (k, ti) in (span_start..span_end).enumerate() {
-                let tgt = s.tables.resolved[ti as usize];
-                let v = m.mem.read(addr + k as u64);
-                df_deliver(ctx, s, m, c, frame, tgt, Endpoint::MemPort(row), served, v);
-            }
-        }
-        Opcode::Store(space) => {
-            let addr = l.as_u64().wrapping_add(inst.imm.map_or(0, |v| v.as_u64()));
-            m.mem.write(addr, r);
-            let handoff = issue + lat;
-            let req = m.router.send_faulty(
-                Endpoint::Node(node),
-                Endpoint::MemPort(row),
-                handoff,
-                &mut m.fault,
-            );
-            let drained = match space {
-                MemSpace::Smc => {
-                    let t2 = m.stb[row as usize].push_faulty(addr, req, &mut m.fault);
-                    m.smc[row as usize].store_faulty(addr, t2, &mut m.fault)
-                }
-                MemSpace::L1 => {
-                    s.stats[c].l1_accesses += 1;
-                    let (t2, hit) = m.l1[row as usize].access_faulty(addr, req, &mut m.fault);
-                    if !hit {
-                        s.stats[c].l1_misses += 1;
-                    }
-                    t2
-                }
-            };
-            df_buffer(s, ctx, c, drained, frame, NO_INST, 0, Value::ZERO);
-        }
-        _ => {
-            let v = trips_isa::exec::eval(inst.op, l, r, p);
-            df_fan_out(ctx, block, s, m, c, frame, i, issue + lat, v);
-        }
-    }
+    let ops: [Option<Value>; 3] =
+        std::array::from_fn(|p| (s.ops_set[b3 + p] & bit != 0).then(|| s.ops_val[(b3 + p) * nc + c]));
+    let out = &mut s.out;
+    sem::execute(
+        m,
+        &mut s.stats[c],
+        block,
+        &s.tables,
+        i,
+        &mut s.node_issue[s.tables.inst_node[i] * nc + c],
+        t,
+        ops,
+        s.frame_iter[frame * nc + c],
+        &mut |t, ev| out.push(nc, c, frame, t, ev),
+    );
 }
 
 /// Execute an eval-arm instruction for every ready class in one
@@ -434,61 +288,17 @@ fn df_execute_lanes(
         let c = bits.trailing_zeros() as usize;
         bits &= bits - 1;
         let issue = reserve_cycle(&mut s.node_issue[node_idx * nc + c], t);
-        let v = s.lane_v[c];
-        df_fan_out(ctx, block, s, &mut machines[c], c, frame, i, issue + lat, v);
-    }
-}
-
-/// Route instruction `i`'s result to all its targets at `t`.
-#[allow(clippy::too_many_arguments)]
-fn df_fan_out(
-    ctx: DfCtx,
-    block: &DataflowBlock,
-    s: &mut BatchDataflowScratch,
-    m: &mut Machine,
-    c: usize,
-    frame: usize,
-    i: usize,
-    t: Tick,
-    v: Value,
-) {
-    let node = block.insts()[i].slot.node;
-    let (span_start, span_end) = s.tables.resolved_span[i];
-    for ti in span_start..span_end {
-        let tgt = s.tables.resolved[ti as usize];
-        df_deliver(ctx, s, m, c, frame, tgt, Endpoint::Node(node), t, v);
-    }
-    if span_start == span_end {
-        df_buffer(s, ctx, c, t, frame, NO_INST, 0, Value::ZERO);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn df_deliver(
-    ctx: DfCtx,
-    s: &mut BatchDataflowScratch,
-    m: &mut Machine,
-    c: usize,
-    frame: usize,
-    tgt: ResolvedTarget,
-    from: Endpoint,
-    t: Tick,
-    v: Value,
-) {
-    match tgt {
-        ResolvedTarget::Port { inst, node, port } => {
-            let arrive = m.router.send_faulty(from, Endpoint::Node(node), t, &mut m.fault);
-            // The destination reservation station is an operand store:
-            // a flipped entry is detected by parity and re-latched.
-            let arrive = m.fault.operand_write(arrive);
-            df_buffer(s, ctx, c, arrive, frame, inst as u32, port_idx(port) as u8, v);
-        }
-        ResolvedTarget::Reg { reg, bank_col } => {
-            let arrive = m.router.send_faulty(from, Endpoint::RegBank(bank_col), t, &mut m.fault);
-            m.regs[reg as usize] = v;
-            s.stats[c].reg_writes += 1;
-            df_buffer(s, ctx, c, arrive, frame, NO_INST, 0, Value::ZERO);
-        }
+        let out = &mut s.out;
+        sem::fan_out(
+            &mut machines[c],
+            &mut s.stats[c],
+            block,
+            &s.tables,
+            i,
+            issue + lat,
+            s.lane_v[c],
+            &mut |t, ev| out.push(nc, c, frame, t, ev),
+        );
     }
 }
 
@@ -527,31 +337,17 @@ fn df_complete_iteration(
     frame: usize,
 ) {
     let nc = ctx.nc;
-    if s.exec_count[frame * nc + c] as usize != ctx.len {
-        let detail = format!(
-            "block {}: iteration {} stalled with {}/{} instructions executed",
-            block.name(),
-            s.frame_iter[frame * nc + c],
-            s.exec_count[frame * nc + c],
-            ctx.len
-        );
-        df_kill(s, c, DlpError::MalformedProgram { detail });
+    let executed = s.exec_count[frame * nc + c] as usize;
+    if executed != ctx.len {
+        df_kill(s, c, sem::stalled(block, s.frame_iter[frame * nc + c], executed));
         return;
     }
     s.done_iters[c] += 1;
     let t = s.frame_last_tick[frame * nc + c];
     s.final_tick[c] = s.final_tick[c].max(t);
     if s.next_iter[c] < s.iterations[c] {
-        let start = if ctx.inst_revit {
-            s.stats[c].revitalizations += 1;
-            df_reset_frame(ctx, block, s, c, frame, true);
-            t + ctx.revitalize_delay
-        } else {
-            s.fetch_done[c] += ctx.per_fetch;
-            s.stats[c].blocks_fetched += 1;
-            df_reset_frame(ctx, block, s, c, frame, false);
-            t.max(s.fetch_done[c])
-        };
+        df_reset_frame(ctx, block, s, c, frame, ctx.fetch.keeps_operands());
+        let start = ctx.fetch.restart(&mut s.stats[c], &mut s.fetch_done[c], t);
         df_seed_iteration(ctx, block, s, m, c, frame, start, s.next_iter[c], false);
         s.next_iter[c] += 1;
     }
@@ -560,31 +356,10 @@ fn df_complete_iteration(
 /// Class `c` has drained every event: latch its final result (or the
 /// scalar completion/fault error).
 fn df_finalize(s: &mut BatchDataflowScratch, m: &mut Machine, c: usize, block: &DataflowBlock) {
-    // A fault escalated by the very last event has no successor pop to
-    // observe it — catch it before declaring the run complete.
-    if let Some(fatal) = m.fault.fatal() {
-        df_kill(s, c, fatal.to_error());
-        return;
-    }
-    if s.done_iters[c] != s.iterations[c] {
-        let detail = format!(
-            "block {}: completed {}/{} iterations",
-            block.name(),
-            s.done_iters[c],
-            s.iterations[c]
-        );
-        df_kill(s, c, DlpError::MalformedProgram { detail });
-        return;
-    }
     let mut stats = s.stats[c];
     stats.useful_ops += s.col_useful[c];
     stats.overhead_ops += s.col_overhead[c];
-    stats.ticks = s.final_tick[c];
-    let net = m.router.stats();
-    stats.net_msgs = net.msgs;
-    stats.net_hops = net.hops;
-    stats.record_faults(m.fault.take_stats());
-    s.results[c] = Some(Ok(stats));
+    s.results[c] = Some(sem::finish(m, stats, block, s.done_iters[c], s.final_tick[c]));
     s.dead |= 1u64 << c;
 }
 
@@ -604,7 +379,7 @@ fn df_finalize(s: &mut BatchDataflowScratch, m: &mut Machine, c: usize, block: &
 ///
 /// # Panics
 ///
-/// If `machines` is empty, longer than [`MAX_CLASSES`], a different
+/// If `machines` is empty, longer than [`MAX_CLASSES`](super::MAX_CLASSES), a different
 /// length than `iterations`, or the machines disagree on grid shape.
 #[allow(clippy::too_many_lines)]
 pub fn run_dataflow_batch_in(
@@ -613,70 +388,41 @@ pub fn run_dataflow_batch_in(
     iterations: &[u64],
     arena: &mut EngineArena,
 ) -> Vec<Result<SimStats, DlpError>> {
+    assert_lanes(machines, iterations.len());
     let nc = machines.len();
-    assert!(
-        (1..=MAX_CLASSES).contains(&nc),
-        "batched dispatch takes 1..={MAX_CLASSES} lane classes, got {nc}"
-    );
-    assert_eq!(iterations.len(), nc, "one iteration count per lane class");
-    assert!(
-        machines.iter().all(|m| m.grid() == machines[0].grid()),
-        "batched lane classes must share one grid shape"
-    );
-    if machines[0].mechanisms().local_pc {
-        return (0..nc)
-            .map(|_| {
-                Err(DlpError::Unsupported {
-                    what: "dataflow blocks on a machine configured for MIMD (local PCs)".into(),
-                })
-            })
-            .collect();
-    }
     let s = &mut arena.batch_dataflow;
-    if let Err(e) = s.tables.build_tables(block, &machines[0]) {
+    if let Err(e) = s.tables.build(block, &machines[0]) {
         return (0..nc).map(|_| Err(e.clone())).collect();
     }
 
     let mech = machines[0].mechanisms();
     let params = *machines[0].params();
     let uniform_timing = machines.iter().all(|m| *m.params() == params);
-    let inst_revit = mech.inst_revitalization;
+    let fetch = sem::Fetch::new(&machines[0], block);
     // Per-class frame counts: each class keeps exactly the frame window
     // its scalar run would use for its own iteration count.
     s.frames_of.clear();
-    for &it in iterations {
-        let f = if it == 0 {
-            0
-        } else if inst_revit {
-            1
-        } else {
-            (params.fetch.baseline_frames.max(1) as usize).min(it as usize)
-        };
-        s.frames_of.push(f as u32);
-    }
+    s.frames_of.extend(
+        iterations
+            .iter()
+            .map(|&it| if it == 0 { 0 } else { fetch.window(it) as u32 }),
+    );
     let n_frames = s.frames_of.iter().copied().max().unwrap_or(0).max(1) as usize;
     let len = block.len();
     let ctx = DfCtx {
         nc,
         len,
-        banks: params.core.reg_banks.max(1) as u16,
-        reg_cols: machines[0].grid().cols(),
+        banks: sem::reset_ports(&machines[0], nc, &mut s.node_issue, &mut s.reg_bank_ports),
         op_revit: mech.operand_revitalization,
-        inst_revit,
-        per_fetch: if inst_revit {
-            machines[0].fetch_ticks(len)
-        } else {
-            machines[0].fetch_ticks_baseline(len)
-        },
-        revitalize_delay: params.fetch.revitalize_delay,
+        fetch,
         uniform_timing,
     };
 
     // Reset all recyclable state for `nc` classes and `n_frames` frames.
     s.events.clear();
-    s.buf.reset(nc);
-    s.rows.clear();
-    s.free_rows.clear();
+    s.out.buf.reset(nc);
+    s.out.rows.clear();
+    s.out.free_rows.clear();
     s.ops_val.clear();
     s.ops_val.resize(n_frames * len * 3 * nc, Value::ZERO);
     s.ops_set.clear();
@@ -685,17 +431,12 @@ pub fn run_dataflow_batch_in(
     s.executed.resize(n_frames * len, 0);
     s.exec_count.clear();
     s.exec_count.resize(n_frames * nc, 0);
-    s.pending.clear();
-    s.pending.resize(n_frames * nc, 0);
+    s.out.pending.clear();
+    s.out.pending.resize(n_frames * nc, 0);
     s.frame_last_tick.clear();
     s.frame_last_tick.resize(n_frames * nc, 0);
     s.frame_iter.clear();
     s.frame_iter.resize(n_frames * nc, 0);
-    s.node_issue.clear();
-    s.node_issue.resize(machines[0].grid().nodes() * nc, Throttle::new(1));
-    let reads_per = params.core.reg_reads_per_bank_per_cycle.max(1);
-    s.reg_bank_ports.clear();
-    s.reg_bank_ports.resize(ctx.banks as usize * nc, Throttle::new(reads_per));
     s.iterations.clear();
     s.iterations.extend_from_slice(iterations);
     s.fetch_done.clear();
@@ -706,8 +447,8 @@ pub fn run_dataflow_batch_in(
     s.done_iters.resize(nc, 0);
     s.final_tick.clear();
     s.final_tick.resize(nc, 0);
-    s.live.clear();
-    s.live.resize(nc, 0);
+    s.out.live.clear();
+    s.out.live.resize(nc, 0);
     s.col_useful.clear();
     s.col_useful.resize(nc, 0);
     s.col_overhead.clear();
@@ -739,30 +480,19 @@ pub fn run_dataflow_batch_in(
         }
     }
 
-    // Hoisted divergence guards: the fast path in the event loop checks
-    // one uniform watchdog bound and one armed-fault mask instead of
-    // walking classes. (`fatal()` can only ever be `Some` for classes
-    // whose injector holds a real plan.)
-    let wd_min = machines.iter().map(|m| m.watchdog_ticks).min().unwrap_or(0);
-    let mut fault_armed = 0u64;
-    for (c, m) in machines.iter().enumerate() {
-        if !m.fault.plan().is_none() {
-            fault_armed |= 1u64 << c;
-        }
-    }
+    let (wd_min, fault_armed) = divergence_guards(machines);
 
     // Seed the initial frames through the (pipelined) fetch engine.
     // Classes join only the frames inside their own window; seed ticks
     // may differ per class (staging under faults), which the merge
     // buffer handles like any divergence.
     for c in 0..nc {
-        s.fetch_done[c] = s.stats[c].ticks + params.fetch.map_overhead;
+        s.fetch_done[c] = fetch.mapped(s.stats[c].ticks);
     }
     for frame in 0..n_frames {
         for c in 0..nc {
             if (frame as u32) < s.frames_of[c] {
-                s.fetch_done[c] += ctx.per_fetch;
-                s.stats[c].blocks_fetched += 1;
+                let start = fetch.fetch(&mut s.stats[c], &mut s.fetch_done[c]);
                 df_seed_iteration(
                     ctx,
                     block,
@@ -770,7 +500,7 @@ pub fn run_dataflow_batch_in(
                     &mut machines[c],
                     c,
                     frame,
-                    s.fetch_done[c],
+                    start,
                     frame as u64,
                     true,
                 );
@@ -785,7 +515,7 @@ pub fn run_dataflow_batch_in(
     // A class whose seeding produced no events (e.g. an all-Nop block)
     // finalizes immediately, exactly like the scalar empty event loop.
     for c in 0..nc {
-        if s.live[c] == 0 && s.dead & (1u64 << c) == 0 {
+        if s.out.live[c] == 0 && s.dead & (1u64 << c) == 0 {
             df_finalize(s, &mut machines[c], c, block);
         }
     }
@@ -810,28 +540,17 @@ pub fn run_dataflow_batch_in(
             while bits != 0 {
                 let c = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if tick > machines[c].watchdog_ticks {
-                    let context = format!(
-                        "dataflow block '{}' ({}/{} iterations done)",
-                        block.name(),
-                        s.done_iters[c],
-                        s.iterations[c]
-                    );
-                    df_kill(s, c, DlpError::Watchdog { ticks: tick, context });
-                    continue;
+                match sem::guard(&machines[c], block, tick, s.done_iters[c], s.iterations[c]) {
+                    Ok(()) => proc |= 1u64 << c,
+                    Err(e) => df_kill(s, c, e),
                 }
-                if let Some(fatal) = machines[c].fault.fatal() {
-                    df_kill(s, c, fatal.to_error());
-                    continue;
-                }
-                proc |= 1u64 << c;
             }
             proc
         };
 
         // Bookkeeping — branch-free word-at-a-time passes.
         let fbase = frame * nc;
-        mask::simd_sub_one_u32(&mut s.pending[fbase..fbase + nc], proc);
+        mask::simd_sub_one_u32(&mut s.out.pending[fbase..fbase + nc], proc);
         mask::simd_max_tick(&mut s.frame_last_tick[fbase..fbase + nc], tick, proc);
 
         if ev.inst != NO_INST {
@@ -842,7 +561,7 @@ pub fn run_dataflow_batch_in(
             // over contiguous per-class strides).
             let rbase = ev.row as usize * nc;
             let vbase = slot * nc;
-            mask::simd_latch_lanes(&mut s.ops_val[vbase..vbase + nc], &s.rows[rbase..rbase + nc], proc);
+            mask::simd_latch_lanes(&mut s.ops_val[vbase..vbase + nc], &s.out.rows[rbase..rbase + nc], proc);
             s.ops_set[slot] |= proc;
             // Readiness for all classes at once: one AND tree.
             let req = s.tables.required[i];
@@ -852,7 +571,7 @@ pub fn run_dataflow_batch_in(
             let mut ready = proc & !s.executed[frame * len + i] & m0 & m1 & m2;
             if ready.count_ones() >= 2
                 && ctx.uniform_timing
-                && df_is_eval_op(block.insts()[i].op)
+                && sem::is_eval_op(block.insts()[i].op)
             {
                 df_execute_lanes(ctx, block, s, machines, frame, i, tick, ready);
                 ready = 0;
@@ -869,13 +588,13 @@ pub fn run_dataflow_batch_in(
         while bits != 0 {
             let c = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if s.pending[fbase + c] == 0 {
+            if s.out.pending[fbase + c] == 0 {
                 df_complete_iteration(ctx, block, s, &mut machines[c], c, frame);
             }
         }
 
         if ev.row != NO_ROW {
-            s.free_rows.push(ev.row);
+            s.out.free_rows.push(ev.row);
         }
         df_flush(s);
 
@@ -884,21 +603,12 @@ pub fn run_dataflow_batch_in(
         while bits != 0 {
             let c = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            s.live[c] -= 1;
-            if s.live[c] == 0 {
+            s.out.live[c] -= 1;
+            if s.out.live[c] == 0 {
                 df_finalize(s, &mut machines[c], c, block);
             }
         }
     }
 
-    s.results
-        .iter_mut()
-        .map(|r| {
-            r.take().unwrap_or_else(|| {
-                Err(DlpError::Internal {
-                    detail: "batched dataflow engine left a lane class unresolved".into(),
-                })
-            })
-        })
-        .collect()
+    take_results(&mut s.results, "dataflow")
 }

@@ -2,56 +2,33 @@
 //! engine (see the [`batch`](super) module docs for the determinism
 //! argument and SoA layout).
 //!
-//! Node state is structure-of-arrays with the class index innermost:
+//! Node state is the shared `NodeFile` with one class per machine:
 //! registers are `[rank][reg][class]` strides (one contiguous row per
 //! architectural register), program counters `[rank][class]`, halted
-//! flags one `u64` mask per rank, and blocked-receive markers
-//! `[rank][class]` with sentinels. When every acting class sits at the
-//! same program counter and the instruction is a pure ALU/immediate op,
-//! one word-at-a-time pass executes it for all of them.
+//! flags one `u64` mask per rank. Instructions step through
+//! `semantics::mimd::step_inst`, once per class; when every acting class
+//! sits at the same program counter and the instruction is a pure
+//! ALU/immediate op, one word-at-a-time pass executes it for all of them.
 
 use dlp_common::{DlpError, SimStats, Tick, Value};
-use trips_isa::{
-    MemSpace, MimdInst, MimdOp, MimdProgram, OpClass, OpRole, Opcode, REG_NODE_COUNT, REG_NODE_ID,
-    REG_RECORDS,
-};
-use trips_noc::Endpoint;
+use trips_isa::{MimdInst, MimdOp, MimdProgram, OpClass, OpRole, Opcode};
 
-use super::{mask, MergeBuf, MAX_CLASSES};
+use super::{assert_lanes, divergence_guards, mask, take_results, MergeBuf};
 use crate::equeue::CalendarQueue;
-use crate::mimd::{Channels, RankCoord, Step, MIMD_BUCKET_SHIFT};
+use crate::semantics::mimd::{self as sem, Channels, NodeFile, RankMap, Step};
 use crate::{EngineArena, Machine};
-
-/// Architectural registers per MIMD node (the scalar `NodeState` array).
-const NUM_MIMD_REGS: usize = 32;
-/// `blocked[rank*nc+c]` sentinel: not blocked on any receive.
-const NOT_BLOCKED: u32 = u32::MAX;
-/// `blocked[rank*nc+c]` sentinel: blocked on a nonexistent peer (the
-/// scalar `Some(src)` with `src >= n_ranks` — no `Send` can ever match
-/// it, so the class deadlocks exactly like the scalar run).
-const BLOCKED_NO_PEER: u32 = u32::MAX - 1;
 
 /// Recyclable storage for one batched MIMD run, owned by an
 /// [`EngineArena`](crate::EngineArena).
+#[derive(Default)]
 pub(crate) struct BatchMimdScratch {
     /// Ready queue keyed by rank; the payload is the class mask.
     queue: CalendarQueue<usize, u64>,
     buf: MergeBuf,
     /// Per-class channel tables.
     channels: Vec<Channels>,
-    /// Registers, `[rank][reg][class]` (class innermost).
-    regs: Vec<Value>,
-    /// Program counters, `[rank][class]`.
-    pc: Vec<u32>,
-    /// Halted classes, one mask per rank.
-    halted: Vec<u64>,
-    /// Blocked-receive source per `[rank][class]` ([`NOT_BLOCKED`],
-    /// [`BLOCKED_NO_PEER`], or a rank).
-    blocked: Vec<u32>,
-    /// Participating node indices in rank order.
-    ranks: Vec<usize>,
-    coords: Vec<dlp_common::Coord>,
-    send_coords: Vec<dlp_common::Coord>,
+    nodes: NodeFile,
+    map: RankMap,
     // Per-class run state.
     steps: Vec<u64>,
     /// Step budgets per class (watchdog-derived livelock bound).
@@ -75,47 +52,14 @@ pub(crate) struct BatchMimdScratch {
     dead: u64,
 }
 
-impl Default for BatchMimdScratch {
-    fn default() -> Self {
-        BatchMimdScratch {
-            queue: CalendarQueue::with_window_shift(crate::equeue::DEFAULT_WINDOW, MIMD_BUCKET_SHIFT),
-            buf: MergeBuf::default(),
-            channels: Vec::new(),
-            regs: Vec::new(),
-            pc: Vec::new(),
-            halted: Vec::new(),
-            blocked: Vec::new(),
-            ranks: Vec::new(),
-            coords: Vec::new(),
-            send_coords: Vec::new(),
-            steps: Vec::new(),
-            budget: Vec::new(),
-            last_tick: Vec::new(),
-            max_drain: Vec::new(),
-            live: Vec::new(),
-            stats: Vec::new(),
-            col_fetches: Vec::new(),
-            col_useful: Vec::new(),
-            col_overhead: Vec::new(),
-            lane_a: Vec::new(),
-            lane_b: Vec::new(),
-            lane_d: Vec::new(),
-            lane_v: Vec::new(),
-            lane_z: Vec::new(),
-            results: Vec::new(),
-            dead: 0,
-        }
-    }
-}
-
-fn mimd_buffer_wake(s: &mut BatchMimdScratch, c: usize, tick: Tick, rank: usize) {
-    let _ = s.buf.push(c, tick, rank as u32, 0, 0);
-    s.live[c] += 1;
+/// Buffer class `c`'s wakeup of `rank` at `tick` into the merge window.
+fn wake(buf: &mut MergeBuf, live: &mut [u64], c: usize, tick: Tick, rank: usize) {
+    let _ = buf.push(c, tick, rank as u32, 0, 0);
+    live[c] += 1;
 }
 
 fn mimd_flush(s: &mut BatchMimdScratch) {
-    for idx in 0..s.buf.pend.len() {
-        let p = s.buf.pend[idx];
+    for p in &s.buf.pend {
         s.queue.push(p.tick, p.slot as usize, p.mask);
     }
     s.buf.pend.clear();
@@ -127,205 +71,6 @@ fn mimd_flush(s: &mut BatchMimdScratch) {
 fn mimd_kill(s: &mut BatchMimdScratch, c: usize, err: DlpError) {
     s.results[c] = Some(Err(err));
     s.dead |= 1u64 << c;
-}
-
-/// Execute one instruction for class `c` at node `rank` — the exact
-/// scalar `step_inst`, against class-local machine, registers, and
-/// channels, with wakeups buffered through the merge window.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn mimd_step_inst(
-    s: &mut BatchMimdScratch,
-    m: &mut Machine,
-    c: usize,
-    nc: usize,
-    rank: usize,
-    t: Tick,
-    inst: MimdInst,
-) -> Step {
-    let coord = s.coords[rank];
-    let rbase = rank * NUM_MIMD_REGS;
-    let alu = m.params().ops.int_alu;
-    let ra = s.regs[(rbase + inst.ra as usize) * nc + c];
-    let rb = s.regs[(rbase + inst.rb as usize) * nc + c];
-    let rd_old = s.regs[(rbase + inst.rd as usize) * nc + c];
-    let imm = inst.imm;
-    let useful = inst.role == OpRole::Useful;
-
-    macro_rules! count {
-        ($useful:expr) => {
-            if $useful {
-                s.stats[c].useful_ops += 1;
-            } else {
-                s.stats[c].overhead_ops += 1;
-            }
-        };
-    }
-
-    match inst.op {
-        MimdOp::Alu(op) | MimdOp::AluI(op) => {
-            let rhs = if matches!(inst.op, MimdOp::AluI(_)) { Value::from_i64(imm) } else { rb };
-            // `Sel rd, ra, rb`: rd = ra(predicate) ? rb : rd_old.
-            let v = if matches!(op, Opcode::Sel) {
-                trips_isa::exec::eval(Opcode::Sel, rhs, rd_old, ra)
-            } else {
-                let (_, needs_r, _) = op.ports();
-                trips_isa::exec::eval(op, ra, if needs_r { rhs } else { Value::ZERO }, Value::ZERO)
-            };
-            s.regs[(rbase + inst.rd as usize) * nc + c] = v;
-            s.pc[rank * nc + c] += 1;
-            count!(useful && op.class() != OpClass::Mov);
-            Step::Continue(t + op.latency(&m.params().ops))
-        }
-        MimdOp::Li => {
-            s.regs[(rbase + inst.rd as usize) * nc + c] = Value::from_u64(imm as u64);
-            s.pc[rank * nc + c] += 1;
-            count!(false);
-            Step::Continue(t + m.params().ops.mov)
-        }
-        MimdOp::Ld(space) => {
-            let addr = ra.as_u64().wrapping_add(imm as u64);
-            s.stats[c].loads += 1;
-            let row = coord.row;
-            let req = m.router.send_faulty(
-                Endpoint::Node(coord),
-                Endpoint::MemPort(row),
-                t + alu,
-                &mut m.fault,
-            );
-            let served = match space {
-                MemSpace::Smc => {
-                    s.stats[c].smc_accesses += 1;
-                    m.smc[row as usize].access_faulty(addr, req, &mut m.fault)
-                }
-                MemSpace::L1 => {
-                    s.stats[c].l1_accesses += 1;
-                    let (t2, hit) = m.l1[row as usize].access_faulty(addr, req, &mut m.fault);
-                    if !hit {
-                        s.stats[c].l1_misses += 1;
-                    }
-                    t2
-                }
-            };
-            let back = m.router.send_faulty(
-                Endpoint::MemPort(row),
-                Endpoint::Node(coord),
-                served,
-                &mut m.fault,
-            );
-            // The loaded value lands in the node's operand storage; a
-            // parity flip there is re-latched from the network buffer.
-            let back = m.fault.operand_write(back);
-            s.stats[c].mem_stall_node_cycles += (back - t) / 2;
-            s.regs[(rbase + inst.rd as usize) * nc + c] = m.mem.read(addr);
-            s.pc[rank * nc + c] += 1;
-            Step::Continue(back)
-        }
-        MimdOp::St(space) => {
-            let addr = ra.as_u64().wrapping_add(imm as u64);
-            s.stats[c].stores += 1;
-            m.mem.write(addr, rb);
-            let row = coord.row;
-            let req = m.router.send_faulty(
-                Endpoint::Node(coord),
-                Endpoint::MemPort(row),
-                t + alu,
-                &mut m.fault,
-            );
-            let drained = match space {
-                MemSpace::Smc => {
-                    let t2 = m.stb[row as usize].push_faulty(addr, req, &mut m.fault);
-                    m.smc[row as usize].store_faulty(addr, t2, &mut m.fault)
-                }
-                MemSpace::L1 => {
-                    s.stats[c].l1_accesses += 1;
-                    let (t2, hit) = m.l1[row as usize].access_faulty(addr, req, &mut m.fault);
-                    if !hit {
-                        s.stats[c].l1_misses += 1;
-                    }
-                    t2
-                }
-            };
-            s.max_drain[c] = s.max_drain[c].max(drained);
-            s.pc[rank * nc + c] += 1;
-            // Stores retire into the buffer; the node moves on.
-            Step::Continue(t + alu)
-        }
-        MimdOp::Lut => {
-            let idx = ra.as_u64().wrapping_add(imm as u64);
-            s.stats[c].l0_accesses += 1;
-            s.regs[(rbase + inst.rd as usize) * nc + c] =
-                m.l0_data.get(idx as usize).copied().unwrap_or(Value::ZERO);
-            s.pc[rank * nc + c] += 1;
-            Step::Continue(t + m.params().mem.l0_latency)
-        }
-        MimdOp::Jmp => {
-            s.pc[rank * nc + c] = imm as u32;
-            count!(false);
-            Step::Continue(t + alu)
-        }
-        MimdOp::Bez | MimdOp::Bnz => {
-            let taken = if matches!(inst.op, MimdOp::Bez) { !ra.is_true() } else { ra.is_true() };
-            let pc = &mut s.pc[rank * nc + c];
-            *pc = if taken { imm as u32 } else { *pc + 1 };
-            count!(false);
-            Step::Continue(t + alu)
-        }
-        MimdOp::Send => {
-            let n_ranks = s.ranks.len();
-            let dst = (imm as usize).min(n_ranks.saturating_sub(1));
-            let arrive = m.router.send_faulty(
-                Endpoint::Node(coord),
-                Endpoint::Node(s.send_coords[dst]),
-                t + alu,
-                &mut m.fault,
-            );
-            // The message parks in the receiver's operand buffer; a
-            // flipped entry is re-latched before it becomes visible.
-            let arrive = m.fault.operand_write(arrive);
-            s.channels[c].get_mut(rank, dst).push_back((arrive, ra));
-            if s.blocked[dst * nc + c] == rank as u32 {
-                // The receiver blocked on an empty channel; this message
-                // is the front, so it proceeds at the arrival tick.
-                s.blocked[dst * nc + c] = NOT_BLOCKED;
-                mimd_buffer_wake(s, c, arrive, dst);
-            }
-            s.pc[rank * nc + c] += 1;
-            count!(false);
-            Step::Continue(t + alu)
-        }
-        MimdOp::Recv => {
-            let src = imm as usize;
-            if src >= s.ranks.len() {
-                // No such peer: block forever (reported as a deadlock).
-                s.blocked[rank * nc + c] = BLOCKED_NO_PEER;
-                return Step::BlockedRecv;
-            }
-            let q = s.channels[c].get_mut(src, rank);
-            match q.front().copied() {
-                Some((arrive, v)) if arrive <= t => {
-                    q.pop_front();
-                    let _ = arrive;
-                    s.regs[(rbase + inst.rd as usize) * nc + c] = v;
-                    s.pc[rank * nc + c] += 1;
-                    count!(false);
-                    Step::Continue(t + alu)
-                }
-                Some((arrive, _)) => {
-                    // In flight but not yet arrived: retry at arrival.
-                    mimd_buffer_wake(s, c, arrive, rank);
-                    Step::BlockedRecv
-                }
-                None => {
-                    s.blocked[rank * nc + c] = src as u32;
-                    Step::BlockedRecv
-                }
-            }
-        }
-        MimdOp::Halt => {
-            s.halted[rank] |= 1u64 << c;
-            Step::Halted
-        }
-    }
 }
 
 /// Execute one pure ALU/immediate instruction for every acting class in
@@ -348,7 +93,7 @@ fn mimd_step_lanes(
     inst: MimdInst,
     act: u64,
 ) -> Tick {
-    let rbase = rank * NUM_MIMD_REGS;
+    let nodes = &mut s.nodes;
     let useful = inst.role == OpRole::Useful;
     let (next_t, countable_useful) = match inst.op {
         MimdOp::Li => {
@@ -361,20 +106,20 @@ fn mimd_step_lanes(
         MimdOp::Alu(op) | MimdOp::AluI(op) => {
             // Copy operand rows first: the rd row is written below and
             // may alias any of them.
-            let ra_base = (rbase + inst.ra as usize) * nc;
-            s.lane_a.copy_from_slice(&s.regs[ra_base..ra_base + nc]);
+            let ra_base = nodes.row(rank, inst.ra);
+            s.lane_a.copy_from_slice(&nodes.regs[ra_base..ra_base + nc]);
             if matches!(inst.op, MimdOp::AluI(_)) {
                 let v = Value::from_i64(inst.imm);
                 for lane in s.lane_b.iter_mut() {
                     *lane = v;
                 }
             } else {
-                let rb_base = (rbase + inst.rb as usize) * nc;
-                s.lane_b.copy_from_slice(&s.regs[rb_base..rb_base + nc]);
+                let rb_base = nodes.row(rank, inst.rb);
+                s.lane_b.copy_from_slice(&nodes.regs[rb_base..rb_base + nc]);
             }
             if matches!(op, Opcode::Sel) {
-                let rd_base = (rbase + inst.rd as usize) * nc;
-                s.lane_d.copy_from_slice(&s.regs[rd_base..rd_base + nc]);
+                let rd_base = nodes.row(rank, inst.rd);
+                s.lane_d.copy_from_slice(&nodes.regs[rd_base..rd_base + nc]);
                 mask::simd_eval_lanes(Opcode::Sel, &s.lane_b, &s.lane_d, &s.lane_a, &mut s.lane_v);
             } else {
                 let (_, needs_r, _) = op.ports();
@@ -385,9 +130,9 @@ fn mimd_step_lanes(
         }
         _ => unreachable!("mimd_step_lanes only handles Alu/AluI/Li"),
     };
-    let rd_base = (rbase + inst.rd as usize) * nc;
-    mask::simd_latch_lanes(&mut s.regs[rd_base..rd_base + nc], &s.lane_v, act);
-    mask::simd_add_one_u32(&mut s.pc[rank * nc..rank * nc + nc], act);
+    let rd_base = nodes.row(rank, inst.rd);
+    mask::simd_latch_lanes(&mut nodes.regs[rd_base..rd_base + nc], &s.lane_v, act);
+    mask::simd_add_one_u32(&mut nodes.pc[rank * nc..rank * nc + nc], act);
     if countable_useful {
         mask::simd_add_one_u64(&mut s.col_useful, act);
     } else {
@@ -399,30 +144,12 @@ fn mimd_step_lanes(
 /// Class `c` has drained every wakeup: latch its final result (or the
 /// scalar deadlock/fault error).
 fn mimd_finalize(s: &mut BatchMimdScratch, m: &mut Machine, c: usize) {
-    // A fault escalated by the last step has no successor pop to
-    // observe it — catch it before declaring the run complete.
-    if let Some(fatal) = m.fault.fatal() {
-        mimd_kill(s, c, fatal.to_error());
-        return;
-    }
-    let bit = 1u64 << c;
-    for rank in 0..s.ranks.len() {
-        if s.halted[rank] & bit == 0 {
-            let detail = format!("mimd deadlock: node rank {rank} never halted");
-            mimd_kill(s, c, DlpError::MalformedProgram { detail });
-            return;
-        }
-    }
     let mut stats = s.stats[c];
     stats.mimd_fetches += s.col_fetches[c];
     stats.useful_ops += s.col_useful[c];
     stats.overhead_ops += s.col_overhead[c];
-    stats.ticks = s.last_tick[c].max(s.max_drain[c]);
-    let net = m.router.stats();
-    stats.net_msgs = net.msgs;
-    stats.net_hops = net.hops;
-    stats.record_faults(m.fault.take_stats());
-    s.results[c] = Some(Ok(stats));
+    let ticks = s.last_tick[c].max(s.max_drain[c]);
+    s.results[c] = Some(sem::finish(m, stats, &s.nodes, c, ticks));
     s.dead |= 1u64 << c;
 }
 
@@ -440,7 +167,7 @@ fn mimd_finalize(s: &mut BatchMimdScratch, m: &mut Machine, c: usize) {
 ///
 /// # Panics
 ///
-/// If `machines` is empty, longer than [`MAX_CLASSES`], a different
+/// If `machines` is empty, longer than [`MAX_CLASSES`](super::MAX_CLASSES), a different
 /// length than `records`, or the machines disagree on grid shape.
 #[allow(clippy::too_many_lines)]
 pub fn run_mimd_batch_in(
@@ -449,111 +176,30 @@ pub fn run_mimd_batch_in(
     records: &[u64],
     arena: &mut EngineArena,
 ) -> Vec<Result<SimStats, DlpError>> {
+    assert_lanes(machines, records.len());
     let nc = machines.len();
-    assert!(
-        (1..=MAX_CLASSES).contains(&nc),
-        "batched dispatch takes 1..={MAX_CLASSES} lane classes, got {nc}"
-    );
-    assert_eq!(records.len(), nc, "one record count per lane class");
-    assert!(
-        machines.iter().all(|m| m.grid() == machines[0].grid()),
-        "batched lane classes must share one grid shape"
-    );
-    // Static program checks, mirroring the scalar order (before any
-    // machine state is touched).
-    let check = {
-        let m0 = &machines[0];
-        if !m0.mechanisms().local_pc {
-            Some(DlpError::Unsupported {
-                what: "MIMD execution without local program counters".into(),
-            })
-        } else {
-            let cap = m0.params().core.l0_inst_capacity;
-            let mut err = None;
-            'progs: for p in programs {
-                if p.len() > cap {
-                    err = Some(DlpError::CapacityExceeded {
-                        resource: "L0 instruction-store entries",
-                        needed: p.len(),
-                        available: cap,
-                    });
-                    break;
-                }
-                for inst in p.insts() {
-                    match inst.op {
-                        MimdOp::Lut if !m0.mechanisms().l0_data_store => {
-                            err = Some(DlpError::Unsupported {
-                                what: "lut instruction without the L0 data store".into(),
-                            });
-                            break 'progs;
-                        }
-                        MimdOp::Ld(MemSpace::Smc) | MimdOp::St(MemSpace::Smc)
-                            if !m0.mechanisms().smc =>
-                        {
-                            err = Some(DlpError::Unsupported {
-                                what: "SMC memory access without the SMC mechanism".into(),
-                            });
-                            break 'progs;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            err
-        }
-    };
-    if let Some(e) = check {
+    if let Err(e) = sem::check_programs(&machines[0], programs) {
         return (0..nc).map(|_| Err(e.clone())).collect();
     }
 
     let s = &mut arena.batch_mimd;
     s.stats.clear();
-    for m in machines.iter_mut() {
-        s.stats.push(m.begin_run());
-    }
-    let grid = machines[0].grid();
-    let n = programs.len().min(grid.nodes());
-    s.ranks.clear();
-    s.ranks.extend((0..n).filter(|&i| !programs[i].is_empty()));
-    if s.ranks.is_empty() {
+    s.stats.extend(machines.iter_mut().map(Machine::begin_run));
+    s.map.build(machines[0].grid(), programs);
+    if s.map.len() == 0 {
         return s.stats.iter().map(|&st| Ok(st)).collect();
     }
-    let n_ranks = s.ranks.len();
+    let n_ranks = s.map.len();
     let n_active = programs.iter().filter(|p| !p.is_empty()).count() as u64;
 
-    // Setup block: broadcast programs into the L0 instruction stores.
-    let longest = programs.iter().map(MimdProgram::len).max().unwrap_or(0);
-    let mut start = Vec::with_capacity(nc);
-    for (c, m) in machines.iter().enumerate() {
-        start.push(s.stats[c].ticks + m.fetch_ticks(longest));
-        s.stats[c].blocks_fetched = 1;
-    }
-
-    s.regs.clear();
-    s.regs.resize(n_ranks * NUM_MIMD_REGS * nc, Value::ZERO);
-    s.pc.clear();
-    s.pc.resize(n_ranks * nc, 0);
-    s.halted.clear();
-    s.halted.resize(n_ranks, 0);
-    s.blocked.clear();
-    s.blocked.resize(n_ranks * nc, NOT_BLOCKED);
-    for rank in 0..n_ranks {
-        let rbase = rank * NUM_MIMD_REGS;
-        for c in 0..nc {
-            s.regs[(rbase + REG_NODE_ID as usize) * nc + c] = Value::from_u64(rank as u64);
-            s.regs[(rbase + REG_NODE_COUNT as usize) * nc + c] = Value::from_u64(n_active);
-            s.regs[(rbase + REG_RECORDS as usize) * nc + c] = Value::from_u64(records[c]);
-            s.stats[c].iterations = s.stats[c].iterations.max(records[c]);
-        }
-    }
-    s.coords.clear();
-    for &i in &s.ranks {
-        s.coords.push(grid.coord(i));
-    }
-    s.send_coords.clear();
-    for d in 0..n_ranks {
-        s.send_coords.push(grid.coord_of_rank(d, n_ranks));
-    }
+    // The setup broadcast; every class's nodes start at its own tick.
+    s.last_tick.clear();
+    s.last_tick.extend(
+        machines.iter().zip(&mut s.stats).map(|(m, st)| sem::broadcast(m, st, programs)),
+    );
+    s.max_drain.clear();
+    s.max_drain.extend_from_slice(&s.last_tick);
+    s.nodes.reset(n_ranks, &mut s.stats, |rank, c| (rank as u64, n_active, records[c]));
 
     s.channels.clear();
     s.channels.resize_with(nc, Channels::default);
@@ -564,8 +210,6 @@ pub fn run_mimd_batch_in(
     s.buf.reset(nc);
     s.steps.clear();
     s.steps.resize(nc, 0);
-    s.last_tick.clear();
-    s.max_drain.clear();
     s.live.clear();
     s.live.resize(nc, 0);
     s.col_fetches.clear();
@@ -587,39 +231,20 @@ pub fn run_mimd_batch_in(
     s.results.clear();
     s.results.resize(nc, None);
     s.dead = 0;
-    for &st in &start {
-        s.last_tick.push(st);
-        s.max_drain.push(st);
-    }
     for rank in 0..n_ranks {
         for c in 0..nc {
-            mimd_buffer_wake(s, c, start[c], rank);
+            wake(&mut s.buf, &mut s.live, c, s.last_tick[c], rank);
         }
     }
     mimd_flush(s);
 
-    // The step budget follows from the watchdog: with every
-    // instruction advancing its node's tick by at least one cycle, a
-    // rank can be popped at most once per distinct tick in
-    // `0..=watchdog_ticks`. Exceeding it means a zero-latency livelock
-    // the tick check alone would never catch.
     s.budget.clear();
-    s.budget.extend(
-        machines
-            .iter()
-            .map(|m| (n_ranks as u64).saturating_mul(m.watchdog_ticks.saturating_add(1))),
-    );
+    s.budget.extend(machines.iter().map(|m| sem::step_budget(m, n_ranks)));
 
-    // Hoisted divergence guards (see the dataflow twin): one uniform
-    // watchdog bound, one armed-fault mask, and one vectorized
-    // budget screen replace the per-class walk on the fast path.
-    let wd_min = machines.iter().map(|m| m.watchdog_ticks).min().unwrap_or(0);
-    let mut fault_armed = 0u64;
-    for (c, m) in machines.iter().enumerate() {
-        if !m.fault.plan().is_none() {
-            fault_armed |= 1u64 << c;
-        }
-    }
+    // Beside the shared watchdog bound and armed-fault mask, one
+    // vectorized budget screen keeps the per-class walk off the fast
+    // path.
+    let (wd_min, fault_armed) = divergence_guards(machines);
     let params = *machines[0].params();
     let uniform_timing = machines.iter().all(|m| *m.params() == params);
 
@@ -641,44 +266,32 @@ pub fn run_mimd_batch_in(
             while bits != 0 {
                 let c = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let m = &machines[c];
-                if t > m.watchdog_ticks || s.steps[c] > s.budget[c] {
-                    let context = format!(
-                        "mimd rank {rank} at pc {} ({} steps, budget {} = {n_ranks} ranks x (watchdog {} + 1))",
-                        s.pc[rank * nc + c],
-                        s.steps[c],
-                        s.budget[c],
-                        m.watchdog_ticks
-                    );
-                    mimd_kill(s, c, DlpError::Watchdog { ticks: t, context });
-                    continue;
+                let pc = s.nodes.pc(rank, c);
+                match sem::guard(&machines[c], t, rank, pc, s.steps[c], s.budget[c], n_ranks) {
+                    Ok(()) => proc |= 1u64 << c,
+                    Err(e) => mimd_kill(s, c, e),
                 }
-                if let Some(fatal) = m.fault.fatal() {
-                    mimd_kill(s, c, fatal.to_error());
-                    continue;
-                }
-                proc |= 1u64 << c;
             }
             proc
         };
 
         // The scalar loop counts a step for halted classes too.
         mask::simd_add_one_u64(&mut s.steps, proc);
-        let act = proc & !s.halted[rank];
+        let act = proc & !s.nodes.halted[rank];
         if act != 0 {
-            let prog = &programs[s.ranks[rank]];
+            let prog = &programs[s.map.ranks[rank]];
             let plen = prog.len() as u32;
             // One pass over the acting classes: program-counter
             // uniformity and bounds.
             let first_c = act.trailing_zeros() as usize;
-            let pc0 = s.pc[rank * nc + first_c];
+            let pc0 = s.nodes.pc(rank, first_c);
             let mut uniform_pc = true;
             let mut in_bounds = true;
             let mut bits = act;
             while bits != 0 {
                 let c = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let pc = s.pc[rank * nc + c];
+                let pc = s.nodes.pc(rank, c);
                 uniform_pc &= pc == pc0;
                 in_bounds &= pc < plen;
             }
@@ -700,31 +313,41 @@ pub fn run_mimd_batch_in(
                 while bits != 0 {
                     let c = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    mimd_buffer_wake(s, c, next_t, rank);
+                    wake(&mut s.buf, &mut s.live, c, next_t, rank);
                 }
             } else {
                 // Divergent program counters, singleton masks, or
-                // engine-special ops: the exact scalar per-class body.
+                // engine-special ops: the shared step, once per class.
                 let mut bits = act;
                 while bits != 0 {
                     let c = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let pc = s.pc[rank * nc + c];
-                    if pc >= plen {
-                        let detail = format!("mimd node rank {rank} ran off the end of its program");
-                        mimd_kill(s, c, DlpError::MalformedProgram { detail });
-                        continue;
-                    }
-                    let inst = prog.insts()[pc as usize];
+                    let inst = match sem::fetch(prog, &s.nodes, rank, c) {
+                        Ok(inst) => inst,
+                        Err(e) => {
+                            mimd_kill(s, c, e);
+                            continue;
+                        }
+                    };
                     s.stats[c].mimd_fetches += 1;
                     s.last_tick[c] = s.last_tick[c].max(t);
-                    match mimd_step_inst(s, &mut machines[c], c, nc, rank, t, inst) {
-                        Step::Continue(next_t) => {
-                            s.last_tick[c] = s.last_tick[c].max(next_t);
-                            mimd_buffer_wake(s, c, next_t, rank);
-                        }
-                        Step::Halted => {}
-                        Step::BlockedRecv => {}
+                    let (buf, live) = (&mut s.buf, &mut s.live);
+                    let step = sem::step_inst(
+                        &mut machines[c],
+                        &mut s.stats[c],
+                        &mut s.nodes,
+                        &mut s.channels[c],
+                        &s.map,
+                        c,
+                        rank,
+                        t,
+                        inst,
+                        &mut s.max_drain[c],
+                        &mut |tick, r| wake(buf, live, c, tick, r),
+                    );
+                    if let Step::Continue(next_t) = step {
+                        s.last_tick[c] = s.last_tick[c].max(next_t);
+                        wake(&mut s.buf, &mut s.live, c, next_t, rank);
                     }
                 }
             }
@@ -743,14 +366,5 @@ pub fn run_mimd_batch_in(
         }
     }
 
-    s.results
-        .iter_mut()
-        .map(|r| {
-            r.take().unwrap_or_else(|| {
-                Err(DlpError::Internal {
-                    detail: "batched mimd engine left a lane class unresolved".into(),
-                })
-            })
-        })
-        .collect()
+    take_results(&mut s.results, "mimd")
 }

@@ -57,7 +57,9 @@
 // natural form here, not an iterator smell.
 #![allow(clippy::needless_range_loop)]
 
-use dlp_common::Tick;
+use dlp_common::{DlpError, SimStats, Tick};
+
+use crate::Machine;
 
 pub(crate) mod mask;
 
@@ -143,4 +145,52 @@ impl MergeBuf {
         self.cursors[c] = self.pend.len();
         (self.pend.len() - 1, true)
     }
+}
+
+/// The preconditions both batched entry points assert: 1..=[`MAX_CLASSES`]
+/// machines sharing one grid shape, and one count per machine.
+fn assert_lanes(machines: &[Machine], counts: usize) {
+    let nc = machines.len();
+    assert!(
+        (1..=MAX_CLASSES).contains(&nc),
+        "batched dispatch takes 1..={MAX_CLASSES} lane classes, got {nc}"
+    );
+    assert_eq!(counts, nc, "one iteration or record count per lane class");
+    assert!(
+        machines.iter().all(|m| m.grid() == machines[0].grid()),
+        "batched lane classes must share one grid shape"
+    );
+}
+
+/// The hoisted divergence guards of one dispatch: the smallest watchdog
+/// bound across classes, and the mask of classes whose injector holds a
+/// real fault plan (`fatal()` can only ever be `Some` for those). The
+/// event loops' fast path checks this one bound and one mask instead of
+/// walking classes.
+fn divergence_guards(machines: &[Machine]) -> (Tick, u64) {
+    let wd_min = machines.iter().map(|m| m.watchdog_ticks).min().unwrap_or(0);
+    let mut armed = 0u64;
+    for (c, m) in machines.iter().enumerate() {
+        if !m.fault.plan().is_none() {
+            armed |= 1u64 << c;
+        }
+    }
+    (wd_min, armed)
+}
+
+/// Every class's latched result, in class order.
+fn take_results(
+    results: &mut [Option<Result<SimStats, DlpError>>],
+    engine: &str,
+) -> Vec<Result<SimStats, DlpError>> {
+    results
+        .iter_mut()
+        .map(|r| {
+            r.take().unwrap_or_else(|| {
+                Err(DlpError::Internal {
+                    detail: format!("batched {engine} engine left a lane class unresolved"),
+                })
+            })
+        })
+        .collect()
 }

@@ -25,14 +25,12 @@
 //! through one [`EngineArena`](crate::EngineArena) allocate nothing in
 //! steady state.
 
-use std::collections::HashMap;
-
-use dlp_common::{Coord, DlpError, SimStats, Tick, Value};
-use trips_isa::{DataflowBlock, MemSpace, OpClass, OpRole, Opcode, Port, Slot, Target};
+use dlp_common::{DlpError, SimStats, Tick, Value};
+use trips_isa::{DataflowBlock, Port};
 use trips_mem::Throttle;
-use trips_noc::Endpoint;
 
 use crate::equeue::CalendarQueue;
+use crate::semantics::dataflow::{self as sem, port_idx, BlockTables, Ev};
 use crate::{EngineArena, Machine};
 
 /// Reservation-station runtime state for one instruction in one frame.
@@ -41,41 +39,6 @@ struct RsState {
     /// Operand values present at [Left, Right, Pred].
     ops: [Option<Value>; 3],
     executed: bool,
-}
-
-pub(crate) fn port_idx(p: Port) -> usize {
-    match p {
-        Port::Left => 0,
-        Port::Right => 1,
-        Port::Pred => 2,
-    }
-}
-
-/// A [`Target`] with every per-event lookup resolved at block-map time:
-/// port targets carry the destination's dense instruction index (no
-/// slot-hash lookup on delivery) and register targets carry their bank
-/// column.
-#[derive(Clone, Copy)]
-pub(crate) enum ResolvedTarget {
-    /// An operand port of instruction `inst`, which lives on `node`.
-    Port { inst: usize, node: Coord, port: Port },
-    /// Architectural register `reg`, written through the bank above
-    /// `bank_col`.
-    Reg { reg: u16, bank_col: u8 },
-}
-
-/// Events, dispatched in (tick, sequence) order.
-enum Ev {
-    /// An operand arrives at an instruction port.
-    Operand { inst: usize, port: Port, value: Value },
-    /// A bookkeeping completion (store drain, register-write arrival) that
-    /// extends the iteration's completion tick without enabling anything.
-    Quiesce,
-}
-
-/// Reserve an issue slot at cycle granularity on a per-tick [`Throttle`].
-pub(crate) fn reserve_cycle(t: &mut Throttle, now: Tick) -> Tick {
-    (t.reserve(now / 2) * 2).max(now)
 }
 
 /// Per-frame bookkeeping.
@@ -114,156 +77,24 @@ impl Frame {
 /// worker's steady state is allocation-free.
 #[derive(Default)]
 pub(crate) struct DataflowScratch {
+    pub(crate) tables: BlockTables,
     /// The scheduler: `(frame, event)` pairs in `(tick, seq)` order.
     events: CalendarQueue<(), (usize, Ev)>,
     frames: Vec<Frame>,
-    /// Which ports of each instruction must be filled before issue.
-    pub(crate) required: Vec<[bool; 3]>,
-    /// Every instruction's resolved targets, flattened: instruction `i`
-    /// owns `resolved[span.0..span.1]` for `span = resolved_span[i]`, in
-    /// the same order as `insts()[i].targets` (so LMW word `k` still
-    /// maps to target `k`).
-    pub(crate) resolved: Vec<ResolvedTarget>,
-    pub(crate) resolved_span: Vec<(u32, u32)>,
-    /// Port destinations of register reads, flattened like `resolved`.
-    pub(crate) reg_read_dsts: Vec<(usize, Port, Coord)>,
-    pub(crate) reg_read_span: Vec<(u32, u32)>,
-    /// Dense grid index of each instruction's node, for issue throttling.
-    pub(crate) inst_node: Vec<usize>,
     /// Per-node issue throttles, indexed by dense grid index.
     node_issue: Vec<Throttle>,
     reg_bank_ports: Vec<Throttle>,
-    /// Slot → dense instruction index (setup-time only: the hot paths go
-    /// through the pre-resolved tables above).
-    idx_of: HashMap<Slot, usize>,
-    /// Fingerprint of the last block this scratch validated —
-    /// `(block address, block length, grid, slots per node)`. Validation
-    /// is O(block) of hashing, so a sweep re-running one prepared (and
-    /// already-validated) block across many cells pays it once per
-    /// worker instead of once per run. Pre-seeded by
-    /// [`EngineArena::mark_dataflow_block_validated`](crate::EngineArena::mark_dataflow_block_validated)
-    /// for blocks a scheduler already validated.
-    pub(crate) validated: Option<(usize, usize, dlp_common::GridShape, usize)>,
 }
 
-impl DataflowScratch {
-    /// Validate `block` for `m`'s shape (memoized on [`Self::validated`])
-    /// and rebuild every block-shape table: slot index, required-port
-    /// issue conditions, resolved targets, register-read destinations,
-    /// and per-instruction node indices. Shared by the scalar engine and
-    /// the lane-batched engine ([`crate::batch`]) so both execute from
-    /// bit-identical routing and readiness tables.
-    pub(crate) fn build_tables(
-        &mut self,
-        block: &DataflowBlock,
-        m: &Machine,
-    ) -> Result<(), DlpError> {
-        let s = self;
-        let fingerprint = (
-            std::ptr::from_ref(block) as usize,
-            block.len(),
-            m.grid(),
-            m.params().core.rs_slots_per_node,
-        );
-        if s.validated != Some(fingerprint) {
-            block.validate(m.grid(), m.params().core.rs_slots_per_node)?;
-            s.validated = Some(fingerprint);
-        }
-        let mech = m.mechanisms();
-        for inst in block.insts() {
-            match inst.op {
-                Opcode::Lut if !mech.l0_data_store => {
-                    return Err(DlpError::Unsupported {
-                        what: "lut instruction without the L0 data store".into(),
-                    })
-                }
-                Opcode::Load(MemSpace::Smc) | Opcode::Store(MemSpace::Smc) | Opcode::Lmw
-                    if !mech.smc =>
-                {
-                    return Err(DlpError::Unsupported {
-                        what: "SMC memory access without the SMC mechanism".into(),
-                    })
-                }
-                _ => {}
-            }
-        }
-
-        s.idx_of.clear();
-        for (i, inst) in block.insts().iter().enumerate() {
-            s.idx_of.insert(inst.slot, i);
-        }
-
-        // `required` doubles as the fed-port table while it is built:
-        // first mark which ports are fed, then rewrite each entry into
-        // the issue condition in place.
-        s.required.clear();
-        s.required.resize(block.len(), [false; 3]);
-        {
-            let idx_of = &s.idx_of;
-            let fed = &mut s.required;
-            let mut mark = |t: &Target| {
-                if let Target::Port { slot, port } = t {
-                    fed[idx_of[slot]][port_idx(*port)] = true;
-                }
-            };
-            for inst in block.insts() {
-                for t in &inst.targets {
-                    mark(t);
-                }
-            }
-            for rr in block.reg_reads() {
-                for t in &rr.targets {
-                    mark(t);
-                }
-            }
-        }
-        for (i, inst) in block.insts().iter().enumerate() {
-            let fed = s.required[i];
-            let (l, r, p) = inst.op.ports();
-            s.required[i] = [
-                l && (fed[0] || !matches!(inst.op, Opcode::Lut)),
-                // A store's immediate is an address offset, so its right
-                // port (the stored value) still comes from the network.
-                r && (inst.imm.is_none() || matches!(inst.op, Opcode::Store(_))),
-                p,
-            ];
-        }
-
-        let banks = m.params().core.reg_banks.max(1);
-        let reg_cols = m.grid().cols();
-        {
-            let idx_of = &s.idx_of;
-            let resolve = |t: &Target| match *t {
-                Target::Port { slot, port } => {
-                    ResolvedTarget::Port { inst: idx_of[&slot], node: slot.node, port }
-                }
-                Target::Reg(reg) => {
-                    let bank_col = ((reg % banks as u16) as u8).min(reg_cols - 1);
-                    ResolvedTarget::Reg { reg, bank_col }
-                }
-            };
-            s.resolved.clear();
-            s.resolved_span.clear();
-            for inst in block.insts() {
-                let start = s.resolved.len() as u32;
-                s.resolved.extend(inst.targets.iter().map(resolve));
-                s.resolved_span.push((start, s.resolved.len() as u32));
-            }
-            s.reg_read_dsts.clear();
-            s.reg_read_span.clear();
-            for rr in block.reg_reads() {
-                let start = s.reg_read_dsts.len() as u32;
-                s.reg_read_dsts.extend(rr.targets.iter().filter_map(|t| match *t {
-                    Target::Port { slot, port } => Some((idx_of[&slot], port, slot.node)),
-                    Target::Reg(_) => None,
-                }));
-                s.reg_read_span.push((start, s.reg_read_dsts.len() as u32));
-            }
-        }
-        let grid = m.grid();
-        s.inst_node.clear();
-        s.inst_node.extend(block.insts().iter().map(|inst| grid.index(inst.slot.node)));
-        Ok(())
+/// The push sink the shared semantics write `frame`'s events into.
+fn sink<'s>(
+    frames: &'s mut [Frame],
+    events: &'s mut CalendarQueue<(), (usize, Ev)>,
+    frame: usize,
+) -> impl FnMut(Tick, Ev) + 's {
+    move |t, ev| {
+        frames[frame].pending += 1;
+        events.push(t, (), (frame, ev));
     }
 }
 
@@ -280,19 +111,13 @@ impl<'a> Engine<'a> {
         block: &'a DataflowBlock,
         n_frames: usize,
         s: &'a mut DataflowScratch,
-    ) -> Result<Self, DlpError> {
-        s.build_tables(block, m)?;
-
+        stats: SimStats,
+    ) -> Self {
         // A failed previous run may have left events queued; every other
         // table below is rebuilt unconditionally.
         s.events.clear();
 
-        let banks = m.params().core.reg_banks.max(1);
-        let reads_per = m.params().core.reg_reads_per_bank_per_cycle.max(1);
-        s.node_issue.clear();
-        s.node_issue.resize(m.grid().nodes(), Throttle::new(1));
-        s.reg_bank_ports.clear();
-        s.reg_bank_ports.resize(banks as usize, Throttle::new(reads_per));
+        sem::reset_ports(m, 1, &mut s.node_issue, &mut s.reg_bank_ports);
 
         s.frames.truncate(n_frames);
         for f in &mut s.frames {
@@ -302,51 +127,29 @@ impl<'a> Engine<'a> {
             s.frames.push(Frame::new(block.len()));
         }
 
-        Ok(Engine { block, s, stats: SimStats::new(), m })
-    }
-
-    fn push(&mut self, frame: usize, tick: Tick, ev: Ev) {
-        self.s.frames[frame].pending += 1;
-        self.s.events.push(tick, (), (frame, ev));
+        Engine { block, s, stats, m }
     }
 
     /// Seed one iteration's initial activity at `start` on `frame`.
     fn seed_iteration(&mut self, frame: usize, start: Tick, iter: u64, first: bool) {
-        let block = self.block;
-        self.s.frames[frame].iter = iter;
-        self.s.frames[frame].last_tick = self.s.frames[frame].last_tick.max(start);
-        let op_revit = self.m.mechanisms().operand_revitalization;
-        // Register reads.
-        let banks = self.s.reg_bank_ports.len() as u16;
-        let reg_cols = self.m.grid().cols();
-        for (ri, rr) in block.reg_reads().iter().enumerate() {
-            if !first && op_revit && rr.persistent {
-                continue; // value survived revitalization
-            }
-            let bank = (rr.reg % banks) as usize;
-            let inject = reserve_cycle(&mut self.s.reg_bank_ports[bank], start);
-            self.stats.reg_reads += 1;
-            let bank_col = (bank as u8).min(reg_cols - 1);
-            let value = self.m.regs[rr.reg as usize];
-            let (span_start, span_end) = self.s.reg_read_span[ri];
-            for k in span_start..span_end {
-                let (inst, port, node) = self.s.reg_read_dsts[k as usize];
-                let arrive = self.m.router.send_faulty(
-                    Endpoint::RegBank(bank_col),
-                    Endpoint::Node(node),
-                    inject,
-                    &mut self.m.fault,
-                );
-                let arrive = self.m.fault.operand_write(arrive);
-                self.push(frame, arrive, Ev::Operand { inst, port, value });
-            }
-        }
+        let f = &mut self.s.frames[frame];
+        f.iter = iter;
+        f.last_tick = f.last_tick.max(start);
+        let skip_persistent = !first && self.m.mechanisms().operand_revitalization;
+        let s = &mut *self.s;
+        sem::seed_reg_reads(
+            self.m,
+            &mut self.stats,
+            self.block,
+            &s.tables,
+            &mut s.reg_bank_ports,
+            start,
+            skip_persistent,
+            &mut sink(&mut s.frames, &mut s.events, frame),
+        );
         // Source instructions with no required operands (MovI, Iter,
         // constant-indexed Lut) fire at iteration start.
-        for i in 0..block.len() {
-            if self.s.frames[frame].rs[i].executed {
-                continue;
-            }
+        for i in 0..self.block.len() {
             if self.ready(frame, i) {
                 self.execute(frame, i, start);
             }
@@ -355,182 +158,29 @@ impl<'a> Engine<'a> {
 
     fn ready(&self, frame: usize, i: usize) -> bool {
         let rs = &self.s.frames[frame].rs[i];
-        !rs.executed && (0..3).all(|p| !self.s.required[i][p] || rs.ops[p].is_some())
+        !rs.executed && (0..3).all(|p| !self.s.tables.required[i][p] || rs.ops[p].is_some())
     }
 
     /// Issue and execute instruction `i` of `frame`, whose operands became
     /// complete at `t`; schedules all downstream events.
-    #[allow(clippy::too_many_lines)]
     fn execute(&mut self, frame: usize, i: usize, t: Tick) {
-        let block = self.block;
-        let inst = &block.insts()[i];
-        let node = inst.slot.node;
-        let node_idx = self.s.inst_node[i];
-        let issue = reserve_cycle(&mut self.s.node_issue[node_idx], t);
-        self.s.frames[frame].rs[i].executed = true;
-        self.s.frames[frame].executed += 1;
-
-        let lat = inst.op.latency(&self.m.params().ops);
-        let rs = &self.s.frames[frame].rs[i];
-        let l = rs.ops[0].unwrap_or(Value::ZERO);
-        let r = rs.ops[1].or(inst.imm).unwrap_or(Value::ZERO);
-        let p = rs.ops[2].unwrap_or(Value::ZERO);
-        let iter = self.s.frames[frame].iter;
-
-        // Metric accounting.
-        match inst.op {
-            Opcode::Load(_) | Opcode::Lmw => self.stats.loads += 1,
-            Opcode::Store(_) => self.stats.stores += 1,
-            Opcode::Lut => self.stats.l0_accesses += 1,
-            _ => {}
-        }
-        let countable = !inst.op.is_mem() && inst.op.class() != OpClass::Mov;
-        if countable && inst.role == OpRole::Useful {
-            self.stats.useful_ops += 1;
-        } else {
-            self.stats.overhead_ops += 1;
-        }
-
-        let row = node.row;
-        match inst.op {
-            Opcode::MovI => {
-                let v = inst.imm.unwrap_or(Value::ZERO);
-                self.fan_out(frame, i, issue + lat, v);
-            }
-            Opcode::Iter => {
-                self.fan_out(frame, i, issue + lat, Value::from_u64(iter));
-            }
-            Opcode::Nop => {}
-            Opcode::Lut => {
-                let index = l.as_u64().wrapping_add(inst.imm.map_or(0, |v| v.as_u64()));
-                let v = self.m.l0_data.get(index as usize).copied().unwrap_or(Value::ZERO);
-                let done = issue + self.m.params().mem.l0_latency;
-                self.fan_out(frame, i, done, v);
-            }
-            Opcode::Load(space) => {
-                let addr = l.as_u64().wrapping_add(inst.imm.map_or(0, |v| v.as_u64()));
-                let handoff = issue + lat;
-                let req = self.m.router.send_faulty(
-                    Endpoint::Node(node),
-                    Endpoint::MemPort(row),
-                    handoff,
-                    &mut self.m.fault,
-                );
-                let served = match space {
-                    MemSpace::Smc => {
-                        self.stats.smc_accesses += 1;
-                        self.m.smc[row as usize].access_faulty(addr, req, &mut self.m.fault)
-                    }
-                    MemSpace::L1 => {
-                        self.stats.l1_accesses += 1;
-                        let (t2, hit) =
-                            self.m.l1[row as usize].access_faulty(addr, req, &mut self.m.fault);
-                        if !hit {
-                            self.stats.l1_misses += 1;
-                        }
-                        t2
-                    }
-                };
-                let back = self.m.router.send_faulty(
-                    Endpoint::MemPort(row),
-                    Endpoint::Node(node),
-                    served,
-                    &mut self.m.fault,
-                );
-                let v = self.m.mem.read(addr);
-                self.fan_out(frame, i, back, v);
-            }
-            Opcode::Lmw => {
-                let addr = l.as_u64();
-                let n = inst.imm.map_or(0, |v| v.as_u64()) as u32;
-                let handoff = issue + lat;
-                let req = self.m.router.send_faulty(
-                    Endpoint::Node(node),
-                    Endpoint::MemPort(row),
-                    handoff,
-                    &mut self.m.fault,
-                );
-                self.stats.smc_accesses += 1;
-                self.stats.lmw_words += u64::from(n);
-                let served = self.m.smc[row as usize].access_wide_faulty(
-                    addr,
-                    n,
-                    req,
-                    &mut self.m.fault,
-                );
-                // The streaming channel delivers word k straight to target k.
-                let (span_start, span_end) = self.s.resolved_span[i];
-                for (k, ti) in (span_start..span_end).enumerate() {
-                    let tgt = self.s.resolved[ti as usize];
-                    let v = self.m.mem.read(addr + k as u64);
-                    self.deliver(frame, tgt, Endpoint::MemPort(row), served, v);
-                }
-            }
-            Opcode::Store(space) => {
-                let addr = l.as_u64().wrapping_add(inst.imm.map_or(0, |v| v.as_u64()));
-                self.m.mem.write(addr, r);
-                let handoff = issue + lat;
-                let req = self.m.router.send_faulty(
-                    Endpoint::Node(node),
-                    Endpoint::MemPort(row),
-                    handoff,
-                    &mut self.m.fault,
-                );
-                let drained = match space {
-                    MemSpace::Smc => {
-                        let t2 = self.m.stb[row as usize].push_faulty(addr, req, &mut self.m.fault);
-                        self.m.smc[row as usize].store_faulty(addr, t2, &mut self.m.fault)
-                    }
-                    MemSpace::L1 => {
-                        self.stats.l1_accesses += 1;
-                        let (t2, hit) =
-                            self.m.l1[row as usize].access_faulty(addr, req, &mut self.m.fault);
-                        if !hit {
-                            self.stats.l1_misses += 1;
-                        }
-                        t2
-                    }
-                };
-                self.push(frame, drained, Ev::Quiesce);
-            }
-            _ => {
-                let v = trips_isa::exec::eval(inst.op, l, r, p);
-                self.fan_out(frame, i, issue + lat, v);
-            }
-        }
-    }
-
-    /// Route instruction `i`'s result to all its targets at `t`.
-    fn fan_out(&mut self, frame: usize, i: usize, t: Tick, v: Value) {
-        let node = self.block.insts()[i].slot.node;
-        let (span_start, span_end) = self.s.resolved_span[i];
-        for ti in span_start..span_end {
-            let tgt = self.s.resolved[ti as usize];
-            self.deliver(frame, tgt, Endpoint::Node(node), t, v);
-        }
-        if span_start == span_end {
-            self.push(frame, t, Ev::Quiesce);
-        }
-    }
-
-    fn deliver(&mut self, frame: usize, tgt: ResolvedTarget, from: Endpoint, t: Tick, v: Value) {
-        match tgt {
-            ResolvedTarget::Port { inst, node, port } => {
-                let arrive =
-                    self.m.router.send_faulty(from, Endpoint::Node(node), t, &mut self.m.fault);
-                // The destination reservation station is an operand store:
-                // a flipped entry is detected by parity and re-latched.
-                let arrive = self.m.fault.operand_write(arrive);
-                self.push(frame, arrive, Ev::Operand { inst, port, value: v });
-            }
-            ResolvedTarget::Reg { reg, bank_col } => {
-                let arrive =
-                    self.m.router.send_faulty(from, Endpoint::RegBank(bank_col), t, &mut self.m.fault);
-                self.m.regs[reg as usize] = v;
-                self.stats.reg_writes += 1;
-                self.push(frame, arrive, Ev::Quiesce);
-            }
-        }
+        let f = &mut self.s.frames[frame];
+        f.rs[i].executed = true;
+        f.executed += 1;
+        let (ops, iter) = (f.rs[i].ops, f.iter);
+        let s = &mut *self.s;
+        sem::execute(
+            self.m,
+            &mut self.stats,
+            self.block,
+            &s.tables,
+            i,
+            &mut s.node_issue[s.tables.inst_node[i]],
+            t,
+            ops,
+            iter,
+            &mut sink(&mut s.frames, &mut s.events, frame),
+        );
     }
 
     /// Reset a frame's reservation stations for its next iteration.
@@ -588,40 +238,25 @@ impl Machine {
         iterations: u64,
         arena: &mut EngineArena,
     ) -> Result<SimStats, DlpError> {
-        if self.mechanisms().local_pc {
-            return Err(DlpError::Unsupported {
-                what: "dataflow blocks on a machine configured for MIMD (local PCs)".into(),
-            });
-        }
-        let base = self.begin_run();
-        let inst_revit = self.mechanisms().inst_revitalization;
-        let n_frames = if inst_revit {
-            1
-        } else {
-            (self.params().fetch.baseline_frames.max(1) as usize).min(iterations.max(1) as usize)
-        };
-        let revitalize_delay = self.params().fetch.revitalize_delay;
+        let s = &mut arena.dataflow;
+        s.tables.build(block, self)?;
+        let mut base = self.begin_run();
+        base.iterations = iterations;
+        let fetch = sem::Fetch::new(self, block);
+        let n_frames = fetch.window(iterations);
+        let mut fetch_done = fetch.mapped(base.ticks);
 
-        let mut engine = Engine::new(self, block, n_frames, &mut arena.dataflow)?;
-        engine.stats = base;
-        engine.stats.iterations = iterations;
+        let mut engine = Engine::new(self, block, n_frames, s, base);
         if iterations == 0 {
             return Ok(engine.stats);
         }
 
         // Seed the initial frames through the (pipelined) fetch engine:
         // map latency once, then throughput-limited block streaming.
-        let per_fetch = if inst_revit {
-            engine.m.fetch_ticks(block.len())
-        } else {
-            engine.m.fetch_ticks_baseline(block.len())
-        };
-        let mut fetch_done = engine.stats.ticks + engine.m.params().fetch.map_overhead;
         let mut next_iter: u64 = 0;
         for frame in 0..n_frames {
-            fetch_done += per_fetch;
-            engine.stats.blocks_fetched += 1;
-            engine.seed_iteration(frame, fetch_done, next_iter, true);
+            let start = fetch.fetch(&mut engine.stats, &mut fetch_done);
+            engine.seed_iteration(frame, start, next_iter, true);
             next_iter += 1;
             if next_iter >= iterations {
                 break;
@@ -632,84 +267,36 @@ impl Machine {
         let mut done_iters: u64 = 0;
         let mut final_tick: Tick = fetch_done;
         while let Some((tick, (), (frame, ev))) = engine.s.events.pop() {
-            if tick > engine.m.watchdog_ticks {
-                return Err(DlpError::Watchdog {
-                    ticks: tick,
-                    context: format!(
-                        "dataflow block '{}' ({done_iters}/{iterations} iterations done)",
-                        block.name()
-                    ),
-                });
-            }
-            if let Some(fatal) = engine.m.fault.fatal() {
-                return Err(fatal.to_error());
-            }
-            engine.s.frames[frame].pending -= 1;
-            engine.s.frames[frame].last_tick = engine.s.frames[frame].last_tick.max(tick);
-            match ev {
-                Ev::Operand { inst, port, value } => {
-                    engine.s.frames[frame].rs[inst].ops[port_idx(port)] = Some(value);
-                    if engine.ready(frame, inst) {
-                        engine.execute(frame, inst, tick);
-                    }
+            sem::guard(engine.m, block, tick, done_iters, iterations)?;
+            let f = &mut engine.s.frames[frame];
+            f.pending -= 1;
+            f.last_tick = f.last_tick.max(tick);
+            if let Ev::Operand { inst, port, value } = ev {
+                f.rs[inst].ops[port_idx(port)] = Some(value);
+                if engine.ready(frame, inst) {
+                    engine.execute(frame, inst, tick);
                 }
-                Ev::Quiesce => {}
             }
-            if engine.s.frames[frame].pending == 0 {
+            let f = &engine.s.frames[frame];
+            if f.pending == 0 {
                 // Iteration complete (or deadlocked).
-                if engine.s.frames[frame].executed != block.len() {
-                    return Err(DlpError::MalformedProgram {
-                        detail: format!(
-                            "block {}: iteration {} stalled with {}/{} instructions executed",
-                            block.name(),
-                            engine.s.frames[frame].iter,
-                            engine.s.frames[frame].executed,
-                            block.len()
-                        ),
-                    });
+                if f.executed != block.len() {
+                    return Err(sem::stalled(block, f.iter, f.executed));
                 }
                 done_iters += 1;
-                let t = engine.s.frames[frame].last_tick;
+                let t = f.last_tick;
                 final_tick = final_tick.max(t);
                 if next_iter < iterations {
-                    let start = if inst_revit {
-                        engine.stats.revitalizations += 1;
-                        engine.reset_frame(frame, true);
-                        t + revitalize_delay
-                    } else {
-                        fetch_done += per_fetch;
-                        engine.stats.blocks_fetched += 1;
-                        engine.reset_frame(frame, false);
-                        t.max(fetch_done)
-                    };
+                    engine.reset_frame(frame, fetch.keeps_operands());
+                    let start = fetch.restart(&mut engine.stats, &mut fetch_done, t);
                     engine.seed_iteration(frame, start, next_iter, false);
                     next_iter += 1;
                 }
             }
         }
 
-        // A fault escalated by the very last event has no successor pop to
-        // observe it — catch it before declaring the run complete.
-        if let Some(fatal) = engine.m.fault.fatal() {
-            return Err(fatal.to_error());
-        }
-
-        if done_iters != iterations {
-            return Err(DlpError::MalformedProgram {
-                detail: format!(
-                    "block {}: completed {done_iters}/{iterations} iterations",
-                    block.name()
-                ),
-            });
-        }
-
-        let mut stats = engine.stats;
-        stats.ticks = final_tick;
-        let net = self.router.stats();
-        stats.net_msgs = net.msgs;
-        stats.net_hops = net.hops;
-        stats.record_faults(self.fault.take_stats());
-        Ok(stats)
+        let stats = engine.stats;
+        sem::finish(self, stats, block, done_iters, final_tick)
     }
 }
 
@@ -717,7 +304,7 @@ impl Machine {
 mod tests {
     use super::*;
     use dlp_common::{Coord, GridShape, TimingParams};
-    use trips_isa::{PlacedInst, PortSet, RegRead, Slot};
+    use trips_isa::{MemSpace, Opcode, PlacedInst, PortSet, RegRead, Slot, Target};
 
     use crate::MechanismSet;
 

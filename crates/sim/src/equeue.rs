@@ -3,14 +3,10 @@
 //! Both cycle-level engines previously scheduled events through a
 //! `BinaryHeap`, paying O(log n) on every push and pop on the single
 //! hottest edge of the simulator. [`CalendarQueue`] replaces that with a
-//! classic calendar queue: a ring of buckets covering a sliding window
-//! of ticks starting at `base`. Each bucket spans `2^shift` consecutive
-//! ticks ([`CalendarQueue::with_window_shift`]; the default is one tick
-//! per bucket), so sparse schedules — e.g. MIMD ranks all blocked on
-//! memory round-trips, which stride hundreds of ticks between wakes —
-//! can widen the window's tick span without growing the ring. Events
-//! whose tick falls inside the window go straight to their bucket
-//! (amortised O(1)); events beyond the window land in a small `overflow`
+//! classic calendar queue: a ring of one-tick buckets covering a sliding
+//! window of ticks starting at `base`. Events whose tick falls inside
+//! the window go straight to their bucket (amortised O(1)); events
+//! beyond the window land in a small `overflow`
 //! heap, and events behind the cursor (possible in principle, never
 //! produced by the engines, which only schedule at or after the current
 //! tick) land in a `past` heap. `pop` takes the lexicographic minimum
@@ -77,13 +73,9 @@ impl<K: Ord, T> Ord for HeapEntry<K, T> {
     }
 }
 
-/// An event sitting in a ring bucket. The tick is stored explicitly:
-/// with a bucket granularity above one tick (`shift > 0`) several
-/// distinct ticks share a bucket, so the bucket slot alone no longer
-/// determines it.
+/// An event sitting in a ring bucket (its tick is the bucket's).
 #[derive(Debug)]
 struct Entry<K, T> {
-    tick: Tick,
     key: K,
     seq: u64,
     value: T,
@@ -108,16 +100,13 @@ enum Source {
 #[derive(Debug)]
 pub struct CalendarQueue<K, T> {
     /// Ring of buckets; the bucket for tick `t` (with
-    /// `base <= t < base + (window << shift)`) lives at slot
-    /// `(base_slot + ((t - base) >> shift)) & mask`. Each bucket is kept
-    /// sorted by `(tick, key, seq)`; `pop_front` is therefore the bucket
-    /// minimum.
+    /// `base <= t < base + window`) lives at slot
+    /// `(base_slot + (t - base)) & mask`. Each bucket is kept sorted by
+    /// `(key, seq)`; `pop_front` is therefore the bucket minimum.
     ring: Vec<VecDeque<Entry<K, T>>>,
     /// `ring.len() - 1`; the window is always a power of two so circular
     /// slot arithmetic is a mask, not a hardware divide, on the hot path.
     mask: usize,
-    /// log2 of the bucket granularity in ticks (0 = one tick per bucket).
-    shift: u32,
     /// Occupancy bitmap over ring slots (bit = slot holds ≥1 event), so
     /// the pop cursor skips runs of empty buckets a word at a time
     /// instead of probing them individually — sparse schedules (e.g.
@@ -155,30 +144,13 @@ impl<K: Ord + Copy, T> CalendarQueue<K, T> {
     /// Panics if `window` is zero.
     #[must_use]
     pub fn with_window(window: usize) -> Self {
-        Self::with_window_shift(window, 0)
-    }
-
-    /// An empty queue with `window` buckets each spanning `2^shift`
-    /// consecutive ticks, so the ring covers `window << shift` ticks
-    /// total. A wider granularity trades a short in-bucket sort scan for
-    /// keeping sparse schedules (events hundreds of ticks apart) out of
-    /// the overflow heap. The pop order is the same `(tick, key, seq)`
-    /// total order for **every** shift — bucketing is an implementation
-    /// detail, never an observable one.
-    ///
-    /// # Panics
-    /// Panics if `window` is zero or `shift >= 32`.
-    #[must_use]
-    pub fn with_window_shift(window: usize, shift: u32) -> Self {
         assert!(window > 0, "calendar queue window must be non-zero");
-        assert!(shift < 32, "calendar queue bucket shift must be below 32");
         let window = window.next_power_of_two();
         let mut ring = Vec::with_capacity(window);
         ring.resize_with(window, VecDeque::new);
         CalendarQueue {
             ring,
             mask: window - 1,
-            shift,
             occ: vec![0u64; window.div_ceil(64)],
             base: 0,
             base_slot: 0,
@@ -234,26 +206,24 @@ impl<K: Ord + Copy, T> CalendarQueue<K, T> {
             self.base = tick;
             self.base_slot = 0;
         }
-        let span = (self.ring.len() as Tick) << self.shift;
         if tick < self.base {
             self.past.push(Reverse(HeapEntry { tick, key, seq, value }));
-        } else if tick - self.base < span {
-            let slot = (self.base_slot + ((tick - self.base) >> self.shift) as usize) & self.mask;
+        } else if tick - self.base < self.ring.len() as Tick {
+            let slot = (self.base_slot + (tick - self.base) as usize) & self.mask;
             let bucket = &mut self.ring[slot];
-            // Keep the bucket sorted by (tick, key, seq). The new event
-            // carries the largest seq so far, so among equal (tick, key)
-            // it belongs last; scan from the back (O(1) for single-tick
-            // buckets with K = () and for the common in-order case, e.g.
-            // MIMD ranks stepping in rank order and each re-scheduling
-            // itself).
+            // Keep the bucket sorted by (key, seq). The new event carries
+            // the largest seq so far, so among equal keys it belongs
+            // last; scan from the back (O(1) with K = () and for the
+            // common in-order case, e.g. MIMD ranks stepping in rank
+            // order and each re-scheduling itself).
             let mut pos = bucket.len();
-            while pos > 0 && (bucket[pos - 1].tick, bucket[pos - 1].key) > (tick, key) {
+            while pos > 0 && bucket[pos - 1].key > key {
                 pos -= 1;
             }
             if pos == bucket.len() {
-                bucket.push_back(Entry { tick, key, seq, value });
+                bucket.push_back(Entry { key, seq, value });
             } else {
-                bucket.insert(pos, Entry { tick, key, seq, value });
+                bucket.insert(pos, Entry { key, seq, value });
             }
             self.occ[slot / 64] |= 1 << (slot % 64);
             self.ring_len += 1;
@@ -275,7 +245,7 @@ impl<K: Ord + Copy, T> CalendarQueue<K, T> {
             // minimum and the three-source comparison can be skipped.
             let slot = self.next_occupied_slot();
             let dist = slot.wrapping_sub(self.base_slot) & self.mask;
-            self.base += (dist as Tick) << self.shift;
+            self.base += dist as Tick;
             self.base_slot = slot;
             let e = self.ring[slot].pop_front()?;
             if self.ring[slot].is_empty() {
@@ -283,7 +253,7 @@ impl<K: Ord + Copy, T> CalendarQueue<K, T> {
             }
             self.ring_len -= 1;
             self.len -= 1;
-            return Some((e.tick, e.key, e.value));
+            return Some((self.base, e.key, e.value));
         }
         // Candidate from the ring: advance the cursor to the first
         // occupied bucket via the bitmap. Skipped buckets are empty, so
@@ -291,9 +261,9 @@ impl<K: Ord + Copy, T> CalendarQueue<K, T> {
         let ring_min = if self.ring_len > 0 {
             let slot = self.next_occupied_slot();
             let dist = slot.wrapping_sub(self.base_slot) & self.mask;
-            self.base += (dist as Tick) << self.shift;
+            self.base += dist as Tick;
             self.base_slot = slot;
-            self.ring[slot].front().map(|front| (front.tick, front.key, front.seq))
+            self.ring[slot].front().map(|front| (self.base, front.key, front.seq))
         } else {
             None
         };
@@ -315,7 +285,7 @@ impl<K: Ord + Copy, T> CalendarQueue<K, T> {
                     self.occ[self.base_slot / 64] &= !(1 << (self.base_slot % 64));
                 }
                 self.ring_len -= 1;
-                Some((e.tick, e.key, e.value))
+                Some((self.base, e.key, e.value))
             }
             Source::Past => {
                 let Reverse(e) = self.past.pop()?;
@@ -440,39 +410,6 @@ mod tests {
         q.push(3, (), 8);
         assert_eq!(q.pop(), Some((3, (), 7)));
         assert_eq!(q.pop(), Some((3, (), 8)));
-    }
-
-    #[test]
-    fn wide_buckets_preserve_total_order() {
-        // shift = 3 → each bucket spans 8 ticks; strides large enough
-        // that several distinct ticks share a bucket and several pushes
-        // land beyond the ring. Order must match the shift-0 queue.
-        let mut narrow = CalendarQueue::<usize, u64>::with_window_shift(16, 0);
-        let mut wide = CalendarQueue::<usize, u64>::with_window_shift(16, 3);
-        let mut rng = dlp_common::SplitMix64::new(0xB1_0F15);
-        let mut now = 0;
-        for seq in 0..20_000u64 {
-            if seq % 3 == 2 {
-                let a = narrow.pop();
-                let b = wide.pop();
-                assert_eq!(a, b);
-                if let Some((t, _, _)) = a {
-                    now = t;
-                }
-            } else {
-                let t = now + (rng.next_u64() % 300);
-                let key = (rng.next_u64() % 5) as usize;
-                narrow.push(t, key, seq);
-                wide.push(t, key, seq);
-            }
-        }
-        loop {
-            let a = narrow.pop();
-            assert_eq!(a, wide.pop());
-            if a.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

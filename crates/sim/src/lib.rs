@@ -27,6 +27,10 @@
 //! * [`Machine::run_mimd`] — per-node local-PC execution for the M / M-D
 //!   configurations.
 //!
+//! The lane-batched engines in [`batch`] run many variants of one program
+//! in lockstep. All four engines execute instructions through one shared
+//! statement of their timing and effects, so they cannot drift apart.
+//!
 //! # Example
 //!
 //! ```
@@ -69,6 +73,7 @@ mod machine;
 mod mechanisms;
 mod mimd;
 mod partition;
+mod semantics;
 
 pub use arena::EngineArena;
 pub use machine::Machine;

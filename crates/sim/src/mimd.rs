@@ -8,115 +8,27 @@
 //! configuration lose to **S-O-D** on streaming kernels (§5.3) — and
 //! `Send`/`Recv` give fine-grain ALU-ALU synchronization.
 
-use std::collections::VecDeque;
-
-use dlp_common::{Coord, DlpError, SimStats, Tick, Value};
-use trips_isa::{
-    MemSpace, MimdInst, MimdOp, MimdProgram, OpClass, OpRole, Opcode, REG_NODE_COUNT, REG_NODE_ID,
-    REG_RECORDS,
-};
-use trips_noc::Endpoint;
+use dlp_common::{DlpError, SimStats};
+use trips_isa::MimdProgram;
 
 use crate::equeue::CalendarQueue;
+use crate::semantics::mimd::{self as sem, Channels, NodeFile, RankMap, Step};
 use crate::{EngineArena, Machine};
-
-/// Per-node execution state.
-#[derive(Clone)]
-pub(crate) struct NodeState {
-    pub(crate) regs: [Value; 32],
-    pub(crate) pc: usize,
-    pub(crate) halted: bool,
-    /// Set while blocked on a `Recv` whose message has not arrived.
-    pub(crate) blocked_recv: Option<usize /* src node rank */>,
-}
-
-impl NodeState {
-    pub(crate) fn new() -> Self {
-        NodeState { regs: [Value::ZERO; 32], pc: 0, halted: false, blocked_recv: None }
-    }
-}
-
-/// In-flight messages `src rank -> dst rank`: FIFO of (arrival tick, value).
-///
-/// A flat table indexed `src * n_ranks + dst`, so every `Send`/`Recv` is a
-/// dense array access instead of a hash lookup.
-#[derive(Default)]
-pub(crate) struct Channels {
-    queues: Vec<VecDeque<(Tick, Value)>>,
-    n_ranks: usize,
-}
-
-impl Channels {
-    /// Size the table for `n_ranks` and empty every channel, retaining
-    /// each queue's allocation from prior runs.
-    pub(crate) fn reset(&mut self, n_ranks: usize) {
-        for q in &mut self.queues {
-            q.clear();
-        }
-        self.queues.resize_with(n_ranks * n_ranks, VecDeque::new);
-        self.n_ranks = n_ranks;
-    }
-
-    pub(crate) fn get_mut(&mut self, src: usize, dst: usize) -> &mut VecDeque<(Tick, Value)> {
-        &mut self.queues[src * self.n_ranks + dst]
-    }
-}
-
-/// The ready queue: nodes keyed by (tick they may proceed, rank). The
-/// calendar queue's internal sequence number only refines ties *after*
-/// `(tick, rank)` — and entries carrying the same `(tick, rank)` are
-/// value-identical — so the pop order is exactly the old binary heap's
-/// `(tick, rank)` order, independent of push order.
-type ReadyQueue = CalendarQueue<usize, ()>;
-
-/// Log2 bucket width (in ticks) for the MIMD ready queues — scalar and
-/// batched. One tick per bucket: instrumented blowfish/M runs show the
-/// MIMD schedule is *dense* in tick space (average cursor walk 0.01
-/// slots/pop, overflow heap never touched), so wider buckets buy
-/// nothing and cost ~20% throughput — every dense push then pays the
-/// in-bucket sorted-insert scan past later-tick events sharing the
-/// bucket (measurements in `EXPERIMENTS.md`). The knob stays because
-/// pop order is identical for any shift (the
-/// `bucket_shift_is_unobservable` property test), making it safe to
-/// re-tune if a genuinely sparse workload appears.
-pub(crate) const MIMD_BUCKET_SHIFT: u32 = 0;
 
 /// Recyclable storage for one MIMD run, owned by an
 /// [`EngineArena`](crate::EngineArena). Rebuilt per run; the allocations
-/// (node states, channel table, ready-queue buckets, rank/coord tables)
-/// carry over.
+/// (node file, channel table, ready-queue buckets, rank map) carry over.
+#[derive(Default)]
 pub(crate) struct MimdScratch {
-    queue: ReadyQueue,
+    /// The ready queue: nodes keyed by (tick they may proceed, rank).
+    /// The calendar queue's internal sequence number only refines ties
+    /// *after* `(tick, rank)` — and entries carrying the same
+    /// `(tick, rank)` are value-identical — so the pop order is exactly
+    /// `(tick, rank)`, independent of push order.
+    queue: CalendarQueue<usize, ()>,
     channels: Channels,
-    nodes: Vec<NodeState>,
-    /// Participating node indices in rank order.
-    ranks: Vec<usize>,
-    coords: Vec<Coord>,
-    /// Where `Send dst` routes to, precomputed per destination rank.
-    send_coords: Vec<Coord>,
-}
-
-impl Default for MimdScratch {
-    fn default() -> Self {
-        MimdScratch {
-            queue: ReadyQueue::with_window_shift(crate::equeue::DEFAULT_WINDOW, MIMD_BUCKET_SHIFT),
-            channels: Channels::default(),
-            nodes: Vec::new(),
-            ranks: Vec::new(),
-            coords: Vec::new(),
-            send_coords: Vec::new(),
-        }
-    }
-}
-
-/// Outcome of executing one instruction.
-pub(crate) enum Step {
-    /// Node continues; next instruction may start at this tick.
-    Continue(Tick),
-    /// Node executed `halt`.
-    Halted,
-    /// Node is blocked on a `Recv`; it will be re-queued by a send/arrival.
-    BlockedRecv,
+    nodes: NodeFile,
+    map: RankMap,
 }
 
 impl Machine {
@@ -219,73 +131,17 @@ impl Machine {
         conventions: &dyn Fn(usize) -> (u64, u64, u64),
         arena: &mut EngineArena,
     ) -> Result<SimStats, DlpError> {
-        if !self.mechanisms().local_pc {
-            return Err(DlpError::Unsupported {
-                what: "MIMD execution without local program counters".into(),
-            });
-        }
-        let cap = self.params().core.l0_inst_capacity;
-        for p in programs {
-            if p.len() > cap {
-                return Err(DlpError::CapacityExceeded {
-                    resource: "L0 instruction-store entries",
-                    needed: p.len(),
-                    available: cap,
-                });
-            }
-            for inst in p.insts() {
-                match inst.op {
-                    MimdOp::Lut if !self.mechanisms().l0_data_store => {
-                        return Err(DlpError::Unsupported {
-                            what: "lut instruction without the L0 data store".into(),
-                        })
-                    }
-                    MimdOp::Ld(MemSpace::Smc) | MimdOp::St(MemSpace::Smc)
-                        if !self.mechanisms().smc =>
-                    {
-                        return Err(DlpError::Unsupported {
-                            what: "SMC memory access without the SMC mechanism".into(),
-                        })
-                    }
-                    _ => {}
-                }
-            }
-        }
+        sem::check_programs(self, programs)?;
 
         let mut stats = self.begin_run();
-        let n = programs.len().min(self.grid().nodes());
         let s = &mut arena.mimd;
-        // Participating nodes in rank order.
-        s.ranks.clear();
-        s.ranks.extend((0..n).filter(|&i| !programs[i].is_empty()));
-        if s.ranks.is_empty() {
+        s.map.build(self.grid(), programs);
+        if s.map.len() == 0 {
             return Ok(stats);
         }
-        let n_ranks = s.ranks.len();
-
-        // Setup block: broadcast programs into the L0 instruction stores.
-        let longest = programs.iter().map(MimdProgram::len).max().unwrap_or(0);
-        let start = stats.ticks + self.fetch_ticks(longest);
-        stats.blocks_fetched = 1;
-
-        s.nodes.clear();
-        s.nodes.resize_with(n_ranks, NodeState::new);
-        for (rank, st) in s.nodes.iter_mut().enumerate() {
-            let (node_id, node_count, recs) = conventions(rank);
-            st.regs[REG_NODE_ID as usize] = Value::from_u64(node_id);
-            st.regs[REG_NODE_COUNT as usize] = Value::from_u64(node_count);
-            st.regs[REG_RECORDS as usize] = Value::from_u64(recs);
-            stats.iterations = stats.iterations.max(recs);
-        }
-        s.coords.clear();
-        for &i in &s.ranks {
-            s.coords.push(self.grid().coord(i));
-        }
-        s.send_coords.clear();
-        for d in 0..n_ranks {
-            s.send_coords.push(self.grid().coord_of_rank(d, n_ranks));
-        }
-
+        let n_ranks = s.map.len();
+        let start = sem::broadcast(self, &mut stats, programs);
+        s.nodes.reset(n_ranks, std::slice::from_mut(&mut stats), |rank, _| conventions(rank));
         s.channels.reset(n_ranks);
         // A failed previous run may have left entries queued.
         s.queue.clear();
@@ -295,308 +151,47 @@ impl Machine {
         let mut last_tick = start;
         let mut max_drain = start;
         let mut steps: u64 = 0;
-        // The step budget follows from the watchdog: with every
-        // instruction advancing its node's tick by at least one cycle, a
-        // rank can be popped at most once per distinct tick in
-        // `0..=watchdog_ticks`. Exceeding it means a zero-latency livelock
-        // the tick check alone would never catch.
-        let step_budget =
-            (n_ranks as u64).saturating_mul(self.watchdog_ticks.saturating_add(1));
+        let step_budget = sem::step_budget(self, n_ranks);
 
         while let Some((t, rank, ())) = s.queue.pop() {
-            if t > self.watchdog_ticks || steps > step_budget {
-                return Err(DlpError::Watchdog {
-                    ticks: t,
-                    context: format!(
-                        "mimd rank {rank} at pc {} ({steps} steps, budget {step_budget} = \
-                         {n_ranks} ranks x (watchdog {} + 1))",
-                        s.nodes[rank].pc,
-                        self.watchdog_ticks
-                    ),
-                });
-            }
-            if let Some(fatal) = self.fault.fatal() {
-                return Err(fatal.to_error());
-            }
+            sem::guard(self, t, rank, s.nodes.pc(rank, 0), steps, step_budget, n_ranks)?;
             steps += 1;
-            if s.nodes[rank].halted {
+            if s.nodes.halted[rank] != 0 {
                 continue;
             }
-            let pc = s.nodes[rank].pc;
-            let prog = &programs[s.ranks[rank]];
-            if pc >= prog.len() {
-                return Err(DlpError::MalformedProgram {
-                    detail: format!("mimd node rank {rank} ran off the end of its program"),
-                });
-            }
-            let inst = prog.insts()[pc];
+            let inst = sem::fetch(&programs[s.map.ranks[rank]], &s.nodes, rank, 0)?;
             stats.mimd_fetches += 1;
             last_tick = last_tick.max(t);
 
-            let step = self.step_inst(
-                rank,
-                s.coords[rank],
-                t,
-                inst,
+            let queue = &mut s.queue;
+            let step = sem::step_inst(
+                self,
+                &mut stats,
                 &mut s.nodes,
                 &mut s.channels,
-                &mut s.queue,
-                &s.send_coords,
-                &mut stats,
+                &s.map,
+                0,
+                rank,
+                t,
+                inst,
                 &mut max_drain,
+                &mut |tick, r| queue.push(tick, r, ()),
             );
-            match step {
-                Step::Continue(next_t) => {
-                    last_tick = last_tick.max(next_t);
-                    s.queue.push(next_t, rank, ());
-                }
-                Step::Halted => {}
-                Step::BlockedRecv => {}
+            if let Step::Continue(next_t) = step {
+                last_tick = last_tick.max(next_t);
+                s.queue.push(next_t, rank, ());
             }
         }
 
-        // A fault escalated by the last step has no successor pop to
-        // observe it — catch it before declaring the run complete.
-        if let Some(fatal) = self.fault.fatal() {
-            return Err(fatal.to_error());
-        }
-
-        if let Some(rank) = s.nodes.iter().position(|st| !st.halted) {
-            return Err(DlpError::MalformedProgram {
-                detail: format!("mimd deadlock: node rank {rank} never halted"),
-            });
-        }
-
-        stats.ticks = last_tick.max(max_drain);
-        let net = self.router.stats();
-        stats.net_msgs = net.msgs;
-        stats.net_hops = net.hops;
-        stats.record_faults(self.fault.take_stats());
-        Ok(stats)
-    }
-
-    /// Execute one instruction for node `rank` at tick `t`, mutating the
-    /// node state (registers, pc) and returning when the node may proceed.
-    ///
-    /// `Send` wakes its destination directly (pushing onto `queue`) when
-    /// that node is blocked on the matching channel; a blocked node's
-    /// channel is always empty, so the arriving message is necessarily the
-    /// queue front the old post-step scan would have found.
-    #[allow(clippy::too_many_arguments)]
-    fn step_inst(
-        &mut self,
-        rank: usize,
-        coord: Coord,
-        t: Tick,
-        inst: MimdInst,
-        nodes: &mut [NodeState],
-        channels: &mut Channels,
-        queue: &mut ReadyQueue,
-        send_coords: &[Coord],
-        stats: &mut SimStats,
-        max_drain: &mut Tick,
-    ) -> Step {
-        let alu = self.params().ops.int_alu;
-        let ra = nodes[rank].regs[inst.ra as usize];
-        let rb = nodes[rank].regs[inst.rb as usize];
-        let rd_old = nodes[rank].regs[inst.rd as usize];
-        let imm = inst.imm;
-        let useful = inst.role == OpRole::Useful;
-
-        macro_rules! count {
-            ($useful:expr) => {
-                if $useful {
-                    stats.useful_ops += 1;
-                } else {
-                    stats.overhead_ops += 1;
-                }
-            };
-        }
-
-        match inst.op {
-            MimdOp::Alu(op) | MimdOp::AluI(op) => {
-                let rhs =
-                    if matches!(inst.op, MimdOp::AluI(_)) { Value::from_i64(imm) } else { rb };
-                // `Sel rd, ra, rb`: rd = ra(predicate) ? rb : rd_old.
-                let v = if matches!(op, Opcode::Sel) {
-                    trips_isa::exec::eval(Opcode::Sel, rhs, rd_old, ra)
-                } else {
-                    let (_, needs_r, _) = op.ports();
-                    trips_isa::exec::eval(op, ra, if needs_r { rhs } else { Value::ZERO }, Value::ZERO)
-                };
-                nodes[rank].regs[inst.rd as usize] = v;
-                nodes[rank].pc += 1;
-                count!(useful && op.class() != OpClass::Mov);
-                Step::Continue(t + op.latency(&self.params().ops))
-            }
-            MimdOp::Li => {
-                nodes[rank].regs[inst.rd as usize] = Value::from_u64(imm as u64);
-                nodes[rank].pc += 1;
-                count!(false);
-                Step::Continue(t + self.params().ops.mov)
-            }
-            MimdOp::Ld(space) => {
-                let addr = ra.as_u64().wrapping_add(imm as u64);
-                stats.loads += 1;
-                let row = coord.row;
-                let req = self.router.send_faulty(
-                    Endpoint::Node(coord),
-                    Endpoint::MemPort(row),
-                    t + alu,
-                    &mut self.fault,
-                );
-                let served = match space {
-                    MemSpace::Smc => {
-                        stats.smc_accesses += 1;
-                        self.smc[row as usize].access_faulty(addr, req, &mut self.fault)
-                    }
-                    MemSpace::L1 => {
-                        stats.l1_accesses += 1;
-                        let (t2, hit) = self.l1[row as usize].access_faulty(addr, req, &mut self.fault);
-                        if !hit {
-                            stats.l1_misses += 1;
-                        }
-                        t2
-                    }
-                };
-                let back = self.router.send_faulty(
-                    Endpoint::MemPort(row),
-                    Endpoint::Node(coord),
-                    served,
-                    &mut self.fault,
-                );
-                // The loaded value lands in the node's operand storage; a
-                // parity flip there is re-latched from the network buffer.
-                let back = self.fault.operand_write(back);
-                stats.mem_stall_node_cycles += (back - t) / 2;
-                nodes[rank].regs[inst.rd as usize] = self.mem.read(addr);
-                nodes[rank].pc += 1;
-                Step::Continue(back)
-            }
-            MimdOp::St(space) => {
-                let addr = ra.as_u64().wrapping_add(imm as u64);
-                stats.stores += 1;
-                self.mem.write(addr, rb);
-                let row = coord.row;
-                let req = self.router.send_faulty(
-                    Endpoint::Node(coord),
-                    Endpoint::MemPort(row),
-                    t + alu,
-                    &mut self.fault,
-                );
-                let drained = match space {
-                    MemSpace::Smc => {
-                        let t2 = self.stb[row as usize].push_faulty(addr, req, &mut self.fault);
-                        self.smc[row as usize].store_faulty(addr, t2, &mut self.fault)
-                    }
-                    MemSpace::L1 => {
-                        stats.l1_accesses += 1;
-                        let (t2, hit) = self.l1[row as usize].access_faulty(addr, req, &mut self.fault);
-                        if !hit {
-                            stats.l1_misses += 1;
-                        }
-                        t2
-                    }
-                };
-                *max_drain = (*max_drain).max(drained);
-                nodes[rank].pc += 1;
-                // Stores retire into the buffer; the node moves on.
-                Step::Continue(t + alu)
-            }
-            MimdOp::Lut => {
-                let idx = ra.as_u64().wrapping_add(imm as u64);
-                stats.l0_accesses += 1;
-                nodes[rank].regs[inst.rd as usize] =
-                    self.l0_data.get(idx as usize).copied().unwrap_or(Value::ZERO);
-                nodes[rank].pc += 1;
-                Step::Continue(t + self.params().mem.l0_latency)
-            }
-            MimdOp::Jmp => {
-                nodes[rank].pc = imm as usize;
-                count!(false);
-                Step::Continue(t + alu)
-            }
-            MimdOp::Bez | MimdOp::Bnz => {
-                let taken = if matches!(inst.op, MimdOp::Bez) { !ra.is_true() } else { ra.is_true() };
-                nodes[rank].pc = if taken { imm as usize } else { nodes[rank].pc + 1 };
-                count!(false);
-                Step::Continue(t + alu)
-            }
-            MimdOp::Send => {
-                let dst = (imm as usize).min(nodes.len().saturating_sub(1));
-                let arrive = self.router.send_faulty(
-                    Endpoint::Node(coord),
-                    Endpoint::Node(send_coords[dst]),
-                    t + alu,
-                    &mut self.fault,
-                );
-                // The message parks in the receiver's operand buffer; a
-                // flipped entry is re-latched before it becomes visible.
-                let arrive = self.fault.operand_write(arrive);
-                channels.get_mut(rank, dst).push_back((arrive, ra));
-                if nodes[dst].blocked_recv == Some(rank) {
-                    // The receiver blocked on an empty channel; this message
-                    // is the front, so it proceeds at the arrival tick.
-                    nodes[dst].blocked_recv = None;
-                    queue.push(arrive, dst, ());
-                }
-                nodes[rank].pc += 1;
-                count!(false);
-                Step::Continue(t + alu)
-            }
-            MimdOp::Recv => {
-                let src = imm as usize;
-                if src >= nodes.len() {
-                    // No such peer: block forever (reported as a deadlock).
-                    nodes[rank].blocked_recv = Some(src);
-                    return Step::BlockedRecv;
-                }
-                let q = channels.get_mut(src, rank);
-                match q.front().copied() {
-                    Some((arrive, v)) if arrive <= t => {
-                        q.pop_front();
-                        let _ = arrive;
-                        nodes[rank].regs[inst.rd as usize] = v;
-                        nodes[rank].pc += 1;
-                        count!(false);
-                        Step::Continue(t + alu)
-                    }
-                    Some((arrive, _)) => {
-                        // In flight but not yet arrived: retry at arrival.
-                        queue.push(arrive, rank, ());
-                        Step::BlockedRecv
-                    }
-                    None => {
-                        nodes[rank].blocked_recv = Some(src);
-                        Step::BlockedRecv
-                    }
-                }
-            }
-            MimdOp::Halt => {
-                nodes[rank].halted = true;
-                Step::Halted
-            }
-        }
-    }
-}
-
-pub(crate) trait RankCoord {
-    fn coord_of_rank(&self, rank: usize, _n_ranks: usize) -> Coord;
-}
-
-impl RankCoord for dlp_common::GridShape {
-    /// Ranks are assigned in row-major grid order over participating nodes;
-    /// with every node participating (the common case) rank == linear index.
-    fn coord_of_rank(&self, rank: usize, _n_ranks: usize) -> Coord {
-        self.coord(rank.min(self.nodes() - 1))
+        sem::finish(self, stats, &s.nodes, 0, last_tick.max(max_drain))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlp_common::{GridShape, TimingParams};
-    use trips_isa::MimdAsm;
+    use dlp_common::{GridShape, TimingParams, Value};
+    use trips_isa::{MemSpace, MimdAsm, Opcode, REG_NODE_ID};
 
     use crate::MechanismSet;
 

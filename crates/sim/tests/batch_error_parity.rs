@@ -1,0 +1,124 @@
+//! The lane-batched engines reject what the scalar engines reject: for
+//! every static rejection, `run_dataflow_batch_in` / `run_mimd_batch_in`
+//! return, for every lane class, exactly the `Err` the scalar run on
+//! that class's machine returns.
+
+use dlp_common::{Coord, DlpError, GridShape, SimStats, TimingParams};
+use trips_isa::{
+    DataflowBlock, MemSpace, MimdAsm, MimdProgram, Opcode, PlacedInst, Port, Slot, Target,
+};
+use trips_sim::batch::{run_dataflow_batch_in, run_mimd_batch_in};
+use trips_sim::{EngineArena, Machine, MechanismSet};
+
+/// Per-class record (MIMD) or iteration (dataflow) counts: distinct, so
+/// the classes are genuinely different lanes.
+const COUNTS: [u64; 3] = [1, 4, 9];
+
+fn machine(mech: MechanismSet) -> Machine {
+    Machine::new(GridShape::new(4, 4), TimingParams::default(), mech)
+}
+
+fn mimd_program(body: impl FnOnce(&mut MimdAsm)) -> Vec<MimdProgram> {
+    let mut asm = MimdAsm::new();
+    body(&mut asm);
+    asm.halt();
+    vec![asm.assemble().expect("assembles"); 4]
+}
+
+/// Every class of a batched MIMD dispatch fails exactly as the scalar run.
+fn assert_mimd_parity(mech: MechanismSet, programs: &[MimdProgram]) -> DlpError {
+    let scalar: Vec<Result<SimStats, DlpError>> = COUNTS
+        .iter()
+        .map(|&records| machine(mech).run_mimd_in(programs, records, &mut EngineArena::new()))
+        .collect();
+    let mut machines: Vec<Machine> = COUNTS.iter().map(|_| machine(mech)).collect();
+    let batch = run_mimd_batch_in(&mut machines, programs, &COUNTS, &mut EngineArena::new());
+    assert_eq!(batch, scalar, "batched MIMD classes must fail exactly as scalar runs");
+    scalar[0].clone().expect_err("the scalar engine rejects this program")
+}
+
+/// Every class of a batched dataflow dispatch fails exactly as the
+/// scalar run.
+fn assert_dataflow_parity(mech: MechanismSet, block: &DataflowBlock) -> DlpError {
+    let scalar: Vec<Result<SimStats, DlpError>> = COUNTS
+        .iter()
+        .map(|&iterations| machine(mech).run_dataflow_in(block, iterations, &mut EngineArena::new()))
+        .collect();
+    let mut machines: Vec<Machine> = COUNTS.iter().map(|_| machine(mech)).collect();
+    let batch = run_dataflow_batch_in(&mut machines, block, &COUNTS, &mut EngineArena::new());
+    assert_eq!(batch, scalar, "batched dataflow classes must fail exactly as scalar runs");
+    scalar[0].clone().expect_err("the scalar engine rejects this block")
+}
+
+/// `iter -> op(iter) -> reg0`, with `op` on node (0, 1).
+fn dataflow_block(op: Opcode) -> DataflowBlock {
+    let s0 = Slot::new(Coord::new(0, 0), 0);
+    let s1 = Slot::new(Coord::new(0, 1), 0);
+    let mut it = PlacedInst::new(s0, Opcode::Iter);
+    it.targets = vec![Target::port(s1, Port::Left)];
+    let mut inst = PlacedInst::new(s1, op);
+    inst.targets = vec![Target::Reg(0)];
+    DataflowBlock::new("parity", vec![it, inst], vec![])
+}
+
+#[test]
+fn mimd_without_local_pcs() {
+    let progs = mimd_program(|_| {});
+    let err = assert_mimd_parity(MechanismSet::simd(), &progs);
+    assert!(matches!(err, DlpError::Unsupported { .. }), "{err:?}");
+}
+
+#[test]
+fn mimd_program_longer_than_the_l0_instruction_store() {
+    let cap = TimingParams::default().core.l0_inst_capacity;
+    let progs = mimd_program(|asm| {
+        for _ in 0..cap {
+            asm.li(1, 0);
+        }
+    });
+    let err = assert_mimd_parity(MechanismSet::mimd(), &progs);
+    assert!(matches!(err, DlpError::CapacityExceeded { .. }), "{err:?}");
+}
+
+#[test]
+fn mimd_lut_without_the_l0_data_store() {
+    let progs = mimd_program(|asm| {
+        asm.lut(1, 0, 0);
+    });
+    let err = assert_mimd_parity(MechanismSet::mimd(), &progs);
+    assert!(matches!(err, DlpError::Unsupported { .. }), "{err:?}");
+}
+
+#[test]
+fn mimd_smc_access_without_smc() {
+    let no_smc = MechanismSet { local_pc: true, ..MechanismSet::default() };
+    let ld = mimd_program(|asm| {
+        asm.ld(MemSpace::Smc, 1, 0, 0);
+    });
+    let err = assert_mimd_parity(no_smc, &ld);
+    assert!(matches!(err, DlpError::Unsupported { .. }), "{err:?}");
+    let st = mimd_program(|asm| {
+        asm.st(MemSpace::Smc, 0, 0, 1);
+    });
+    assert_eq!(assert_mimd_parity(no_smc, &st), err);
+}
+
+#[test]
+fn dataflow_lut_without_the_l0_data_store() {
+    let err = assert_dataflow_parity(MechanismSet::simd(), &dataflow_block(Opcode::Lut));
+    assert!(matches!(err, DlpError::Unsupported { .. }), "{err:?}");
+}
+
+#[test]
+fn dataflow_smc_access_without_smc() {
+    let block = dataflow_block(Opcode::Load(MemSpace::Smc));
+    let err = assert_dataflow_parity(MechanismSet::baseline(), &block);
+    assert!(matches!(err, DlpError::Unsupported { .. }), "{err:?}");
+}
+
+#[test]
+fn dataflow_block_on_a_local_pc_machine() {
+    let block = dataflow_block(Opcode::Mov);
+    let err = assert_dataflow_parity(MechanismSet::mimd(), &block);
+    assert!(matches!(err, DlpError::Unsupported { .. }), "{err:?}");
+}

@@ -102,30 +102,6 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// Bucket granularity is unobservable: for any shift, the pop order
-    /// is the same `(tick, key, seq)` total order. This is what lets the
-    /// MIMD engine widen its ready-queue buckets (sparse memory-bound
-    /// schedules) without any determinism audit of the callers.
-    #[test]
-    fn bucket_shift_is_unobservable(ops in ops_strategy(200), shift in 0u32..8) {
-        let mut q: CalendarQueue<usize, u64> = CalendarQueue::with_window_shift(16, shift);
-        let mut model: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for (op, tick, key) in ops {
-            if op == 0 {
-                prop_assert_eq!(q.pop(), model.pop().map(|Reverse(e)| e));
-            } else {
-                q.push(tick, key, seq);
-                model.push(Reverse((tick, key, seq)));
-                seq += 1;
-            }
-        }
-        while let Some(Reverse(e)) = model.pop() {
-            prop_assert_eq!(q.pop(), Some(e));
-        }
-        prop_assert!(q.is_empty());
-    }
-
     /// `clear` fully resets ordering state: a cleared queue behaves like
     /// a fresh one for a subsequent scripted run.
     #[test]

@@ -24,9 +24,10 @@
 //!   allowlist.
 //!
 //! Additionally forbidden in the lane-batched engine
-//! (`crates/sim/src/batch/`), whose bit-identity contract (DESIGN.md
-//! §10) rests on every observable per-class step walking lane classes in
-//! ascending index order:
+//! (`crates/sim/src/batch/`) and in the instruction semantics it calls
+//! once per lane class (`crates/sim/src/semantics/`), whose bit-identity
+//! contract (DESIGN.md §10) rests on every observable per-class step
+//! walking lane classes in ascending index order:
 //!
 //! * `.rev()` — descending iteration would reorder per-class fault
 //!   rolls and stats updates relative to the scalar engines.
@@ -117,8 +118,9 @@ const STORE_TOKENS: &[(&str, &str)] = &[
     ("File::create", "bare creation bypasses the atomic writer; use AppendWriter"),
 ];
 
-/// The lane-batched engine sources, held to the strictest rule set.
-const BATCH_DIR: &str = "crates/sim/src/batch/";
+/// The lane-batched engine sources and the shared instruction semantics
+/// it runs per lane class, held to the strictest rule set.
+const BATCH_DIRS: &[&str] = &["crates/sim/src/batch/", "crates/sim/src/semantics/"];
 
 /// Raw-source markers bracketing the tagged SIMD loops in the batch
 /// engine's word-at-a-time passes. Comments are stripped before token
@@ -128,9 +130,9 @@ const SIMD_BEGIN: &str = "detlint: simd-loop-begin";
 /// Closing marker; see [`SIMD_BEGIN`].
 const SIMD_END: &str = "detlint: simd-loop-end";
 
-/// Tokens forbidden in [`BATCH_DIR`]: anything that iterates lane
+/// Tokens forbidden in [`BATCH_DIRS`]: anything that iterates lane
 /// classes in other than ascending index order (or an unspecified
-/// order) can desync the batched engines from their scalar twins while
+/// order) can desync the batched engines from the scalar engines while
 /// every test still passes on symmetric workloads.
 const BATCH_TOKENS: &[(&str, &str)] = &[
     (".rev()", "descending iteration reorders observable per-class steps"),
@@ -240,7 +242,7 @@ pub fn run(allow_path: &str, format: Format) -> ExitCode {
             if hot {
                 scan(&rel, &code, HASH_TOKENS, &mut findings);
             }
-            if rel.starts_with(BATCH_DIR) {
+            if is_batch_file(&rel) {
                 scan(&rel, &code, BATCH_TOKENS, &mut findings);
                 scan_simd_continue(&rel, &source, &code, &mut findings);
             }
@@ -396,6 +398,12 @@ fn parse_allowlist(path: &Path, display: &str) -> (Vec<AllowEntry>, Vec<String>)
         });
     }
     (entries, errors)
+}
+
+/// Whether workspace-relative `rel` is held to the [`BATCH_TOKENS`] and
+/// SIMD-loop rules.
+fn is_batch_file(rel: &str) -> bool {
+    BATCH_DIRS.iter().any(|dir| rel.starts_with(dir))
 }
 
 /// All `.rs` files under `dir`, sorted for deterministic reports.
@@ -629,6 +637,20 @@ let m: HashMap<u32, u32> = HashMap::new();
         let src = "a\n/* x\ny */\nb\n";
         let code = strip_comments_and_strings(src);
         assert_eq!(code.lines().count(), src.lines().count());
+    }
+
+    #[test]
+    fn batch_rules_cover_the_lockstep_engines_and_their_semantics() {
+        assert!(is_batch_file("crates/sim/src/batch/mimd.rs"));
+        assert!(is_batch_file("crates/sim/src/semantics/dataflow.rs"));
+        assert!(is_batch_file("crates/sim/src/semantics/mod.rs"));
+        assert!(!is_batch_file("crates/sim/src/dataflow.rs"));
+        assert!(!is_batch_file("crates/core/src/runner.rs"));
+        let mut findings = Vec::new();
+        let code = "let v: Vec<_> = m.values().collect();\nv.sort_unstable();\n";
+        scan("crates/sim/src/semantics/mimd.rs", code, BATCH_TOKENS, &mut findings);
+        let tokens: Vec<&str> = findings.iter().map(|f| f.token).collect();
+        assert_eq!(tokens, vec![".values()", "sort_unstable"]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! implementation (bit-exact for the crypto kernels, tolerance-checked
 //! for floating point).
 
+use dlp_core::sweep::derive_seed;
 use dlp_core::{run_kernel, ExperimentParams, MachineConfig};
 use dlp_kernels::suite;
 
@@ -63,4 +64,24 @@ fn anisotropic_is_characterized_but_excluded() {
         .expect("kernel exists");
     assert!(!k.in_perf_suite());
     assert!(k.ir().validate().is_ok());
+}
+
+#[test]
+fn highpassfilter_mimd_matches_reference_tree_order() {
+    // The MIMD body must add the nine products in the reference's tree
+    // order: the coefficients sum to 1, so a serial accumulation cancels
+    // differently and word 2554 of the workload a sweep draws at the
+    // default seed lands outside the f32 tolerance.
+    let base = ExperimentParams::default();
+    let params = ExperimentParams { seed: derive_seed(base.seed, "highpassfilter"), ..base };
+    let k = suite().into_iter().find(|k| k.name() == "highpassfilter").expect("kernel exists");
+    for config in [MachineConfig::M, MachineConfig::MD] {
+        let out = run_kernel(k.as_ref(), config, 2555, &params)
+            .unwrap_or_else(|e| panic!("highpassfilter on {config}: {e}"));
+        assert!(
+            out.verified(),
+            "highpassfilter on {config}: first mismatch at output word {:?}",
+            out.mismatch
+        );
+    }
 }
