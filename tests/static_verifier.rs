@@ -101,6 +101,34 @@ fn mutation_dropped_producer_is_v0107() {
 }
 
 #[test]
+fn mutation_duplicated_operand_is_v0106() {
+    let (block, params) =
+        scheduled("convert", TargetConfig { smc: true, dlp_unroll: true, ..TargetConfig::default() });
+    let mut insts = block.insts().to_vec();
+    assert!(insts.len() > 512, "the DLP-unrolled block is full-size");
+    // Give the last producer a second wire into the block's first fed
+    // port, so that port has two producers. (Skip `lmw` producers: their
+    // target count is pinned to the word count.)
+    let fed = insts
+        .iter()
+        .flat_map(|i| &i.targets)
+        .copied()
+        .find(|t| matches!(t, Target::Port { .. }))
+        .expect("convert's block has at least one operand wire");
+    let producer = insts
+        .iter_mut()
+        .rev()
+        .find(|i| !i.targets.is_empty() && !matches!(i.op, Opcode::Lmw))
+        .expect("convert's block has a non-lmw producer");
+    producer.targets.push(fed);
+    let broken = trips_isa::DataflowBlock::new("mutated", insts, block.reg_reads().to_vec());
+    match verify_dataflow(&broken, &params) {
+        Err(DlpError::Verify { code, .. }) => assert_eq!(code, vcode::MULTIPLE_PRODUCERS),
+        other => panic!("expected V0106, got {other:?}"),
+    }
+}
+
+#[test]
 fn mutation_l0_index_overflow_is_v0123() {
     // A lookup-heavy kernel on the L0-data-store configuration places
     // real `lut` instructions; pushing one's static index past the store
