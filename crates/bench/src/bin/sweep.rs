@@ -26,10 +26,6 @@
 //! * `--threads N` — worker-thread count (default: one per CPU, max 8).
 //!   `--threads 1` is the serial reference; any N produces bit-identical
 //!   statistics.
-//! * `--no-workload-cache` — disable the shared workload cache.
-//!   Statistics are bit-identical either way (the CI purity check
-//!   compares the two paths); the flag exists for A/B wall-clock
-//!   comparisons.
 //! * `--out PATH` — JSON destination (default `BENCH_sweep.json`).
 //! * `--canonical` — write the provenance-free canonical form of the
 //!   report (see [`SweepReport::canonical`]): byte-identical across
@@ -97,9 +93,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ExperimentParams::default()
     };
     let mut sweep = threads.map_or_else(Sweep::new, Sweep::with_threads);
-    if args.iter().any(|a| a == "--no-workload-cache") {
-        sweep.set_workload_cache(false);
-    }
     let mut policy = SweepPolicy::default();
     if let Some(n) = breaker {
         policy = policy.with_breaker(n);

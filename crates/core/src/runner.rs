@@ -445,12 +445,6 @@ impl RunScratch {
     pub fn with_workload_cache(cache: Arc<WorkloadCache>) -> Self {
         RunScratch { arena: EngineArena::new(), workloads: Some(cache) }
     }
-
-    /// The shared workload cache, when one is installed.
-    #[must_use]
-    pub fn workload_cache(&self) -> Option<&Arc<WorkloadCache>> {
-        self.workloads.as_ref()
-    }
 }
 
 /// Execute a [`PreparedProgram`] over `records` records: generate the

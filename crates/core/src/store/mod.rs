@@ -34,10 +34,9 @@
 //! mismatches — wrong answers are deterministic too) and *deterministic
 //! rejections* (verifier, capacity, unsupported-feature, malformed-
 //! program, invalid-config failures). Watchdog trips, fault-budget
-//! exhaustion, internal panics, and soft-timeout failures are **not**
-//! cached — they are exactly the outcomes an operator retries, so they
-//! go to the dead-letter queue instead. [`cacheable`] is the single
-//! arbiter.
+//! exhaustion, and internal panics are **not** cached — they are
+//! exactly the outcomes an operator retries, so they go to the
+//! dead-letter queue instead. [`cacheable`] is the single arbiter.
 //!
 //! # Key schema and invalidation
 //!
@@ -927,7 +926,8 @@ pub struct DlqRecord {
     pub kind: String,
     /// Attempts spent before dead-lettering.
     pub attempts: u32,
-    /// Whether the policy's soft timeout stopped further retries.
+    /// Always `false`: the sweep has no wall-clock retry budget. Kept
+    /// only so dead-letter lines keep their format ([`DLQ_VERSION`]).
     pub timed_out: bool,
 }
 

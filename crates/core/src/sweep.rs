@@ -25,11 +25,10 @@
 //!   configurations (scaling studies, ablations).
 //! * **Graceful degradation** — a failing cell (panic, watchdog,
 //!   unrecoverable injected fault) is captured as a structured
-//!   [`CellOutcome::Failed`] with the [`DlpError::kind`] taxonomy,
-//!   attempt count, and soft-timeout flag; it never aborts the batch
-//!   or poisons sibling cells. A [`SweepPolicy`] can grant failed
-//!   cells bounded retries (each with an independently re-salted fault
-//!   schedule) and a per-cell wall-clock soft budget.
+//!   [`CellOutcome::Failed`] with the [`DlpError::kind`] taxonomy and
+//!   attempt count; it never aborts the batch or poisons sibling cells.
+//!   A [`SweepPolicy`] can grant failed cells bounded retries, each
+//!   with an independently re-salted fault schedule.
 //! * **Deterministic seeding** — each cell's workload seed is derived
 //!   from [`ExperimentParams::seed`] and the kernel's name alone, so
 //!   every configuration of a kernel sees the same records (speedups
@@ -92,7 +91,7 @@ use trips_sim::MechanismSet;
 
 use crate::runner::{
     natural_unroll, prepare_kernel, run_prepared_batch_in, run_prepared_in, BatchLane,
-    PreparedProgram, RunScratch, WorkloadCache,
+    LaneResult, PreparedProgram, RunScratch, WorkloadCache,
 };
 use crate::store::{
     self, cacheable, lowering_fingerprint, DeadLetterQueue, Digest, DlqRecord, ManifestEntry,
@@ -148,7 +147,6 @@ pub struct Sweep {
     cells: Vec<CellSpec>,
     threads: usize,
     policy: SweepPolicy,
-    workload_cache: bool,
     result_store: Option<Arc<ResultStore>>,
     manifest: Option<Arc<ManifestWriter>>,
     resume: Option<SweepManifest>,
@@ -156,12 +154,12 @@ pub struct Sweep {
 }
 
 /// Degradation policy for failing cells: how hard a sweep tries before
-/// accepting a [`CellOutcome::Failed`], and how much wall-clock one cell
-/// may soak up before the engine stops investing in it.
+/// accepting a [`CellOutcome::Failed`], and whether a configuration's
+/// failures stop its remaining cells.
 ///
-/// The default (`max_attempts: 1`, no soft timeout) is exactly the
-/// historical behavior, and keeps sweeps bit-deterministic: wall-clock
-/// only enters the picture when a soft timeout is explicitly set.
+/// The default (`max_attempts: 1`, no breaker) is exactly the historical
+/// behavior. Wall-clock never enters either decision, so every policy
+/// keeps sweeps bit-deterministic.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SweepPolicy {
     /// Execution attempts granted per cell (clamped to ≥ 1). Each retry
@@ -171,12 +169,6 @@ pub struct SweepPolicy {
     /// (malformed programs, genuine deadlocks) fail every attempt and
     /// report the final error with the attempt count.
     pub max_attempts: u32,
-    /// Per-cell wall-clock soft budget in milliseconds. A running cell
-    /// is never preempted (simulated statistics stay exact); instead a
-    /// cell that finishes over budget is denied further retries and
-    /// counted in [`SweepReport::soft_timeouts`]. `None` disables the
-    /// check.
-    pub soft_timeout_ms: Option<f64>,
     /// Per-configuration circuit breaker: after this many *consecutive*
     /// failed cells of one configuration, its remaining unknown cells
     /// are skipped ([`CellOutcome::Skipped`]) instead of executed.
@@ -189,7 +181,7 @@ pub struct SweepPolicy {
 
 impl Default for SweepPolicy {
     fn default() -> Self {
-        SweepPolicy { max_attempts: 1, soft_timeout_ms: None, breaker_threshold: None }
+        SweepPolicy { max_attempts: 1, breaker_threshold: None }
     }
 }
 
@@ -198,13 +190,6 @@ impl SweepPolicy {
     #[must_use]
     pub fn with_attempts(mut self, n: u32) -> Self {
         self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Sets the per-cell wall-clock soft budget.
-    #[must_use]
-    pub fn with_soft_timeout_ms(mut self, ms: f64) -> Self {
-        self.soft_timeout_ms = Some(ms);
         self
     }
 
@@ -224,19 +209,13 @@ impl Default for Sweep {
 }
 
 /// The worker count [`Sweep::new`] picks for a host with `cores` CPUs:
-/// one worker on a single-core host (spawning a second thread there only
-/// adds contention), otherwise `cores` clamped to 2..=8 — at least two so
-/// the work-stealing path is always exercised (results are
-/// thread-count-independent, so this is free), at most eight because the
-/// cells are simulation-bound and oversubscription only adds scheduling
-/// noise.
+/// `cores` clamped to 1..=8 — one worker per core (a second thread on a
+/// single-core host only adds contention, and a reported 0 still gets
+/// one), at most eight because the cells are simulation-bound and
+/// oversubscription only adds scheduling noise.
 #[must_use]
 pub fn default_worker_count(cores: usize) -> usize {
-    if cores <= 1 {
-        1
-    } else {
-        cores.clamp(2, 8)
-    }
+    cores.clamp(1, 8)
 }
 
 impl Sweep {
@@ -259,7 +238,6 @@ impl Sweep {
             cells: Vec::new(),
             threads: threads.max(1),
             policy: SweepPolicy::default(),
-            workload_cache: true,
             result_store: None,
             manifest: None,
             resume: None,
@@ -282,21 +260,6 @@ impl Sweep {
     #[must_use]
     pub fn policy(&self) -> SweepPolicy {
         self.policy
-    }
-
-    /// Enables or disables the shared [`WorkloadCache`] (on by default).
-    /// Caching is observationally pure — statistics are bit-identical
-    /// either way — so the switch exists for A/B timing comparisons and
-    /// the CI purity cross-check, not correctness.
-    pub fn set_workload_cache(&mut self, enabled: bool) {
-        self.workload_cache = enabled;
-    }
-
-    /// Whether [`Sweep::run`] will share workloads through a
-    /// [`WorkloadCache`].
-    #[must_use]
-    pub fn workload_cache_enabled(&self) -> bool {
-        self.workload_cache
     }
 
     /// Attaches a content-addressed result store: [`Sweep::run`] serves
@@ -364,7 +327,7 @@ impl Sweep {
 
     /// Attaches a dead-letter queue: cells that exhaust their retries
     /// with a non-[`cacheable`] failure (watchdog, unrecoverable fault,
-    /// internal error, soft timeout) are appended as replayable
+    /// internal error) are appended as replayable
     /// [`DlqRecord`]s.
     pub fn set_dlq(&mut self, dlq: Arc<DeadLetterQueue>) {
         self.dlq = Some(dlq);
@@ -377,45 +340,11 @@ impl Sweep {
     #[must_use]
     pub fn cell_keys(&self) -> Vec<StoreKey> {
         // The fingerprint needs each cell's *effective* unroll — the
-        // one prepare_kernel will actually choose — so probe
-        // natural_unroll once per coarse plan group (cheap: IR
-        // validation + instruction count, no placement).
-        let mut effective: Vec<usize> = self.cells.iter().map(|c| c.records).collect();
-        let mut groups: Vec<(PlanKey, Vec<usize>)> = Vec::new();
-        for (i, cell) in self.cells.iter().enumerate() {
-            let key = PlanKey::of(cell, 0);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((key, vec![i])),
-            }
-        }
-        for (key, members) in &groups {
-            if key.mech.local_pc {
-                // MIMD lowering never reads the record count.
-                for &i in members {
-                    effective[i] = 0;
-                }
-                continue;
-            }
-            let params = ExperimentParams {
-                grid: key.grid,
-                timing: key.timing,
-                ..ExperimentParams::default()
-            };
-            let natural = catch_cell(|| {
-                natural_unroll(self.kernels[key.kernel].as_ref(), key.mech, &params)
-            })
-            // A failing probe will fail again at prepare time; an
-            // unbounded cap keys such cells by raw record count.
-            .unwrap_or(usize::MAX);
-            for &i in members {
-                effective[i] = natural.min(self.cells[i].records);
-            }
-        }
+        // one prepare_kernel will actually choose.
         self.cells
             .iter()
-            .zip(&effective)
-            .map(|(cell, &unroll)| {
+            .zip(self.unroll_caps(true))
+            .map(|(cell, unroll)| {
                 let kernel = self.kernels[cell.kernel].as_ref();
                 let lowering = lowering_fingerprint(
                     kernel,
@@ -547,7 +476,7 @@ impl Sweep {
         // Linear-scan dedup: TimingParams is Eq but not Hash, and sweep
         // grids are tens-to-hundreds of cells, far below the n² that
         // would justify hashing around it.
-        let unroll_caps = self.unroll_caps();
+        let unroll_caps = self.unroll_caps(false);
         let mut plan_keys: Vec<PlanKey> = Vec::new();
         let mut cell_plan: Vec<usize> = Vec::with_capacity(self.cells.len());
         for (cell, &cap) in self.cells.iter().zip(&unroll_caps) {
@@ -616,17 +545,12 @@ impl Sweep {
         let prepared: Vec<Result<PreparedProgram, DlpError>> =
             self.parallel_map(needed.len(), |j| {
                 let key = &plan_keys[needed[j]];
-                let params = ExperimentParams {
-                    grid: key.grid,
-                    timing: key.timing,
-                    ..ExperimentParams::default()
-                };
                 catch_cell(|| {
                     prepare_kernel(
                         self.kernels[key.kernel].as_ref(),
                         key.mech,
                         key.unroll_cap,
-                        &params,
+                        &key.params(),
                     )
                 })
             });
@@ -638,22 +562,19 @@ impl Sweep {
 
         // ---- Phase 2: execute pending cells against the shared plans.
         // Each worker carries one RunScratch for its whole drain: the
-        // engine arena makes repeat cells allocation-free, and the
-        // (optional) workload cache is shared across all workers.
+        // engine arena makes repeat cells allocation-free, and one
+        // workload cache is shared across all workers.
         //
-        // The work-stealing unit is a *group* of cells. Three shapes:
-        // one sequential chain per configuration when the circuit
-        // breaker is armed (so "consecutive failures" is well-defined
-        // regardless of worker interleaving); lane-*batched* groups of
-        // pending cells sharing one lowering and watchdog — record
-        // counts may differ, short lanes ride as mask-padded tails
-        // (DESIGN.md §12) — packed greedily into maximal-occupancy
-        // batches and dispatched in lockstep through the batched
-        // engine (DESIGN.md §10) with bit-identical per-cell results;
-        // and singleton chains for everything else. Batching is skipped
-        // under a breaker (its failure chains are sequential by
-        // definition) and under a soft timeout (a wall-clock budget is
-        // per-cell and cannot be attributed inside a shared dispatch).
+        // The work-stealing unit is a *group* of cells. Two shapes:
+        // with the circuit breaker armed, one sequential chain per
+        // configuration (so "consecutive failures" is well-defined
+        // regardless of worker interleaving, and nothing batches);
+        // otherwise lane-*batched* groups of pending cells sharing one
+        // lowering and watchdog — record counts may differ, short lanes
+        // ride as mask-padded tails (DESIGN.md §12) — packed greedily
+        // into maximal-occupancy batches and dispatched in lockstep
+        // through the batched engine (DESIGN.md §10) with bit-identical
+        // per-cell results, and singleton chains for everything else.
         let breaker = self.policy.breaker_threshold.filter(|&t| t > 0);
         let mut groups: Vec<DispatchGroup> = match breaker {
             Some(_) => {
@@ -667,7 +588,7 @@ impl Sweep {
                 }
                 order.into_iter().map(|(_, members)| DispatchGroup::Chain(members)).collect()
             }
-            None if self.policy.soft_timeout_ms.is_none() => {
+            None => {
                 let mut groups: Vec<DispatchGroup> = Vec::new();
                 let mut pending: Vec<(BatchKey, Vec<usize>)> = Vec::new();
                 for i in 0..self.cells.len() {
@@ -697,7 +618,6 @@ impl Sweep {
                 }
                 groups
             }
-            None => (0..self.cells.len()).map(|i| DispatchGroup::Chain(vec![i])).collect(),
         };
         // Static dispatch accounting: a pure function of the grid, the
         // policy, and the resolve phase — never of worker interleaving.
@@ -740,14 +660,10 @@ impl Sweep {
         groups.sort_by_cached_key(|g| match g {
             DispatchGroup::Batch(m) | DispatchGroup::Chain(m) => std::cmp::Reverse(weight(m)),
         });
-        let workload_cache =
-            if self.workload_cache { Some(Arc::new(WorkloadCache::new())) } else { None };
+        let workload_cache = Arc::new(WorkloadCache::new());
         let group_results: Vec<Vec<(usize, Resolved)>> = self.parallel_map_with(
             groups.len(),
-            || match &workload_cache {
-                Some(cache) => RunScratch::with_workload_cache(Arc::clone(cache)),
-                None => RunScratch::new(),
-            },
+            || RunScratch::with_workload_cache(Arc::clone(&workload_cache)),
             |scratch, g| match &groups[g] {
                 DispatchGroup::Batch(members) => {
                     let results = self.execute_batch(scratch, members, &plans, &cell_plan);
@@ -810,12 +726,7 @@ impl Sweep {
                 r.unwrap_or_else(|| Resolved {
                     // Unreachable by construction (every cell is in
                     // exactly one group); degrade, don't panic.
-                    outcome: CellOutcome::Failed {
-                        error: "internal: cell missing from dispatch groups".into(),
-                        kind: "internal".into(),
-                        attempts: 0,
-                        timed_out: false,
-                    },
+                    outcome: internal("cell missing from dispatch groups"),
                     wall_ms: 0.0,
                     attempts: 0,
                     origin: Origin::Executed,
@@ -823,19 +734,10 @@ impl Sweep {
             })
             .collect();
 
-        let (workload_cache_hits, workload_cache_misses) =
-            workload_cache.as_ref().map_or((0, 0), |c| (c.hits(), c.misses()));
         let (store_hits, store_misses) = self.result_store.as_ref().map_or((0, 0), |s| {
             (s.hits() - store_hits_before, s.misses() - store_misses_before)
         });
 
-        let soft_timeouts = match self.policy.soft_timeout_ms {
-            Some(budget) => cell_results
-                .iter()
-                .filter(|r| r.origin == Origin::Executed && r.wall_ms > budget)
-                .count(),
-            None => 0,
-        };
         let extra_attempts = cell_results
             .iter()
             .filter(|r| r.origin == Origin::Executed)
@@ -879,10 +781,9 @@ impl Sweep {
             plans_prepared: needed.len(),
             plan_reuses: self.cells.len().saturating_sub(plan_keys.len()),
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            soft_timeouts,
             extra_attempts,
-            workload_cache_hits,
-            workload_cache_misses,
+            workload_cache_hits: workload_cache.hits(),
+            workload_cache_misses: workload_cache.misses(),
             store_hits,
             store_misses,
             cells_executed,
@@ -898,12 +799,12 @@ impl Sweep {
     }
 
     /// Runs one lane-batched group: attempt 1 of every cell in lockstep
-    /// through [`run_prepared_batch_in`], then scalar retries (attempts
-    /// 2..) for any lane whose first attempt failed. Per-cell outcomes
-    /// are bit-identical to [`Sweep::execute_cell`]: batched attempt 1
-    /// is bit-identical to scalar attempt 1 (the `batched_identity`
-    /// tier-1 contract), and the retry chain re-enters the scalar path
-    /// with the same salt sequence.
+    /// through [`run_prepared_batch_in`], then each lane's attempt loop
+    /// ([`Sweep::run_attempts`]) from that result, so a lane whose first
+    /// attempt failed retries on the scalar path. Per-cell outcomes are
+    /// bit-identical to [`Sweep::execute_cell`]: batched attempt 1 is
+    /// bit-identical to scalar attempt 1 (the `batched_identity` tier-1
+    /// contract), and the retries are the same loop.
     fn execute_batch(
         &self,
         scratch: &mut RunScratch,
@@ -912,31 +813,21 @@ impl Sweep {
         cell_plan: &[usize],
     ) -> Vec<(CellOutcome, f64, u32)> {
         let started = Instant::now();
-        let max_attempts = self.policy.max_attempts.max(1);
-        let prepared = match &plans[cell_plan[members[0]]] {
-            Some(Ok(prepared)) => prepared,
-            // Lowering failed (or, unreachably, was never prepared):
-            // the scalar path renders the exact per-cell diagnostics.
-            _ => {
-                return members
-                    .iter()
-                    .map(|&i| self.execute_cell(scratch, i, plans, cell_plan))
-                    .collect();
-            }
+        let scalar = |scratch: &mut RunScratch| -> Vec<(CellOutcome, f64, u32)> {
+            members.iter().map(|&i| self.execute_cell(scratch, i, plans, cell_plan)).collect()
+        };
+        // Lowering failed (or, unreachably, was never prepared): the
+        // scalar path renders the exact per-cell diagnostics.
+        let Some(Ok(prepared)) = &plans[cell_plan[members[0]]] else {
+            return scalar(scratch);
         };
         // All members share one plan key, hence one kernel.
         let kernel = self.kernels[self.cells[members[0]].kernel].as_ref();
         let lanes: Vec<BatchLane> = members
             .iter()
-            .map(|&i| {
-                let cell = &self.cells[i];
-                BatchLane {
-                    records: cell.records,
-                    params: ExperimentParams {
-                        seed: derive_seed(cell.params.seed, kernel.name()),
-                        ..cell.params
-                    },
-                }
+            .map(|&i| BatchLane {
+                records: self.cells[i].records,
+                params: self.attempt_params(i, 1),
             })
             .collect();
         let Ok(first_attempts) =
@@ -944,57 +835,16 @@ impl Sweep {
         else {
             // A panic in the batched engine degrades exactly like a
             // scalar panic: each cell retries through the scalar path.
-            return members
-                .iter()
-                .map(|&i| self.execute_cell(scratch, i, plans, cell_plan))
-                .collect();
+            return scalar(scratch);
         };
         let batch_ms = started.elapsed().as_secs_f64() * 1e3;
-
         members
             .iter()
             .zip(first_attempts)
             .map(|(&i, first)| {
-                let mut err = match first {
-                    Ok((stats, mismatch)) => {
-                        return (CellOutcome::Ran { stats, mismatch }, batch_ms, 1);
-                    }
-                    Err(e) => e,
-                };
-                // Scalar retries, continuing the salt sequence where
-                // the (batched) first attempt left off.
-                let cell = &self.cells[i];
                 let retries_started = Instant::now();
-                let mut attempt = 1u32;
-                while attempt < max_attempts {
-                    attempt += 1;
-                    let fault = cell
-                        .params
-                        .fault
-                        .with_salt(cell.params.fault.salt.wrapping_add(u64::from(attempt - 1)));
-                    let params = ExperimentParams {
-                        seed: derive_seed(cell.params.seed, kernel.name()),
-                        fault,
-                        ..cell.params
-                    };
-                    match catch_cell(|| {
-                        run_prepared_in(kernel, prepared, cell.records, &params, scratch)
-                    }) {
-                        Ok((stats, mismatch)) => {
-                            let wall = batch_ms + retries_started.elapsed().as_secs_f64() * 1e3;
-                            return (CellOutcome::Ran { stats, mismatch }, wall, attempt);
-                        }
-                        Err(e) => err = e,
-                    }
-                }
-                let outcome = CellOutcome::Failed {
-                    error: err.to_string(),
-                    kind: err.kind().to_string(),
-                    attempts: attempt,
-                    timed_out: false,
-                };
-                let wall = batch_ms + retries_started.elapsed().as_secs_f64() * 1e3;
-                (outcome, wall, attempt)
+                let (outcome, attempts) = self.run_attempts(scratch, i, prepared, first);
+                (outcome, batch_ms + retries_started.elapsed().as_secs_f64() * 1e3, attempts)
             })
             .collect()
     }
@@ -1032,80 +882,85 @@ impl Sweep {
         plans: &[Option<Result<PreparedProgram, DlpError>>],
         cell_plan: &[usize],
     ) -> (CellOutcome, f64, u32) {
-        let cell = &self.cells[i];
-        let cell_started = Instant::now();
-        let max_attempts = self.policy.max_attempts.max(1);
-        let prepared = match &plans[cell_plan[i]] {
-            Some(Ok(prepared)) => prepared,
-            Some(Err(e)) => {
-                // Lowering failed: the cell never executed, so it gets
-                // no attempts and no retry — re-lowering the same
-                // inputs would fail identically.
-                let outcome = CellOutcome::Failed {
-                    error: e.to_string(),
-                    kind: e.kind().to_string(),
-                    attempts: 0,
-                    timed_out: false,
-                };
-                return (outcome, cell_started.elapsed().as_secs_f64() * 1e3, 0);
+        let started = Instant::now();
+        let (outcome, attempts) = match &plans[cell_plan[i]] {
+            Some(Ok(prepared)) => {
+                let first = self.attempt(scratch, i, prepared, 1);
+                self.run_attempts(scratch, i, prepared, first)
             }
-            None => {
-                // Unreachable: phase 1 prepares every plan a pending
-                // cell maps to. Degrade, don't panic.
-                let outcome = CellOutcome::Failed {
-                    error: "internal: plan not prepared for pending cell".into(),
-                    kind: "internal".into(),
-                    attempts: 0,
-                    timed_out: false,
-                };
-                return (outcome, cell_started.elapsed().as_secs_f64() * 1e3, 0);
-            }
+            // Lowering failed: the cell never executed, so it gets no
+            // attempts and no retry — re-lowering the same inputs would
+            // fail identically.
+            Some(Err(e)) => (failed(e, 0), 0),
+            // Unreachable: phase 1 prepares every plan a pending cell
+            // maps to. Degrade, don't panic.
+            None => (internal("plan not prepared for pending cell"), 0),
         };
-        let mut attempt = 0u32;
+        (outcome, started.elapsed().as_secs_f64() * 1e3, attempts)
+    }
+
+    /// Cell `i`'s attempt loop, given attempt 1's result: runs attempts
+    /// `2..=max_attempts` on the scalar path until one completes, and
+    /// returns the cell's outcome with the attempts it spent. The one
+    /// retry loop of both dispatch shapes — attempt 1 comes from the
+    /// scalar path ([`Sweep::execute_cell`]) or the lockstep engine
+    /// ([`Sweep::execute_batch`]).
+    fn run_attempts(
+        &self,
+        scratch: &mut RunScratch,
+        i: usize,
+        prepared: &PreparedProgram,
+        first: LaneResult,
+    ) -> (CellOutcome, u32) {
+        let max_attempts = self.policy.max_attempts.max(1);
+        let mut attempt = 1;
+        let mut ran = first;
         loop {
-            attempt += 1;
-            // Each retry re-salts the fault schedule: same workload,
-            // independent deterministic fault draw. Attempt 1 keeps the
-            // cell's own salt, so single-attempt sweeps are
-            // bit-identical to the policy-free engine.
-            let fault = cell
-                .params
-                .fault
-                .with_salt(cell.params.fault.salt.wrapping_add(u64::from(attempt - 1)));
-            let params = ExperimentParams {
-                seed: derive_seed(cell.params.seed, self.kernels[cell.kernel].name()),
-                fault,
-                ..cell.params
-            };
-            let ran = catch_cell(|| {
-                run_prepared_in(
-                    self.kernels[cell.kernel].as_ref(),
-                    prepared,
-                    cell.records,
-                    &params,
-                    scratch,
-                )
-            });
-            let elapsed_ms = cell_started.elapsed().as_secs_f64() * 1e3;
-            let timed_out =
-                self.policy.soft_timeout_ms.is_some_and(|budget| elapsed_ms > budget);
             match ran {
-                Ok((stats, mismatch)) => {
-                    break (CellOutcome::Ran { stats, mismatch }, elapsed_ms, attempt);
-                }
-                Err(e) => {
-                    if attempt < max_attempts && !timed_out {
-                        continue;
-                    }
-                    let outcome = CellOutcome::Failed {
-                        error: e.to_string(),
-                        kind: e.kind().to_string(),
-                        attempts: attempt,
-                        timed_out,
-                    };
-                    break (outcome, elapsed_ms, attempt);
+                Ok((stats, mismatch)) => return (CellOutcome::Ran { stats, mismatch }, attempt),
+                Err(e) if attempt >= max_attempts => return (failed(&e, attempt), attempt),
+                Err(_) => {
+                    attempt += 1;
+                    ran = self.attempt(scratch, i, prepared, attempt);
                 }
             }
+        }
+    }
+
+    /// Runs attempt number `attempt` of cell `i` on the scalar path.
+    fn attempt(
+        &self,
+        scratch: &mut RunScratch,
+        i: usize,
+        prepared: &PreparedProgram,
+        attempt: u32,
+    ) -> LaneResult {
+        let cell = &self.cells[i];
+        let params = self.attempt_params(i, attempt);
+        catch_cell(|| {
+            run_prepared_in(
+                self.kernels[cell.kernel].as_ref(),
+                prepared,
+                cell.records,
+                &params,
+                scratch,
+            )
+        })
+    }
+
+    /// The parameters attempt number `attempt` (from 1) of cell `i`
+    /// runs under: the kernel's derived workload seed, and the cell's
+    /// fault plan re-salted per retry — same workload, independent
+    /// deterministic fault draw. Attempt 1 keeps the cell's own salt,
+    /// so single-attempt sweeps are bit-identical to the policy-free
+    /// engine.
+    fn attempt_params(&self, i: usize, attempt: u32) -> ExperimentParams {
+        let cell = &self.cells[i];
+        let fault = cell.params.fault;
+        ExperimentParams {
+            seed: derive_seed(cell.params.seed, self.kernels[cell.kernel].name()),
+            fault: fault.with_salt(fault.salt.wrapping_add(u64::from(attempt - 1))),
+            ..cell.params
         }
     }
 
@@ -1146,18 +1001,21 @@ impl Sweep {
     ///
     /// * **MIMD** (`local_pc`): the lowering never reads the record
     ///   count — every cell gets cap 0 and shares one plan.
-    /// * **Dataflow, one distinct record count**: the cap is that count
-    ///   verbatim; no probe runs and the prepared plan is bit-for-bit
-    ///   the one the uncoarsened key produced.
-    /// * **Dataflow, several record counts**: one cheap
-    ///   [`natural_unroll`] probe (IR validation + instruction count,
-    ///   no placement) finds the unroll `n` an unbounded record supply
-    ///   would pick; each cell's cap is `n.min(records)` — exactly the
-    ///   unroll [`prepare_kernel`] chooses for that count, so equal
-    ///   caps imply identical schedules. A failing probe falls back to
-    ///   the raw record counts and lets phase 1 surface the error per
-    ///   distinct count.
-    fn unroll_caps(&self) -> Vec<usize> {
+    /// * **Dataflow, one distinct record count** (unless `exact`): the
+    ///   cap is that count verbatim; no probe runs and the prepared
+    ///   plan is bit-for-bit the one the uncoarsened key produced.
+    /// * **Dataflow, otherwise**: one cheap [`natural_unroll`] probe
+    ///   (IR validation + instruction count, no placement) finds the
+    ///   unroll `n` an unbounded record supply would pick; each cell's
+    ///   cap is `n.min(records)` — exactly the unroll [`prepare_kernel`]
+    ///   chooses for that count, so equal caps imply identical
+    ///   schedules. A failing probe falls back to the raw record counts
+    ///   and lets phase 1 surface the error per distinct count.
+    ///
+    /// `exact` probes single-count groups too, so every dataflow cap is
+    /// the unroll [`prepare_kernel`] will choose — what the store key's
+    /// lowering fingerprint needs ([`Sweep::cell_keys`]).
+    fn unroll_caps(&self, exact: bool) -> Vec<usize> {
         let mut caps: Vec<usize> = self.cells.iter().map(|c| c.records).collect();
         // Group by a PlanKey with the cap zeroed out (linear scan, same
         // rationale as the phase-1 dedup).
@@ -1177,16 +1035,11 @@ impl Sweep {
                 continue;
             }
             let first = self.cells[members[0]].records;
-            if members.iter().all(|&i| self.cells[i].records == first) {
+            if !exact && members.iter().all(|&i| self.cells[i].records == first) {
                 continue;
             }
-            let params = ExperimentParams {
-                grid: key.grid,
-                timing: key.timing,
-                ..ExperimentParams::default()
-            };
             let probe = catch_cell(|| {
-                natural_unroll(self.kernels[key.kernel].as_ref(), key.mech, &params)
+                natural_unroll(self.kernels[key.kernel].as_ref(), key.mech, &key.params())
             });
             if let Ok(n) = probe {
                 for &i in members {
@@ -1318,6 +1171,27 @@ fn catch_cell<T>(f: impl FnOnce() -> Result<T, DlpError>) -> Result<T, DlpError>
     }
 }
 
+/// The outcome of a cell that failed with `e` after `attempts` attempts.
+fn failed(e: &DlpError, attempts: u32) -> CellOutcome {
+    CellOutcome::Failed {
+        error: e.to_string(),
+        kind: e.kind().to_string(),
+        attempts,
+        timed_out: false,
+    }
+}
+
+/// The outcome of a cell the sweep itself lost track of (a harness
+/// defect, never the cell's fault).
+fn internal(detail: &str) -> CellOutcome {
+    CellOutcome::Failed {
+        error: format!("internal: {detail}"),
+        kind: "internal".into(),
+        attempts: 0,
+        timed_out: false,
+    }
+}
+
 /// Cache key for one lowering: the inputs of [`prepare_kernel`], with
 /// the record count coarsened to the unroll cap [`Sweep::unroll_caps`]
 /// computes (the workload seed deliberately excluded).
@@ -1339,6 +1213,11 @@ impl PlanKey {
             timing: cell.params.timing,
             unroll_cap,
         }
+    }
+
+    /// The parameters a lowering reads: this key's grid and timing.
+    fn params(&self) -> ExperimentParams {
+        ExperimentParams { grid: self.grid, timing: self.timing, ..ExperimentParams::default() }
     }
 }
 
@@ -1384,8 +1263,8 @@ pub enum CellOutcome {
         /// Execution attempts spent before giving up (0 when the
         /// lowering itself failed and the cell never executed).
         attempts: u32,
-        /// Whether the cell blew the policy's wall-clock soft budget,
-        /// which is what stopped further retries.
+        /// Always `false` from the sweep; kept only so stored outcomes
+        /// and dead-letter records keep their format.
         timed_out: bool,
     },
     /// The cell never executed: its configuration's circuit breaker
@@ -1484,20 +1363,16 @@ pub struct SweepReport {
     pub plan_reuses: usize,
     /// Total host wall-clock, milliseconds.
     pub wall_ms: f64,
-    /// Cells whose wall-clock exceeded the policy's soft budget
-    /// (informational, like `wall_ms`; always 0 without a soft
-    /// timeout).
-    pub soft_timeouts: usize,
     /// Retry attempts spent beyond each cell's first (0 under the
     /// default single-attempt policy).
     pub extra_attempts: u64,
     /// Workload-cache lookups served from the cache. Deterministic —
     /// the counts depend only on the set of distinct
     /// `(kernel, padded records, seed)` keys the grid requests, never on
-    /// worker count or interleaving; 0 when the cache is disabled.
+    /// worker count or interleaving.
     pub workload_cache_hits: u64,
     /// Workload-cache lookups that generated a workload (the number of
-    /// distinct keys); 0 when the cache is disabled.
+    /// distinct keys).
     pub workload_cache_misses: u64,
     /// Result-store lookups served without executing during this run (0
     /// when no store is attached). Provenance, not science: a warm and
@@ -1520,8 +1395,8 @@ pub struct SweepReport {
     /// (DESIGN.md §10) rather than one-at-a-time. A pure function of
     /// the grid, the policy, and the resolve phase — never of worker
     /// count — and observationally inert: batched cells report
-    /// bit-identical outcomes. 0 under a breaker or soft timeout
-    /// (which force the scalar path) and on fully-resolved warm runs.
+    /// bit-identical outcomes. 0 under a breaker (which forces the
+    /// scalar path) and on fully-resolved warm runs.
     pub cells_batched: usize,
     /// Lockstep dispatches those batched cells were grouped into.
     pub batch_dispatches: usize,
@@ -1572,9 +1447,8 @@ impl SweepReport {
     /// store counters, attempt accounting).
     ///
     /// This is the form the determinism guarantees quantify over: the
-    /// canonical report is bit-identical across worker counts, across
-    /// workload-cache settings, and across cold / warm / absent result
-    /// stores. Provenance legitimately differs (a warm run has store
+    /// canonical report is bit-identical across worker counts and
+    /// across cold / warm / absent result stores. Provenance legitimately differs (a warm run has store
     /// hits and zero executions; a cold run the reverse), which is why
     /// raw reports are *not* comparable byte-for-byte.
     #[must_use]
@@ -1584,7 +1458,6 @@ impl SweepReport {
             plans_prepared: 0,
             plan_reuses: 0,
             wall_ms: 0.0,
-            soft_timeouts: 0,
             extra_attempts: 0,
             workload_cache_hits: 0,
             workload_cache_misses: 0,
@@ -1680,6 +1553,8 @@ impl SweepReport {
 
 #[cfg(test)]
 mod tests {
+    use dlp_common::{FaultPlan, FaultRate};
+
     use super::*;
 
     fn small_sweep(threads: usize) -> SweepReport {
@@ -1847,20 +1722,15 @@ mod tests {
 
     #[test]
     fn workload_cache_is_observationally_pure() {
-        // The same grid with and without the workload cache must produce
-        // identical per-cell outcomes; the cached run must actually hit.
+        // A repeated configuration shares its workload through the
+        // cache and batches with its twin.
         let params = ExperimentParams::default();
-        let build = |cached: bool| {
-            let mut sweep = Sweep::with_threads(2);
-            sweep.set_workload_cache(cached);
-            let id = sweep.add_kernel_by_name("convert").expect("suite kernel");
-            for config in [MachineConfig::Baseline, MachineConfig::S, MachineConfig::S] {
-                sweep.push_config(id, config, 24, &params);
-            }
-            sweep.run()
-        };
-        let cached = build(true);
-        let plain = build(false);
+        let mut sweep = Sweep::with_threads(2);
+        let id = sweep.add_kernel_by_name("convert").expect("suite kernel");
+        for config in [MachineConfig::Baseline, MachineConfig::S, MachineConfig::S] {
+            sweep.push_config(id, config, 24, &params);
+        }
+        let cached = sweep.run();
         assert!(cached.workload_cache_hits >= 1, "repeated config shares its workload");
         assert_eq!(
             cached.workload_cache_hits + cached.workload_cache_misses,
@@ -1870,12 +1740,99 @@ mod tests {
         );
         assert_eq!(cached.cells_batched, 2, "the repeated S cells batch together");
         assert_eq!(cached.batch_dispatches, 1);
-        assert_eq!(plain.workload_cache_hits, 0);
-        assert_eq!(plain.workload_cache_misses, 0);
-        for (a, b) in cached.cells.iter().zip(&plain.cells) {
-            assert_eq!(a.outcome, b.outcome, "{} on {}: cached == uncached", a.kernel, a.config);
-        }
         cached.ensure_verified().expect("verifies");
+
+        // Every cell of the quick perf-suite grid (each kernel on the
+        // baseline and every DLP configuration, 24 records), run against
+        // the shared cache, equals a fresh run that uses no cache.
+        let mut grid = Sweep::with_threads(2);
+        for id in grid.add_perf_suite() {
+            grid.push_config(id, MachineConfig::Baseline, 24, &params);
+            for config in MachineConfig::DLP {
+                grid.push_config(id, config, 24, &params);
+            }
+        }
+        let report = grid.run();
+        assert_eq!(report.cells.len(), 78);
+        assert!(report.workload_cache_hits > 0, "configurations of a kernel share workloads");
+        for (cell, spec) in report.cells.iter().zip(&grid.cells) {
+            let config = spec.config.expect("named configuration");
+            let fresh = uncached(&cell.kernel, config, cell.records);
+            assert_eq!(
+                cell.outcome,
+                CellOutcome::Ran { stats: fresh, mismatch: None },
+                "{} on {}: cached == uncached",
+                cell.kernel,
+                cell.config
+            );
+        }
+    }
+
+    /// Runs convert on S at 24 records once per `cells` entry, under a
+    /// two-attempt policy.
+    fn two_attempt_sweep(cells: &[ExperimentParams]) -> SweepReport {
+        let mut sweep = Sweep::with_threads(2);
+        sweep.set_policy(SweepPolicy::default().with_attempts(2));
+        let id = sweep.add_kernel_by_name("convert").expect("suite kernel");
+        for params in cells {
+            sweep.push_config(id, MachineConfig::S, 24, params);
+        }
+        sweep.run()
+    }
+
+    /// Asserts each cell of `batched` ended as the same cell run alone:
+    /// a singleton chain, on the scalar path from its first attempt.
+    fn assert_matches_scalar(batched: &SweepReport, cells: &[ExperimentParams]) {
+        for (cell, params) in batched.cells.iter().zip(cells) {
+            let alone = two_attempt_sweep(std::slice::from_ref(params));
+            assert_eq!(alone.cells_batched, 0, "a lone cell runs on the scalar path");
+            assert_eq!(cell.outcome, alone.cells[0].outcome, "batched lane == scalar cell");
+        }
+    }
+
+    #[test]
+    fn a_failed_batched_lane_retries_on_the_scalar_path() {
+        // Two cells sharing one lowering and one unsatisfiable 2-tick
+        // watchdog batch together (their seeds differ, so they are two
+        // lanes); each fails its lockstep first attempt and spends its
+        // second on the scalar path.
+        let cells = [1, 2].map(|seed| ExperimentParams {
+            seed,
+            watchdog: Some(2),
+            ..ExperimentParams::default()
+        });
+        let report = two_attempt_sweep(&cells);
+        assert_eq!(report.cells_batched, 2);
+        for cell in &report.cells {
+            match &cell.outcome {
+                CellOutcome::Failed { kind, attempts, timed_out, .. } => {
+                    assert_eq!((kind.as_str(), *attempts, *timed_out), ("watchdog", 2, false));
+                }
+                other => panic!("a 2-tick watchdog cannot be satisfied: {other:?}"),
+            }
+        }
+        assert_eq!(report.extra_attempts, 2);
+        assert_matches_scalar(&report, &cells);
+    }
+
+    #[test]
+    fn a_batched_lane_recovers_on_its_scalar_second_attempt() {
+        // With one retry per fault event, convert on S draws an
+        // unrecoverable schedule at fault salt 3 and a clean one at salt
+        // 4: the salt-3 lane fails its lockstep first attempt and
+        // recovers on its re-salted scalar second one, while the salt-4
+        // lane completes in the batch.
+        let mut plan = FaultPlan::uniform(FaultRate::per_million(20_000));
+        plan.max_retries = 1;
+        let cells = [3, 4].map(|salt| ExperimentParams {
+            fault: plan.with_salt(salt),
+            ..ExperimentParams::default()
+        });
+        let report = two_attempt_sweep(&cells);
+        assert_eq!(report.cells_batched, 2);
+        report.ensure_verified().expect("both lanes complete and verify");
+        assert_eq!(report.extra_attempts, 1, "only the salt-3 lane retried");
+        assert_matches_scalar(&report, &cells);
     }
 
     #[test]
