@@ -1,7 +1,6 @@
 //! Mechanism ablations in *simulated cycles* (experiments A1–A3 of
 //! DESIGN.md): sweep one knob per mechanism and report the simulated
-//! cost, verified. (The Criterion benches measure harness wall-time; this
-//! binary reports the architecture-level quantity.)
+//! cost, verified.
 //!
 //! All three sweeps are batched into one parallel [`Sweep`]; cells carry
 //! their own timing parameters, so the schedule cache still collapses

@@ -18,14 +18,11 @@
 //! scheduler itself — the calendar queue against the `BinaryHeap` it
 //! replaced — with a checksum asserting both emit the identical order.
 //!
-//! Two consumers share the case list:
-//!
-//! * `cargo bench --bench hotpath` — the Criterion view, for quick
-//!   interactive comparisons.
-//! * `cargo run --release -p dlp-bench --bin hotpath` — the artifact
-//!   view, which writes `BENCH_hotpath.json` (schema documented in
-//!   `EXPERIMENTS.md`) for CI to archive; regressions show up as a drop
-//!   in `cells_per_sec` between two commits' artifacts.
+//! The one consumer is `cargo run --release -p dlp-bench --bin hotpath`,
+//! which writes `BENCH_hotpath.json` (schema documented in
+//! `EXPERIMENTS.md`) for CI to archive and ratio-gate against
+//! `BENCH_baseline.json`; regressions show up as a drop in
+//! `cells_per_sec` between two commits' artifacts.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -39,7 +36,7 @@ use dlp_core::{
     MachineConfig, RunScratch, WorkloadCache,
 };
 use dlp_kernels::{suite, DlpKernel};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use trips_sim::equeue::CalendarQueue;
 
 /// One measured hot-path case: a kernel pinned to the engine family it
@@ -70,7 +67,7 @@ pub const HOTPATH_CASES: &[HotpathCase] = &[
 /// [`RunScratch`] (engine arena + workload cache) a sweep worker would
 /// carry — so the timed region exercises the steady-state
 /// (allocation-free, cached-workload) path.
-pub struct PreparedCase {
+struct PreparedCase {
     kernel: Box<dyn DlpKernel>,
     prepared: dlp_core::PreparedProgram,
     records: usize,
@@ -88,7 +85,7 @@ pub struct PreparedCase {
 /// Panics when the kernel is missing from the suite or fails to lower —
 /// the harness must not silently measure nothing.
 #[must_use]
-pub fn prepare_case(case: &HotpathCase, records: usize) -> PreparedCase {
+fn prepare_case(case: &HotpathCase, records: usize) -> PreparedCase {
     let kernel = suite()
         .into_iter()
         .find(|k| k.name() == case.kernel)
@@ -126,7 +123,7 @@ impl PreparedCase {
     /// optimization that breaks verification must fail the bench, not
     /// post a fast number.
     #[must_use]
-    pub fn run_once(&mut self) -> u64 {
+    fn run_once(&mut self) -> u64 {
         let (stats, mismatch) = run_prepared_in(
             self.kernel.as_ref(),
             &self.prepared,
@@ -151,7 +148,7 @@ impl PreparedCase {
     /// disagreeing on cycle count — per-lane results must stay
     /// bit-identical to scalar.
     #[must_use]
-    pub fn run_batched_once(&mut self, lanes: usize) -> u64 {
+    fn run_batched_once(&mut self, lanes: usize) -> u64 {
         let specs = vec![BatchLane { records: self.records, params: self.params }; lanes];
         let results =
             run_prepared_batch_in(self.kernel.as_ref(), &self.prepared, &specs, &mut self.scratch);
@@ -178,7 +175,7 @@ impl PreparedCase {
     ///
     /// Panics on simulation failure or any lane failing verification.
     #[must_use]
-    pub fn run_lockstep_once(&mut self, lanes: usize) -> u64 {
+    fn run_lockstep_once(&mut self, lanes: usize) -> u64 {
         let specs: Vec<BatchLane> = (0..lanes)
             .map(|i| BatchLane {
                 records: self.records,
@@ -203,20 +200,20 @@ impl PreparedCase {
     /// Workload-cache hits accumulated across this case's runs (every
     /// run after the first warm-up is a hit).
     #[must_use]
-    pub fn workload_cache_hits(&self) -> u64 {
+    fn workload_cache_hits(&self) -> u64 {
         self.cache.hits()
     }
 
     /// The case's lowering fingerprint (hex) — the same digest the
     /// result store folds into its keys.
     #[must_use]
-    pub fn lowering_fp(&self) -> &str {
+    fn lowering_fp(&self) -> &str {
         &self.lowering_fp
     }
 }
 
 /// One row of `BENCH_hotpath.json`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct HotpathMeasurement {
     /// Kernel name.
     pub kernel: String,
@@ -309,8 +306,7 @@ fn best_window(mut body: impl FnMut()) -> f64 {
 /// # Panics
 ///
 /// Panics on lowering, simulation, or verification failure, or when the
-/// batched runs' per-lane cycle count diverges from scalar (see
-/// [`PreparedCase::run_once`] and [`PreparedCase::run_batched_once`]).
+/// batched runs' per-lane cycle count diverges from scalar.
 #[must_use]
 pub fn measure(case: &HotpathCase, records: usize, iters: usize, lanes: usize) -> HotpathMeasurement {
     let mut prepared = prepare_case(case, records);
@@ -384,7 +380,7 @@ const CHURN_SEED: u64 = 0x0051_EEED;
 /// checksum. The identical schedule runs through [`heap_churn`]; equal
 /// checksums prove the two schedulers emit the same total order.
 #[must_use]
-pub fn queue_churn(live: usize, ops: u64) -> u64 {
+fn queue_churn(live: usize, ops: u64) -> u64 {
     let mut q: CalendarQueue<(), u64> = CalendarQueue::new();
     let mut rng = SplitMix64::new(CHURN_SEED ^ live as u64);
     for i in 0..live as u64 {
@@ -403,7 +399,7 @@ pub fn queue_churn(live: usize, ops: u64) -> u64 {
 /// checksum, through a `Reverse<(tick, seq)>` heap — the scheduler both
 /// engines used before the calendar queue.
 #[must_use]
-pub fn heap_churn(live: usize, ops: u64) -> u64 {
+fn heap_churn(live: usize, ops: u64) -> u64 {
     let mut q: BinaryHeap<Reverse<(Tick, u64, u64)>> = BinaryHeap::new();
     let mut rng = SplitMix64::new(CHURN_SEED ^ live as u64);
     let mut seq = 0u64;
@@ -422,7 +418,7 @@ pub fn heap_churn(live: usize, ops: u64) -> u64 {
 }
 
 /// The event-scheduler microbenchmark row of `BENCH_hotpath.json`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct QueueMeasurement {
     /// Resident events held in the queue throughout the churn.
     pub live: usize,
@@ -442,8 +438,9 @@ pub struct QueueMeasurement {
     pub checksum: u64,
 }
 
-/// Times [`queue_churn`] against [`heap_churn`] at `live` resident
-/// events and asserts their order checksums agree.
+/// Times the calendar queue against the `BinaryHeap` it replaced, through
+/// the same hold-model churn at `live` resident events, and asserts
+/// their order checksums agree.
 ///
 /// # Panics
 ///
@@ -477,7 +474,7 @@ pub fn measure_queue(live: usize, ops: u64) -> QueueMeasurement {
 }
 
 /// The full `BENCH_hotpath.json` artifact.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct HotpathReport {
     /// Artifact schema version. 2 added `queue` and the per-case
     /// `workload_cache_hits`; 3 added the per-case `lowering_fp`;

@@ -15,11 +15,7 @@
 //! | `section3` | §3 — classic-architecture survey |
 //! | `sweep` | the full kernel × configuration grid in one parallel batch → `BENCH_sweep.json` |
 //! | `hotpath` | engine hot-path throughput (simulation only, scheduling excluded) → `BENCH_hotpath.json` |
-//!
-//! The Criterion benches (`cargo bench`) measure simulator throughput per
-//! kernel/configuration, sweep the mechanism ablations (revitalize
-//! delay, L0 latency, LMW width), and time the engine hot paths
-//! ([`hotpath`]).
+//! | `ablation` | experiments A1–A3 — mechanism knob sweeps in simulated cycles |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

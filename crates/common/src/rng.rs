@@ -1,6 +1,6 @@
 //! A tiny deterministic RNG for reproducible workload generation.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// SplitMix64 pseudo-random generator.
 ///
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = SplitMix64::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct SplitMix64 {
     state: u64,
 }

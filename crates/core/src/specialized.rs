@@ -8,13 +8,13 @@
 //! EXPERIMENTS.md for the unit interpretations.
 
 use dlp_common::DlpError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::sweep::Sweep;
 use crate::{default_records, recommend, ExperimentParams};
 
 /// Performance units used in Table 6.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Units {
     /// Thousands of kernel iterations per second (DSP rows; clock
     /// normalized to the MPC7447's 1.3 GHz).
@@ -51,7 +51,7 @@ impl Units {
 }
 
 /// One Table 6 row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Table6Row {
     /// Benchmark name.
     pub kernel: String,

@@ -77,7 +77,7 @@ use dlp_common::{
     OpClassLatency, SimStats, Tick, TimingParams,
 };
 use dlp_kernels::{DlpKernel, MimdTarget};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use trips_sim::MechanismSet;
 
 use crate::sweep::CellOutcome;
@@ -530,7 +530,7 @@ fn fault_from_json(v: &JsonValue) -> Option<FaultPlan> {
 /// One store entry as written to disk (the `key` block is for audit —
 /// lookups trust only the digest, and a digest/filename disagreement
 /// reads as corrupt).
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct StoredEntry {
     store_version: u32,
     kernel: String,
@@ -895,7 +895,7 @@ pub fn grid_digest(cell_digests: &[Digest]) -> Digest {
 /// failure. Everything needed to reconstruct the cell is inline —
 /// mechanism set, grid, timing, fault plan, base seed — so a later
 /// `sweep --replay-dlq` needs only the suite kernel by name.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct DlqRecord {
     /// Record format version.
     pub dlq_version: u32,

@@ -4,10 +4,9 @@
 //! *kernel × machine configuration (× parameter knob)*. This module runs
 //! that grid as one batch instead of one nested loop per binary:
 //!
-//! * **Work stealing** — cells are pushed into a shared
-//!   [`crossbeam::deque::Injector`] and drained by scoped worker
-//!   threads, so a slow cell (dct on the baseline) never serializes the
-//!   rest of the sweep behind it.
+//! * **Work stealing** — scoped worker threads claim cells in dispatch
+//!   order from one shared atomic cursor, so a slow cell (dct on the
+//!   baseline) never serializes the rest of the sweep behind it.
 //! * **Schedule caching** — lowering a kernel (placement, routing,
 //!   unrolling, or MIMD replication) depends only on the kernel, the
 //!   mechanism set, the grid/timing model, and the *unroll factor* the
@@ -80,13 +79,13 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crossbeam::deque::{Injector, Steal};
 use dlp_common::{harmonic_mean, DlpError, SimStats};
 use dlp_kernels::{suite, DlpKernel};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use trips_sim::MechanismSet;
 
 use crate::runner::{
@@ -160,7 +159,7 @@ pub struct Sweep {
 /// The default (`max_attempts: 1`, no breaker) is exactly the historical
 /// behavior. Wall-clock never enters either decision, so every policy
 /// keeps sweeps bit-deterministic.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct SweepPolicy {
     /// Execution attempts granted per cell (clamped to ≥ 1). Each retry
     /// re-salts the cell's [`dlp_common::FaultPlan`], so a cell that
@@ -1050,8 +1049,8 @@ impl Sweep {
         caps
     }
 
-    /// Maps `f` over `0..n` with the work-stealing pool, preserving
-    /// index order in the result.
+    /// Maps `f` over `0..n` with the worker pool, preserving index order
+    /// in the result.
     fn parallel_map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -1062,7 +1061,7 @@ impl Sweep {
 
     /// As [`Sweep::parallel_map`], but each worker thread first builds a
     /// private context with `init` and threads it (`&mut`) through every
-    /// index it steals — how phase 2 gives each worker a reusable
+    /// index it claims — how phase 2 gives each worker a reusable
     /// [`RunScratch`] without any cross-thread sharing of mutable state.
     //
     // The two `expect`s below guard pool invariants, not cell work: cell
@@ -1076,32 +1075,34 @@ impl Sweep {
         I: Fn() -> C + Sync,
         F: Fn(&mut C, usize) -> T + Sync,
     {
-        let injector: Injector<usize> = Injector::new();
-        for i in 0..n {
-            injector.push(i);
-        }
+        // The cursor hands out each index once, in ascending order; it
+        // publishes no other data (results go through the slot mutexes
+        // and the joins), so `Relaxed` suffices.
+        let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let workers = self.threads.min(n.max(1));
-        crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| {
-                    let mut ctx = init();
-                    loop {
-                        match injector.steal() {
-                            Steal::Success(i) => {
-                                let out = f(&mut ctx, i);
-                                *slots[i]
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut ctx = init();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
                             }
-                            Steal::Empty => break,
-                            Steal::Retry => {}
+                            let out = f(&mut ctx, i);
+                            *slots[i]
+                                .lock()
+                                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
                         }
-                    }
-                });
+                    })
+                })
+                .collect();
+            for handle in handles {
+                handle.join().expect("sweep workers join");
             }
-        })
-        .expect("sweep workers join");
+        });
         slots
             .into_iter()
             .map(|slot| {
@@ -1240,7 +1241,7 @@ pub fn derive_seed(base: u64, kernel_name: &str) -> u64 {
 }
 
 /// Result of one cell's simulation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub enum CellOutcome {
     /// The cell simulated to completion (it may still have computed
     /// wrong answers — check `mismatch`).
@@ -1307,7 +1308,7 @@ impl CellOutcome {
 }
 
 /// One row of the sweep report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SweepCell {
     /// Kernel name.
     pub kernel: String,
@@ -1353,7 +1354,7 @@ pub struct SweepCell {
 /// let json = dlp_common::json::to_string(&report);
 /// assert!(json.contains("\"kernel\":\"fft\""));
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SweepReport {
     /// Worker threads used.
     pub threads: usize,
@@ -1578,6 +1579,34 @@ mod tests {
         assert_eq!(report.cells[0].config, "baseline");
         assert_eq!(report.cells[1].config, "S");
         assert_eq!(report.cells[2].config, "S-O");
+    }
+
+    #[test]
+    fn worker_pool_maps_every_index_once_in_order() {
+        for threads in [1, 2, 4, 8] {
+            for n in [0, 1, 3, 257] {
+                let sweep = Sweep::with_threads(threads);
+                let inits = AtomicUsize::new(0);
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let out = sweep.parallel_map_with(
+                    n,
+                    || inits.fetch_add(1, Ordering::SeqCst),
+                    |_worker, i| {
+                        runs[i].fetch_add(1, Ordering::SeqCst);
+                        i * i + 7
+                    },
+                );
+                let expected: Vec<usize> = (0..n).map(|i| i * i + 7).collect();
+                assert_eq!(out, expected, "threads {threads}, n {n}");
+                for (i, count) in runs.iter().enumerate() {
+                    assert_eq!(count.load(Ordering::SeqCst), 1, "index {i} runs once");
+                }
+                assert!(
+                    inits.load(Ordering::SeqCst) <= threads.min(n.max(1)),
+                    "init runs at most once per worker (threads {threads}, n {n})"
+                );
+            }
+        }
     }
 
     #[test]

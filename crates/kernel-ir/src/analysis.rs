@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{ControlClass, IrFacts, IrOp, KernelIr};
 
@@ -18,7 +18,7 @@ use crate::{ControlClass, IrFacts, IrOp, KernelIr};
 /// * `constants` — named scalar constants.
 /// * `indexed_constants` — total lookup-table entries (0 when no table).
 /// * `control` — the Figure 1 control class (Table 2's "Loop bounds").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct KernelAttributes {
     /// Kernel name.
     pub name: String,

@@ -3,11 +3,11 @@
 use std::fmt;
 
 use dlp_common::{DlpError, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use trips_isa::{OpRole, Opcode};
 
 /// The application domain a kernel belongs to (Table 1's grouping).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Domain {
     /// DSP / multimedia processing.
     Multimedia,
@@ -31,7 +31,7 @@ impl fmt::Display for Domain {
 }
 
 /// A kernel's control-behavior class (the paper's Figure 1 taxonomy).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum ControlClass {
     /// Figure 1a: a straight-line instruction sequence.
     Straight,
@@ -69,7 +69,7 @@ impl ControlClass {
 }
 
 /// Reference to an IR node (index into [`KernelIr::nodes`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct IrRef(pub(crate) u32);
 
 impl IrRef {
@@ -81,7 +81,7 @@ impl IrRef {
 }
 
 /// A lookup table of indexed named constants (§2.1.1).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct TableSpec {
     /// Human-readable name ("sbox0", "bone matrices").
     pub name: String,
@@ -91,7 +91,7 @@ pub struct TableSpec {
 }
 
 /// One IR operation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum IrOp {
     /// Word `i` of the kernel's input record (a regular, streamed access).
     RecordIn(u16),
@@ -141,7 +141,7 @@ pub enum IrOp {
 }
 
 /// An IR node: the operation plus its overhead/useful classification.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct IrNode {
     /// The operation.
     pub op: IrOp,
@@ -150,7 +150,7 @@ pub struct IrNode {
 }
 
 /// A complete kernel: one instance of the data-parallel loop body.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct KernelIr {
     pub(crate) name: String,
     pub(crate) domain: Domain,

@@ -38,10 +38,10 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use dlp_common::{Coord, FaultInjector, FaultSite, GridShape, NetParams, Tick};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A source or destination attached to the mesh.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Endpoint {
     /// An ALU node on the array.
     Node(Coord),
@@ -64,7 +64,7 @@ impl Endpoint {
 }
 
 /// Direction of a unidirectional mesh link leaving a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 enum Dir {
     North = 0,
     South = 1,
@@ -88,7 +88,7 @@ struct LinkUse {
 }
 
 /// Cumulative router statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct NetStats {
     /// Messages routed.
     pub msgs: u64,
