@@ -23,11 +23,11 @@
 
 use std::sync::Arc;
 
+use dlp_common::json::ToJson;
 use dlp_common::{FaultPlan, FaultRate};
 use dlp_core::{
     CellOutcome, DeadLetterQueue, ExperimentParams, MachineConfig, Sweep, SweepPolicy,
 };
-use serde::Serialize;
 
 /// Uniform per-event fault rates swept, in events per million (the
 /// first entry is the fault-free reference every overhead is measured
@@ -43,7 +43,7 @@ const GRID: [(&str, MachineConfig); 3] = [
 ];
 
 /// One row of `BENCH_faults.json`: a kernel × configuration × rate cell.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, ToJson)]
 struct FaultRow {
     kernel: String,
     config: String,
@@ -66,7 +66,7 @@ struct FaultRow {
 }
 
 /// The `BENCH_faults.json` artifact.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, ToJson)]
 struct FaultReport {
     /// Retry/timeout policy the sweep ran under.
     policy: SweepPolicy,

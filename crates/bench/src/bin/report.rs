@@ -1,16 +1,16 @@
 //! Machine-readable experiment report: runs the Figure 5 and Table 6
-//! experiments and writes `report.json` (serde) plus a markdown summary to
+//! experiments and writes `report.json` plus a markdown summary to
 //! stdout — the artifact EXPERIMENTS.md is refreshed from.
 //!
 //! Pass `--quick` for smoke-scale workloads; pass `--out <path>` to choose
 //! the JSON destination.
 
 use dlp_bench::quick_flag;
+use dlp_common::json::ToJson;
 use dlp_core::specialized::{table6, Table6Row};
 use dlp_core::{flexible, ExperimentParams, Figure5, MachineConfig};
-use serde::Serialize;
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct Report {
     figure5: Figure5,
     table6: Vec<Table6Row>,
@@ -70,9 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // JSON artifact, via the workspace's shared serde→JSON emitter
-    // (`dlp_common::json`; the sanctioned dependency list has no
-    // serde_json).
+    // JSON artifact, via the workspace's shared JSON writer
+    // (`dlp_common::json`).
     let report = Report { figure5, table6: t6 };
     std::fs::write(&out_path, dlp_common::json::to_string(&report))?;
     eprintln!("\nwrote {out_path}");

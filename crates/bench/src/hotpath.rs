@@ -29,6 +29,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use dlp_common::json::ToJson;
 use dlp_common::{SplitMix64, Tick};
 use dlp_core::sweep::derive_seed;
 use dlp_core::{
@@ -36,7 +37,6 @@ use dlp_core::{
     MachineConfig, RunScratch, WorkloadCache,
 };
 use dlp_kernels::{suite, DlpKernel};
-use serde::Serialize;
 use trips_sim::equeue::CalendarQueue;
 
 /// One measured hot-path case: a kernel pinned to the engine family it
@@ -213,7 +213,7 @@ impl PreparedCase {
 }
 
 /// One row of `BENCH_hotpath.json`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, ToJson)]
 pub struct HotpathMeasurement {
     /// Kernel name.
     pub kernel: String,
@@ -418,7 +418,7 @@ fn heap_churn(live: usize, ops: u64) -> u64 {
 }
 
 /// The event-scheduler microbenchmark row of `BENCH_hotpath.json`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, ToJson)]
 pub struct QueueMeasurement {
     /// Resident events held in the queue throughout the churn.
     pub live: usize,
@@ -474,7 +474,7 @@ pub fn measure_queue(live: usize, ops: u64) -> QueueMeasurement {
 }
 
 /// The full `BENCH_hotpath.json` artifact.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, ToJson)]
 pub struct HotpathReport {
     /// Artifact schema version. 2 added `queue` and the per-case
     /// `workload_cache_hits`; 3 added the per-case `lowering_fp`;

@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 use dlp_kernel_ir::{ControlClass, KernelAttributes};
-use serde::Serialize;
 
 /// A first-order classic-architecture timing model.
 pub trait ClassicModel {
@@ -80,7 +79,7 @@ fn mimd_insts(attrs: &KernelAttributes) -> f64 {
 }
 
 /// A classic vector machine (Figure 2, left).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct VectorMachine {
     /// Vector lanes (parallel pipelines).
     pub lanes: u32,
@@ -123,7 +122,7 @@ impl ClassicModel for VectorMachine {
 }
 
 /// A fine-grain SIMD array (Figure 2, middle).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SimdArray {
     /// Processing elements.
     pub pes: u32,
@@ -160,7 +159,7 @@ impl ClassicModel for SimdArray {
 }
 
 /// A coarse-grain MIMD multiprocessor (Figure 2, right).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CoarseMimd {
     /// Cores.
     pub cores: u32,

@@ -37,7 +37,7 @@
 //! rates, the injector draws once per *opportunity* in simulation order,
 //! so equal seeds yield equal fault schedules and equal `SimStats`.
 
-use serde::Serialize;
+use crate::json::ToJson;
 
 use crate::{DlpError, SplitMix64, Tick};
 
@@ -51,7 +51,7 @@ const FAULT_STREAM_SALT: u64 = 0xFA17_5EED_0000_2003;
 /// Stored as parts-per-million so plans are exact integers (`Eq`, hashable,
 /// serializable without float noise). `FaultRate(1_000_000)` fires on every
 /// opportunity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, ToJson)]
 pub struct FaultRate(pub u32);
 
 impl FaultRate {
@@ -73,7 +73,7 @@ impl FaultRate {
 
 /// Where a fault was injected — carried in diagnostics and
 /// `DlpError::FaultUnrecoverable`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// Mesh link dropped or corrupted a message (detected by link CRC,
     /// NACKed, replayed with exponential backoff).
@@ -105,7 +105,7 @@ impl FaultSite {
 
 /// A deterministic transient-fault schedule: per-site rates plus recovery
 /// budgets. Pure data; the run-time state lives in [`FaultInjector`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, ToJson)]
 pub struct FaultPlan {
     /// NoC message-drop rate (per routed message).
     pub noc_drop: FaultRate,
@@ -206,7 +206,7 @@ impl Default for FaultPlan {
 }
 
 /// Counters accumulated by a [`FaultInjector`] over one run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Transient faults injected (each failed attempt counts once).
     pub injected: u64,

@@ -2,14 +2,14 @@
 
 use std::fmt;
 
-use serde::Serialize;
+use crate::json::ToJson;
 
 /// A position on the ALU array: `(row, col)`.
 ///
 /// Row 0 is the top edge (adjacent to the register-file banks in the TRIPS
 /// floorplan); column 0 is the left edge (adjacent to the memory interface:
 /// L1 banks and SMC row channels).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Coord {
     /// Row index, 0 at the top (register-file edge).
     pub row: u8,
@@ -42,7 +42,7 @@ impl fmt::Display for Coord {
 /// The paper's baseline is an 8×8 mesh ([`GridShape::trips_baseline`]), but
 /// the mechanisms are array-size agnostic and the simulator accepts any
 /// shape, which the `scaling` binary exploits.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, ToJson)]
 pub struct GridShape {
     rows: u8,
     cols: u8,

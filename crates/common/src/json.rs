@@ -1,22 +1,25 @@
-//! Minimal JSON emission through serde's data model.
+//! Minimal JSON emission and parsing.
 //!
-//! The workspace's sanctioned dependency set has no `serde_json`, so the
-//! experiment harness emits its JSON artifacts (`report.json`,
-//! `BENCH_sweep.json`) through this hand-rolled [`serde::Serializer`].
-//! It covers the subset of the data model the report types exercise —
-//! scalars, strings, options, sequences, tuples, maps, structs, and all
-//! enum-variant flavors — and makes two pragmatic choices:
+//! The experiment harness emits its JSON artifacts (`report.json`,
+//! `BENCH_sweep.json`, store entries) by writing text directly, with no
+//! serialization framework: every serialized type implements [`ToJson`],
+//! almost always through `#[derive(ToJson)]` (from `dlp-json-derive`,
+//! re-exported here). Output is compact (no whitespace), and the encoding
+//! is fixed because store keys hash it:
 //!
-//! * non-finite floats serialize as `null` (JSON has no NaN/Inf);
-//! * map keys that are not strings are serialized and then quoted, so
-//!   `BTreeMap<MachineConfig, f64>` emits `{"S": 1.5, ...}`;
-//! * struct enum variants emit their fields as a bare object with no
-//!   variant-name wrapper (unit variants render as strings, newtype
-//!   variants as `{"Name": value}`) — consumers distinguish variants by
-//!   their field names, e.g. a sweep cell's `"outcome"` is either
+//! * non-finite floats are written as `null` (JSON has no NaN/Inf);
+//! * strings escape `"`, `\`, and every control character (`\n`, `\r`,
+//!   `\t`, and `\u00XX` for the rest), so any standard parser accepts the
+//!   output;
+//! * a unit struct is `null`, a newtype struct its inner value, and a
+//!   tuple or tuple struct an array;
+//! * map keys that do not render as strings are rendered and then quoted,
+//!   so `BTreeMap<u32, f64>` emits `{"2": 1.5, ...}`;
+//! * unit enum variants are strings, newtype variants `{"Name": value}`,
+//!   tuple variants arrays, and struct variants a bare object with no
+//!   variant-name wrapper — consumers distinguish variants by their field
+//!   names, e.g. a sweep cell's `"outcome"` is either
 //!   `{"stats": ..., "mismatch": ...}` or `{"error": "..."}`.
-//!
-//! Output is compact (no whitespace).
 //!
 //! Since the result store, sweep manifests, and dead-letter queue read
 //! their own artifacts back, the module also carries a small recursive-
@@ -25,24 +28,27 @@
 //! (seeds, fingerprints) round-trip exactly — they would be mangled by
 //! an `f64` intermediate. The parser accepts anything [`to_string`]
 //! emits plus standard JSON written by hand (whitespace, all escape
-//! forms including `\uXXXX`).
+//! forms including `\uXXXX`), nested at most [`MAX_DEPTH`] deep.
 
-use serde::ser::{self, Serialize};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+pub use dlp_json_derive::ToJson;
+
+/// A value that writes itself as compact JSON.
+pub trait ToJson {
+    /// Append `self`'s JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
 /// Serialize `value` to a compact JSON string.
-///
-/// # Panics
-///
-/// Panics if `value`'s `Serialize` impl feeds bytes into the serializer
-/// (the one unsupported corner of the data model).
 ///
 /// # Examples
 ///
 /// ```
-/// use serde::Serialize;
+/// use dlp_common::json::ToJson;
 ///
-/// #[derive(Serialize)]
+/// #[derive(ToJson)]
 /// struct Cell {
 ///     kernel: &'static str,
 ///     cycles: u64,
@@ -57,19 +63,13 @@ use std::fmt::Write as _;
 /// assert_eq!(json, r#"{"kernel":"fft","cycles":1024,"speedup":null}"#);
 /// ```
 #[must_use]
-pub fn to_string<T: Serialize>(value: &T) -> String {
+pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
     let mut out = String::new();
-    let mut ser = JsonSer { out: &mut out };
-    value.serialize(&mut ser).expect("value serializes to JSON");
+    value.write_json(&mut out);
     out
 }
 
-/// The serializer; writes compact JSON into a borrowed buffer.
-struct JsonSer<'a> {
-    out: &'a mut String,
-}
-
-/// Serialization failure (only produced for unsupported `bytes`).
+/// A JSON parse failure, with the byte offset it was found at.
 #[derive(Debug)]
 pub struct JsonError(String);
 
@@ -79,263 +79,126 @@ impl std::fmt::Display for JsonError {
     }
 }
 impl std::error::Error for JsonError {}
-impl ser::Error for JsonError {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        JsonError(msg.to_string())
-    }
-}
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
-impl<'a, 'b> ser::Serializer for &'b mut JsonSer<'a> {
-    type Ok = ();
-    type Error = JsonError;
-    type SerializeSeq = Self;
-    type SerializeTuple = Self;
-    type SerializeTupleStruct = Self;
-    type SerializeTupleVariant = Self;
-    type SerializeMap = Self;
-    type SerializeStruct = Self;
-    type SerializeStructVariant = Self;
-
-    fn serialize_bool(self, v: bool) -> Result<(), JsonError> {
-        let _ = write!(self.out, "{v}");
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<(), JsonError> {
-        self.serialize_i64(v.into())
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), JsonError> {
-        self.serialize_i64(v.into())
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), JsonError> {
-        self.serialize_i64(v.into())
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), JsonError> {
-        let _ = write!(self.out, "{v}");
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), JsonError> {
-        self.serialize_u64(v.into())
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), JsonError> {
-        self.serialize_u64(v.into())
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), JsonError> {
-        self.serialize_u64(v.into())
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), JsonError> {
-        let _ = write!(self.out, "{v}");
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), JsonError> {
-        self.serialize_f64(v.into())
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), JsonError> {
-        if v.is_finite() {
-            let _ = write!(self.out, "{v}");
-        } else {
-            self.out.push_str("null");
+macro_rules! display_impl {
+    ($($ty:ty),*) => {$(
+        impl ToJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
         }
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), JsonError> {
-        self.serialize_str(&v.to_string())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), JsonError> {
-        let _ = write!(self.out, "\"{}\"", escape(v));
-        Ok(())
-    }
-    fn serialize_bytes(self, _v: &[u8]) -> Result<(), JsonError> {
-        Err(ser::Error::custom("bytes unsupported"))
-    }
-    fn serialize_none(self) -> Result<(), JsonError> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_some<T: ?Sized + Serialize>(self, value: &T) -> Result<(), JsonError> {
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), JsonError> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), JsonError> {
-        self.serialize_unit()
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-    ) -> Result<(), JsonError> {
-        self.serialize_str(variant)
-    }
-    fn serialize_newtype_struct<T: ?Sized + Serialize>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), JsonError> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: ?Sized + Serialize>(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<(), JsonError> {
-        let _ = write!(self.out, "{{\"{}\":", escape(variant));
-        value.serialize(&mut *self)?;
-        self.out.push('}');
-        Ok(())
-    }
-    fn serialize_seq(self, _len: Option<usize>) -> Result<Self, JsonError> {
-        self.out.push('[');
-        Ok(self)
-    }
-    fn serialize_tuple(self, len: usize) -> Result<Self, JsonError> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_struct(self, _n: &'static str, len: usize) -> Result<Self, JsonError> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_variant(
-        self,
-        _n: &'static str,
-        _i: u32,
-        _v: &'static str,
-        len: usize,
-    ) -> Result<Self, JsonError> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_map(self, _len: Option<usize>) -> Result<Self, JsonError> {
-        self.out.push('{');
-        Ok(self)
-    }
-    fn serialize_struct(self, _n: &'static str, _len: usize) -> Result<Self, JsonError> {
-        self.out.push('{');
-        Ok(self)
-    }
-    fn serialize_struct_variant(
-        self,
-        _n: &'static str,
-        _i: u32,
-        _v: &'static str,
-        _len: usize,
-    ) -> Result<Self, JsonError> {
-        self.out.push('{');
-        Ok(self)
+    )*};
+}
+
+display_impl!(bool, u8, u16, u32, u64, usize, i32, i64);
+
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
     }
 }
 
-/// Shared element-separation helper: emit a comma unless the container
-/// was just opened.
-fn sep(out: &mut String) {
-    if !out.ends_with('[') && !out.ends_with('{') && !out.ends_with(':') {
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        let mut start = 0;
+        for (i, b) in self.bytes().enumerate() {
+            let escaped = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Every escaped byte is ASCII, so `i` is a char boundary.
+            out.push_str(&self[start..i]);
+            if escaped.is_empty() {
+                let _ = write!(out, "\\u{b:04x}");
+            } else {
+                out.push_str(escaped);
+            }
+            start = i + 1;
+        }
+        out.push_str(&self[start..]);
+        out.push('"');
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+impl<K: ToJson, V: ToJson> ToJson for BTreeMap<K, V> {
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        for (i, (k, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            // JSON keys must be strings: quote a key that renders as a
+            // bare scalar.
+            let key = to_string(k);
+            if key.starts_with('"') {
+                out.push_str(&key);
+            } else {
+                key.write_json(out);
+            }
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push('}');
+    }
+}
+
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
         out.push(',');
-    }
-}
-
-impl<'a, 'b> ser::SerializeSeq for &'b mut JsonSer<'a> {
-    type Ok = ();
-    type Error = JsonError;
-    fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), JsonError> {
-        sep(self.out);
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), JsonError> {
-        self.out.push(']');
-        Ok(())
-    }
-}
-impl<'a, 'b> ser::SerializeTuple for &'b mut JsonSer<'a> {
-    type Ok = ();
-    type Error = JsonError;
-    fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), JsonError> {
-        ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), JsonError> {
-        ser::SerializeSeq::end(self)
-    }
-}
-impl<'a, 'b> ser::SerializeTupleStruct for &'b mut JsonSer<'a> {
-    type Ok = ();
-    type Error = JsonError;
-    fn serialize_field<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), JsonError> {
-        ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), JsonError> {
-        ser::SerializeSeq::end(self)
-    }
-}
-impl<'a, 'b> ser::SerializeTupleVariant for &'b mut JsonSer<'a> {
-    type Ok = ();
-    type Error = JsonError;
-    fn serialize_field<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), JsonError> {
-        ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), JsonError> {
-        ser::SerializeSeq::end(self)
-    }
-}
-impl<'a, 'b> ser::SerializeMap for &'b mut JsonSer<'a> {
-    type Ok = ();
-    type Error = JsonError;
-    fn serialize_key<T: ?Sized + Serialize>(&mut self, key: &T) -> Result<(), JsonError> {
-        sep(self.out);
-        // JSON keys must be strings; serialize into a buffer and quote
-        // if the serializer produced a bare scalar.
-        let mut buf = String::new();
-        let mut ser = JsonSer { out: &mut buf };
-        key.serialize(&mut ser)?;
-        if buf.starts_with('"') {
-            self.out.push_str(&buf);
-        } else {
-            let _ = write!(self.out, "\"{}\"", buf.replace('"', "\\\""));
-        }
-        Ok(())
-    }
-    fn serialize_value<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), JsonError> {
-        self.out.push(':');
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), JsonError> {
-        self.out.push('}');
-        Ok(())
-    }
-}
-impl<'a, 'b> ser::SerializeStruct for &'b mut JsonSer<'a> {
-    type Ok = ();
-    type Error = JsonError;
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), JsonError> {
-        sep(self.out);
-        let _ = write!(self.out, "\"{key}\":");
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), JsonError> {
-        self.out.push('}');
-        Ok(())
-    }
-}
-impl<'a, 'b> ser::SerializeStructVariant for &'b mut JsonSer<'a> {
-    type Ok = ();
-    type Error = JsonError;
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), JsonError> {
-        ser::SerializeStruct::serialize_field(self, key, value)
-    }
-    fn end(self) -> Result<(), JsonError> {
-        ser::SerializeStruct::end(self)
+        self.1.write_json(out);
+        out.push(']');
     }
 }
 
@@ -455,14 +318,20 @@ impl JsonValue {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The documents the
+/// workspace reads nest three or four levels; the bound keeps a hostile
+/// or corrupt file from overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document.
 ///
 /// # Errors
 ///
-/// [`JsonError`] with a byte offset on malformed input or trailing
-/// garbage — the store layer treats any parse failure as a cache miss.
+/// [`JsonError`] with a byte offset on malformed input, trailing
+/// garbage, or nesting deeper than [`MAX_DEPTH`] — the store layer
+/// treats any parse failure as a cache miss.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -475,6 +344,8 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -512,8 +383,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.lit("true", JsonValue::Bool(true)),
             Some(b'f') => self.lit("false", JsonValue::Bool(false)),
@@ -521,6 +392,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object with `parse_fn`, one level deeper.
+    fn nested(
+        &mut self,
+        parse_fn: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse_fn(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -646,11 +531,10 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse, to_string, JsonValue};
-    use serde::Serialize;
+    use super::{parse, to_string, JsonValue, ToJson};
     use std::collections::BTreeMap;
 
-    #[derive(Serialize)]
+    #[derive(ToJson)]
     enum Tag {
         Plain,
         Wrapped(u8),
@@ -659,7 +543,7 @@ mod tests {
 
     #[test]
     fn scalars_and_structs() {
-        #[derive(Serialize)]
+        #[derive(ToJson)]
         struct S {
             a: u64,
             b: f64,
@@ -693,7 +577,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips_serializer_output() {
-        #[derive(Serialize)]
+        #[derive(ToJson)]
         struct S {
             a: u64,
             b: f64,
@@ -717,6 +601,16 @@ mod tests {
             v.get("d").and_then(JsonValue::as_array).map(<[JsonValue]>::len),
             Some(2)
         );
+    }
+
+    #[test]
+    fn every_control_character_is_escaped_and_round_trips() {
+        let mut s: String = (0u8..0x20).map(char::from).collect();
+        s.push_str("\"\\");
+        let json = to_string(&s);
+        assert!(json.bytes().all(|b| b >= 0x20), "raw control byte in {json:?}");
+        assert_eq!(parse(&json).unwrap().as_str(), Some(s.as_str()));
+        assert_eq!(to_string("a\tb\r\u{1}"), r#""a\tb\r\u0001""#);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   threaded through the persistence layer's write paths, armed via
 //!   `DLP_CRASHPOINT` to abort the process deterministically for
 //!   crash-consistency testing.
-//! * [`json`] — compact JSON emission through serde's data model (the
-//!   workspace has no `serde_json`; the experiment harness writes its
-//!   artifacts with [`json::to_string`]).
+//! * [`json`] — compact JSON writing through one [`json::ToJson`] trait
+//!   and its derive (the experiment harness writes its artifacts with
+//!   [`json::to_string`]), plus the parser the store reads them back
+//!   with.
 //!
 //! # Example
 //!
@@ -40,6 +41,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+// `#[derive(ToJson)]` names the trait by its absolute path; this lets the
+// derives inside this crate resolve it too.
+extern crate self as dlp_common;
 
 pub mod crashpoint;
 mod error;

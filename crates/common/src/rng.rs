@@ -1,7 +1,5 @@
 //! A tiny deterministic RNG for reproducible workload generation.
 
-use serde::Serialize;
-
 /// SplitMix64 pseudo-random generator.
 ///
 /// Workload generators must be deterministic so that simulated kernel outputs
@@ -19,7 +17,7 @@ use serde::Serialize;
 /// let mut b = SplitMix64::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::AddAssign;
 
-use serde::Serialize;
+use crate::json::ToJson;
 
 use crate::{ticks_to_cycles, Tick};
 
@@ -13,7 +13,7 @@ use crate::{ticks_to_cycles, Tick};
 /// sustained per cycle*, explicitly **excluding** overhead instructions such
 /// as address computation, loads and stores — so the counters distinguish
 /// useful ops from overhead ops.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, ToJson)]
 pub struct SimStats {
     /// Total elapsed simulated time, in ticks (half-cycles).
     pub ticks: Tick,
@@ -150,7 +150,7 @@ impl AddAssign for SimStats {
 }
 
 /// Useful operations sustained per cycle (Table 4 metric).
-#[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
 pub struct OpsPerCycle(pub f64);
 
 impl fmt::Display for OpsPerCycle {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::Serialize;
+use crate::json::ToJson;
 
 /// A 64-bit bag of bits with typed views.
 ///
@@ -27,7 +27,7 @@ use serde::Serialize;
 /// let f = Value::from_f32(-2.5);
 /// assert_eq!(f.as_f32(), -2.5);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, ToJson)]
 pub struct Value(u64);
 
 impl Value {

@@ -76,10 +76,31 @@ proptest! {
     }
 
     /// Deep nesting terminates with an answer instead of blowing the
-    /// stack: the parser bounds its recursion.
+    /// stack: the parser bounds its recursion at `MAX_DEPTH`.
     #[test]
     fn deep_nesting_terminates(depth in 1usize..2048) {
         let doc = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
-        let _ = json::parse(&doc);
+        prop_assert_eq!(json::parse(&doc).is_ok(), depth <= json::MAX_DEPTH);
     }
+}
+
+/// A million unclosed arrays, or a million nested objects, come back as
+/// `Err` rather than overflowing the stack.
+#[test]
+fn million_deep_documents_are_rejected() {
+    assert!(json::parse(&"[".repeat(1_000_000)).is_err());
+    assert!(json::parse(&r#"{"a":"#.repeat(1_000_000)).is_err());
+}
+
+/// Nesting up to the bound still parses, in both container kinds.
+#[test]
+fn nesting_at_the_bound_parses() {
+    let depth = json::MAX_DEPTH;
+    assert_eq!(depth, 128);
+    let arrays = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert!(json::parse(&arrays).is_ok());
+    let objects = format!("{}1{}", r#"{"a":"#.repeat(depth), "}".repeat(depth));
+    assert!(json::parse(&objects).is_ok());
+    let too_deep = format!("[{arrays}]");
+    assert!(json::parse(&too_deep).is_err());
 }

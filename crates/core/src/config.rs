@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::Serialize;
+use dlp_common::json::ToJson;
 use trips_sched::TargetConfig;
 use trips_sim::MechanismSet;
 
@@ -11,7 +11,7 @@ use trips_sim::MechanismSet;
 /// The mechanisms compose into as many as 20 meaningful combinations; the
 /// paper evaluates these five plus the unmodified baseline, which cover the
 /// application set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, ToJson)]
 pub enum MachineConfig {
     /// The unmodified ILP-oriented TRIPS core.
     Baseline,

@@ -11,10 +11,9 @@
 //! directly visible in the breakdown.
 
 use dlp_common::SimStats;
-use serde::Serialize;
 
 /// Per-event energy weights in picojoules.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyModel {
     /// One ALU operation (useful or overhead).
     pub alu_pj: f64,
@@ -50,7 +49,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy attributed to each subsystem, in nanojoules.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Execution (ALU operations).
     pub alu_nj: f64,

@@ -3,16 +3,16 @@
 
 use std::collections::BTreeMap;
 
+use dlp_common::json::ToJson;
 use dlp_common::{harmonic_mean, DlpError};
 use dlp_kernels::suite;
-use serde::Serialize;
 
 use crate::sweep::Sweep;
 use crate::{default_records, recommend, ExperimentParams, MachineConfig};
 
 /// One benchmark's Figure 5 data: speedup of each configuration over the
 /// baseline (measured in execution cycles, like the paper).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, ToJson)]
 pub struct Figure5Row {
     /// Kernel name.
     pub kernel: String,
@@ -28,7 +28,7 @@ pub struct Figure5Row {
 }
 
 /// The flexible architecture's summary (Figure 5's last bar).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, ToJson)]
 pub struct FlexibleSummary {
     /// Harmonic-mean speedup of the flexible architecture over baseline.
     pub flexible_hm: f64,
@@ -41,7 +41,7 @@ pub struct FlexibleSummary {
 }
 
 /// The whole Figure 5 dataset.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, ToJson)]
 pub struct Figure5 {
     /// Per-kernel rows.
     pub rows: Vec<Figure5Row>,

@@ -1,12 +1,11 @@
 //! The Table 3 logic: program attributes → mechanisms → configuration.
 
 use dlp_kernel_ir::KernelAttributes;
-use serde::Serialize;
 
 use crate::MachineConfig;
 
 /// The outcome of analyzing a kernel's attributes against Table 3.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Recommendation {
     /// Software-managed streamed memory — regular record streams
     /// (benefits *all* kernels per Table 3).

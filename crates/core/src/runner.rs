@@ -5,7 +5,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use dlp_common::{DlpError, FaultPlan, GridShape, SimStats, Tick, TimingParams, Value};
 use dlp_kernels::{first_mismatch, memmap, DlpKernel, MimdTarget, Workload};
-use serde::Serialize;
 use trips_isa::MimdProgram;
 use trips_sched::verify::analyze::{self, AnalysisReport};
 use trips_sched::{
@@ -52,7 +51,7 @@ impl Default for ExperimentParams {
 }
 
 /// The result of one verified kernel run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RunOutcome {
     /// Kernel name.
     pub kernel: String,

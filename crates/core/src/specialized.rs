@@ -8,13 +8,13 @@
 //! EXPERIMENTS.md for the unit interpretations.
 
 use dlp_common::DlpError;
-use serde::Serialize;
+use dlp_common::json::ToJson;
 
 use crate::sweep::Sweep;
 use crate::{default_records, recommend, ExperimentParams};
 
 /// Performance units used in Table 6.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson)]
 pub enum Units {
     /// Thousands of kernel iterations per second (DSP rows; clock
     /// normalized to the MPC7447's 1.3 GHz).
@@ -51,7 +51,7 @@ impl Units {
 }
 
 /// One Table 6 row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, ToJson)]
 pub struct Table6Row {
     /// Benchmark name.
     pub kernel: String,

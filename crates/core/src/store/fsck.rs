@@ -23,8 +23,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use dlp_common::json;
-use serde::Serialize;
+use dlp_common::json::{self, ToJson};
 
 use super::atomic::unseal_line;
 use super::lock::StoreLock;
@@ -32,7 +31,7 @@ use super::{outcome_from_json, Digest, STORE_VERSION};
 
 /// What one [`fsck`] pass found and did. Serializable for
 /// `BENCH_chaos.json` and the `--fsck` CLI output.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, ToJson)]
 pub struct FsckReport {
     /// Entry files scanned.
     pub scanned: usize,

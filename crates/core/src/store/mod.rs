@@ -71,13 +71,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use dlp_common::crashpoint::CrashSites;
-use dlp_common::json::{self, JsonValue};
+use dlp_common::json::{self, JsonValue, ToJson};
 use dlp_common::{
     CoreParams, DlpError, FaultPlan, FaultRate, FetchParams, GridShape, MemParams, NetParams,
     OpClassLatency, SimStats, Tick, TimingParams,
 };
 use dlp_kernels::{DlpKernel, MimdTarget};
-use serde::Serialize;
 use trips_sim::MechanismSet;
 
 use crate::sweep::CellOutcome;
@@ -530,7 +529,7 @@ fn fault_from_json(v: &JsonValue) -> Option<FaultPlan> {
 /// One store entry as written to disk (the `key` block is for audit —
 /// lookups trust only the digest, and a digest/filename disagreement
 /// reads as corrupt).
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct StoredEntry {
     store_version: u32,
     kernel: String,
@@ -855,7 +854,7 @@ impl ManifestWriter {
     /// Append a completed cell (thread-safe; sealed and synced before
     /// returning).
     pub fn append(&self, cell: usize, entry: &ManifestEntry) {
-        #[derive(Serialize)]
+        #[derive(ToJson)]
         struct Line {
             cell: usize,
             attempts: u32,
@@ -895,7 +894,7 @@ pub fn grid_digest(cell_digests: &[Digest]) -> Digest {
 /// failure. Everything needed to reconstruct the cell is inline —
 /// mechanism set, grid, timing, fault plan, base seed — so a later
 /// `sweep --replay-dlq` needs only the suite kernel by name.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, ToJson)]
 pub struct DlqRecord {
     /// Record format version.
     pub dlq_version: u32,

@@ -83,9 +83,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use dlp_common::json::ToJson;
 use dlp_common::{harmonic_mean, DlpError, SimStats};
 use dlp_kernels::{suite, DlpKernel};
-use serde::Serialize;
 use trips_sim::MechanismSet;
 
 use crate::runner::{
@@ -159,7 +159,7 @@ pub struct Sweep {
 /// The default (`max_attempts: 1`, no breaker) is exactly the historical
 /// behavior. Wall-clock never enters either decision, so every policy
 /// keeps sweeps bit-deterministic.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, ToJson)]
 pub struct SweepPolicy {
     /// Execution attempts granted per cell (clamped to ≥ 1). Each retry
     /// re-salts the cell's [`dlp_common::FaultPlan`], so a cell that
@@ -1241,7 +1241,7 @@ pub fn derive_seed(base: u64, kernel_name: &str) -> u64 {
 }
 
 /// Result of one cell's simulation.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, ToJson)]
 pub enum CellOutcome {
     /// The cell simulated to completion (it may still have computed
     /// wrong answers — check `mismatch`).
@@ -1308,7 +1308,7 @@ impl CellOutcome {
 }
 
 /// One row of the sweep report.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, ToJson)]
 pub struct SweepCell {
     /// Kernel name.
     pub kernel: String,
@@ -1354,7 +1354,7 @@ pub struct SweepCell {
 /// let json = dlp_common::json::to_string(&report);
 /// assert!(json.contains("\"kernel\":\"fft\""));
 /// ```
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, ToJson)]
 pub struct SweepReport {
     /// Worker threads used.
     pub threads: usize,

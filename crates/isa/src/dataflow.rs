@@ -11,12 +11,11 @@ use std::collections::HashMap;
 use std::fmt;
 
 use dlp_common::{vcode, Coord, DlpError, GridShape, Value};
-use serde::Serialize;
 
 use crate::{OpRole, Opcode};
 
 /// An operand port on a reservation station.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Port {
     /// Left operand.
     Left,
@@ -39,7 +38,7 @@ impl fmt::Display for Port {
 /// A small set of operand ports, used to mark which operands are
 /// *persistent* under operand revitalization (§4.4): persistent operands
 /// survive a revitalize and need not be re-delivered each iteration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct PortSet(u8);
 
 impl PortSet {
@@ -77,7 +76,7 @@ impl PortSet {
 
 /// A reservation-station slot: a node coordinate plus a slot index within
 /// that node's local instruction storage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Slot {
     /// The ALU node.
     pub node: Coord,
@@ -100,7 +99,7 @@ impl fmt::Display for Slot {
 }
 
 /// Where an instruction's result is delivered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Target {
     /// An operand port of another instruction in the same block.
     Port {
@@ -123,7 +122,7 @@ impl Target {
 }
 
 /// One statically placed instruction.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlacedInst {
     /// Where the instruction lives on the array.
     pub slot: Slot,
@@ -160,7 +159,7 @@ impl PlacedInst {
 
 /// A register-file read injected into the block when it is mapped (or on
 /// each revitalization, unless marked persistent).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RegRead {
     /// Architectural register number; its bank is `reg % reg_banks`.
     pub reg: u16,
@@ -192,7 +191,7 @@ pub struct RegRead {
 /// block.validate(GridShape::new(8, 8), 64)?;
 /// # Ok::<(), dlp_common::DlpError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DataflowBlock {
     name: String,
     insts: Vec<PlacedInst>,

@@ -21,8 +21,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use dlp_common::json::ToJson;
 use dlp_common::{vcode, Coord, DlpError, Value};
-use serde::Serialize;
 
 use crate::{MemSpace, OpRole, Opcode};
 
@@ -34,7 +34,7 @@ pub const REG_NODE_COUNT: u8 = 31;
 pub const REG_RECORDS: u8 = 29;
 
 /// MIMD operation kinds.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, ToJson)]
 pub enum MimdOp {
     /// ALU operation `rd = op(ra, rb)`; unary ops ignore `rb`.
     Alu(Opcode),
@@ -63,7 +63,7 @@ pub enum MimdOp {
 }
 
 /// One MIMD instruction (register encoding).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, ToJson)]
 pub struct MimdInst {
     /// Operation.
     pub op: MimdOp,
@@ -99,7 +99,7 @@ impl fmt::Display for MimdInst {
 }
 
 /// A validated MIMD program for one node (or one replicated node role).
-#[derive(Clone, Debug, PartialEq, Default, Serialize)]
+#[derive(Clone, Debug, PartialEq, Default, ToJson)]
 pub struct MimdProgram {
     insts: Vec<MimdInst>,
 }

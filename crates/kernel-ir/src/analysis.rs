@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 use crate::{ControlClass, IrFacts, IrOp, KernelIr};
 
 /// The attributes the paper characterizes kernels by (Table 2).
@@ -18,7 +16,7 @@ use crate::{ControlClass, IrFacts, IrOp, KernelIr};
 /// * `constants` — named scalar constants.
 /// * `indexed_constants` — total lookup-table entries (0 when no table).
 /// * `control` — the Figure 1 control class (Table 2's "Loop bounds").
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KernelAttributes {
     /// Kernel name.
     pub name: String,

@@ -2,12 +2,12 @@
 
 use std::fmt;
 
+use dlp_common::json::ToJson;
 use dlp_common::{DlpError, Value};
-use serde::Serialize;
 use trips_isa::{OpRole, Opcode};
 
 /// The application domain a kernel belongs to (Table 1's grouping).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, ToJson)]
 pub enum Domain {
     /// DSP / multimedia processing.
     Multimedia,
@@ -31,7 +31,7 @@ impl fmt::Display for Domain {
 }
 
 /// A kernel's control-behavior class (the paper's Figure 1 taxonomy).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, ToJson)]
 pub enum ControlClass {
     /// Figure 1a: a straight-line instruction sequence.
     Straight,
@@ -69,7 +69,7 @@ impl ControlClass {
 }
 
 /// Reference to an IR node (index into [`KernelIr::nodes`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, ToJson)]
 pub struct IrRef(pub(crate) u32);
 
 impl IrRef {
@@ -81,7 +81,7 @@ impl IrRef {
 }
 
 /// A lookup table of indexed named constants (§2.1.1).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, ToJson)]
 pub struct TableSpec {
     /// Human-readable name ("sbox0", "bone matrices").
     pub name: String,
@@ -91,7 +91,7 @@ pub struct TableSpec {
 }
 
 /// One IR operation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, ToJson)]
 pub enum IrOp {
     /// Word `i` of the kernel's input record (a regular, streamed access).
     RecordIn(u16),
@@ -141,7 +141,7 @@ pub enum IrOp {
 }
 
 /// An IR node: the operation plus its overhead/useful classification.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, ToJson)]
 pub struct IrNode {
     /// The operation.
     pub op: IrOp,
@@ -150,7 +150,7 @@ pub struct IrNode {
 }
 
 /// A complete kernel: one instance of the data-parallel loop body.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, ToJson)]
 pub struct KernelIr {
     pub(crate) name: String,
     pub(crate) domain: Domain,

@@ -38,10 +38,9 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use dlp_common::{Coord, FaultInjector, FaultSite, GridShape, NetParams, Tick};
-use serde::Serialize;
 
 /// A source or destination attached to the mesh.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Endpoint {
     /// An ALU node on the array.
     Node(Coord),
@@ -64,7 +63,7 @@ impl Endpoint {
 }
 
 /// Direction of a unidirectional mesh link leaving a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Dir {
     North = 0,
     South = 1,
@@ -88,7 +87,7 @@ struct LinkUse {
 }
 
 /// Cumulative router statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Messages routed.
     pub msgs: u64,

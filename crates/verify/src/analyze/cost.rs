@@ -32,7 +32,6 @@
 use std::collections::{BinaryHeap, HashMap};
 
 use dlp_common::{ticks_to_cycles, wcode, GridShape, Tick, TimingParams};
-use serde::Serialize;
 use trips_isa::{MimdOp, MimdProgram, Opcode, PlacedInst, Target};
 
 use super::Warning;
@@ -74,7 +73,7 @@ fn node_weight(op: Opcode, timing: &TimingParams) -> Tick {
 /// Built once per prepared plan; [`DataflowCost::bound_ticks`] then
 /// evaluates the bound for any iteration count, so a single analysis
 /// serves every record count the sweep asks for.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DataflowCost {
     /// One-time mapping latency charged before the first fetch.
     pub map_overhead: Tick,
@@ -268,7 +267,7 @@ fn critical_path_ticks(insts: &[PlacedInst], timing: &TimingParams) -> Tick {
 /// *inside* each rank's program, and the model only claims the cheapest
 /// complete traversal. [`MimdCost::estimate_ticks`] adds an (unsound)
 /// per-record extrapolation for scheduling.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MimdCost {
     /// Broadcast fetch of the longest program before any rank steps.
     pub start: Tick,

@@ -21,8 +21,6 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 pub mod channel;
 pub mod cost;
 pub mod interval;
@@ -36,7 +34,7 @@ pub use interval::{analyze_kernel, AbstractValue};
 ///
 /// The advisory mirror of [`crate::VerifyError`]: same shape, but a
 /// warning never fails a lowering on its own.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Warning {
     /// Stable `W*` code from [`dlp_common::wcode`].
     pub code: &'static str,

@@ -28,8 +28,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 use dlp_common::SplitMix64;
+use dlp_common::json::ToJson;
 use dlp_core::store::{load_dlq, DlqRecord, SweepManifest, CRASHPOINTS};
-use serde::Serialize;
 
 /// Which child invocation reaches a crashpoint.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -52,7 +52,7 @@ fn leg_of(site: &str) -> Leg {
     }
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct SiteResult {
     site: String,
     nth: u64,
@@ -71,7 +71,7 @@ struct SiteResult {
     identical: bool,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct ChaosReport {
     seed: u64,
     matrix: Vec<SiteResult>,

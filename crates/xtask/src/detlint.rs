@@ -68,7 +68,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use serde::Serialize;
+use dlp_common::json::ToJson;
 
 /// Crates whose hot paths must not iterate hash containers.
 const HOT_CRATES: &[&str] = &["crates/sim", "crates/noc", "crates/mem"];
@@ -172,7 +172,7 @@ pub enum Format {
 }
 
 /// One finding in the `--format json` report.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct JsonFinding {
     path: String,
     line: usize,
@@ -182,7 +182,7 @@ struct JsonFinding {
 }
 
 /// The `--format json` document.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct JsonReport {
     findings: Vec<JsonFinding>,
     problems: Vec<String>,

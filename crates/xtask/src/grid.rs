@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use serde::Serialize;
+use dlp_common::json::ToJson;
 
 /// Records per cell — matches the experiment grid's default.
 const RECORDS: usize = 64;
@@ -84,7 +84,7 @@ pub fn verify_grid() -> ExitCode {
 }
 
 /// One analyzer finding, flattened for the JSON artifact.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct WarningRow {
     code: String,
     span: String,
@@ -92,7 +92,7 @@ struct WarningRow {
 }
 
 /// One analyzed grid cell in the JSON artifact.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct AnalyzedCell {
     kernel: String,
     config: String,
@@ -104,7 +104,7 @@ struct AnalyzedCell {
 
 /// The `analyze-grid` artifact: every cell plus the headline counters
 /// the CI gate reads.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct AnalyzeReport {
     records: usize,
     lowerings: usize,

@@ -15,7 +15,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dlp_core::store::{load_dlq, seal_line, unseal_line};
+use dlp_core::store::{load_dlq, seal_line, unseal_line, Hasher};
 use dlp_core::{
     CellSpec, DeadLetterQueue, ExperimentParams, MachineConfig, ManifestWriter, ResultStore,
     Sweep, SweepManifest, SweepReport,
@@ -71,7 +71,51 @@ fn warm_store_is_bit_identical_to_cold_at_any_worker_count() {
             "the canonical report must not depend on store temperature or worker count"
         );
     }
+    assert_persisted_encoding(&cold, &dir);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pins the bytes this grid persists: the manifest grid digest, each
+/// cell's store key, the canonical report and the entry files. Every one
+/// of them is derived from JSON the workspace writes (store keys hash the
+/// JSON of each kernel's IR and MIMD program), so a change to the JSON
+/// encoder that moves any byte shows here.
+fn assert_persisted_encoding(cold: &SweepReport, dir: &std::path::Path) {
+    const MSG: &str = "these values are an on-disk format: change them only on purpose, \
+                       together with a bump of STORE_VERSION or LOWERING_SCHEMA";
+    let grid = build_grid(1);
+    assert_eq!(grid.grid_digest().hex(), "d4e636eb5a98ecce16ef49ce61001309", "{MSG}");
+    let keys: Vec<String> = grid.cell_keys().iter().map(|k| k.digest.hex()).collect();
+    assert_eq!(
+        keys,
+        [
+            "cf630ef7c6606c4ca8b54111626142eb",
+            "e15395fb13ce903ca1a9c16ffbd3b63b",
+            "d3174e811c5ba66ae76b38acfbf53e89",
+            "1d6302c0315c60624f3bc83499936d09",
+        ],
+        "{MSG}"
+    );
+
+    let canonical = cold.canonical_json();
+    assert_eq!(canonical.len(), 2399, "{MSG}");
+    let mut h = Hasher::new();
+    h.update(canonical.as_bytes());
+    assert_eq!(h.digest().hex(), "291fcc65f181b03f96748f4935079d98", "{MSG}");
+
+    let mut entries = Vec::new();
+    for shard in std::fs::read_dir(dir.join("entries")).expect("entries dir") {
+        for file in std::fs::read_dir(shard.expect("shard").path()).expect("shard dir") {
+            entries.push(file.expect("entry").path());
+        }
+    }
+    entries.sort();
+    assert_eq!(entries.len(), 4, "one entry per cell");
+    let mut h = Hasher::new();
+    for path in &entries {
+        h.update(&std::fs::read(path).expect("read entry"));
+    }
+    assert_eq!(h.digest().hex(), "1aa01419d77c2af3fc12344c37f9f57c", "{MSG}");
 }
 
 #[test]
