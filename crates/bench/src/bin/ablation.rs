@@ -8,11 +8,13 @@
 //!
 //! Pass `--quick` for smoke-scale workloads.
 
-use dlp_bench::{quick_flag, records_for};
+use dlp_bench::{records_for, Args};
 use dlp_core::{CellSpec, ExperimentParams, MachineConfig, Sweep};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = quick_flag();
+    let mut args = Args::from_env();
+    let quick = args.switch("--quick");
+    args.finish()?;
     let mut sweep = Sweep::new();
 
     // A1: revitalize-broadcast delay on the S machine (convert).

@@ -11,12 +11,14 @@
 //!
 //! Pass `--quick` for smoke-scale workloads.
 
-use dlp_bench::{quick_flag, records_for};
+use dlp_bench::{records_for, Args};
 use dlp_core::{CellOutcome, CellSpec, ExperimentParams, Sweep};
 use trips_sim::MechanismSet;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = quick_flag();
+    let mut args = Args::from_env();
+    let quick = args.switch("--quick");
+    args.finish()?;
     let params = ExperimentParams::default();
     let space = MechanismSet::all_coherent();
     let names = ["fft", "convert", "blowfish", "vertex-skinning"];

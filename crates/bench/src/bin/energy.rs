@@ -5,12 +5,14 @@
 //!
 //! Pass `--quick` for smoke-scale workloads.
 
-use dlp_bench::{quick_flag, records_for};
+use dlp_bench::{records_for, Args};
 use dlp_core::{run_kernel, EnergyModel, ExperimentParams, MachineConfig};
 use dlp_kernels::suite;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = quick_flag();
+    let mut args = Args::from_env();
+    let quick = args.switch("--quick");
+    args.finish()?;
     let params = ExperimentParams::default();
     let model = EnergyModel::default();
     let kernels = suite();

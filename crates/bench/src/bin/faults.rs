@@ -20,6 +20,7 @@
 //! * `--out PATH` — JSON destination (default `BENCH_faults.json`).
 //! * `--dlq PATH` — append retry-exhausted cells to a dead-letter queue
 //!   for later `sweep --replay-dlq PATH` diagnosis.
+//! * `--help` — list the flags and exit. Any other argument is an error.
 
 use std::sync::Arc;
 
@@ -85,18 +86,19 @@ struct FaultReport {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = dlp_bench::quick_flag();
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1));
-    let out_path = flag("--out").cloned().unwrap_or_else(|| "BENCH_faults.json".to_string());
-    let threads: Option<usize> = flag("--threads").map(|s| s.parse()).transpose()?;
+    let mut args = dlp_bench::Args::from_env();
+    let quick = args.switch("--quick");
+    let out_path = args.value("--out").unwrap_or_else(|| "BENCH_faults.json".to_string());
+    let threads: Option<usize> = args.parsed("--threads")?;
+    let dlq_path = args.value("--dlq");
+    args.finish()?;
 
     let mut sweep = threads.map_or_else(Sweep::new, Sweep::with_threads);
     // Bounded retries: a cell that draws an unrecoverable schedule gets
     // two re-salted draws before its failure is accepted. The watchdog
     // keeps a pathological fault storm from stalling the batch.
     sweep.set_policy(SweepPolicy::default().with_attempts(3));
-    let dlq = flag("--dlq").map(|p| Arc::new(DeadLetterQueue::new(p)));
+    let dlq = dlq_path.map(|p| Arc::new(DeadLetterQueue::new(p)));
     if let Some(d) = &dlq {
         sweep.set_dlq(Arc::clone(d));
     }

@@ -4,11 +4,13 @@
 //!
 //! Pass `--quick` for smoke-scale workloads.
 
-use dlp_bench::quick_flag;
+use dlp_bench::Args;
 use dlp_core::{flexible, ExperimentParams, MachineConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = quick_flag();
+    let mut args = Args::from_env();
+    let quick = args.switch("--quick");
+    args.finish()?;
     let params = ExperimentParams::default();
     let fig = flexible(&params, if quick { 0 } else { 1 })?;
 

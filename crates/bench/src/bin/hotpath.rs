@@ -21,15 +21,17 @@
 //!   honors `--quick` for symmetry with the other binaries.
 //! * `--lanes N` — lanes per batched dispatch (default 8; `1..=64`).
 //! * `--out PATH` — JSON destination (default `BENCH_hotpath.json`).
+//! * `--help` — list the flags and exit. Any other argument is an error.
 
 use dlp_bench::hotpath::{measure, measure_queue, HotpathReport, HOTPATH_CASES, HOTPATH_SCHEMA};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let fast = args.iter().any(|a| a == "--fast" || a == "--quick");
-    let flag = |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1));
-    let out_path = flag("--out").cloned().unwrap_or_else(|| "BENCH_hotpath.json".to_string());
-    let lanes: usize = flag("--lanes").map_or(Ok(8), |s| s.parse())?;
+    let mut args = dlp_bench::Args::from_env();
+    // Both switches are looked up (no short-circuit), so both are accepted.
+    let fast = args.switch("--fast") | args.switch("--quick");
+    let out_path = args.value("--out").unwrap_or_else(|| "BENCH_hotpath.json".to_string());
+    let lanes: usize = args.parsed("--lanes")?.unwrap_or(8);
+    args.finish()?;
     assert!(
         (1..=trips_sim::batch::MAX_CLASSES).contains(&lanes),
         "--lanes must be in 1..={}",

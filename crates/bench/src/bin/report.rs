@@ -5,7 +5,7 @@
 //! Pass `--quick` for smoke-scale workloads; pass `--out <path>` to choose
 //! the JSON destination.
 
-use dlp_bench::quick_flag;
+use dlp_bench::Args;
 use dlp_common::json::ToJson;
 use dlp_core::specialized::{table6, Table6Row};
 use dlp_core::{flexible, ExperimentParams, Figure5, MachineConfig};
@@ -17,14 +17,10 @@ struct Report {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = quick_flag();
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "report.json".to_string());
+    let mut args = Args::from_env();
+    let quick = args.switch("--quick");
+    let out_path = args.value("--out").unwrap_or_else(|| "report.json".to_string());
+    args.finish()?;
 
     let params = ExperimentParams::default();
     let scale = usize::from(!quick);

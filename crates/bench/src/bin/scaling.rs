@@ -10,14 +10,16 @@
 //!
 //! Pass `--quick` for smoke-scale workloads.
 
-use dlp_bench::{quick_flag, records_for};
+use dlp_bench::{records_for, Args};
 use dlp_common::GridShape;
 use dlp_core::{recommend, CellSpec, ExperimentParams, Sweep};
 
 const DIMS: [u8; 4] = [4, 8, 12, 16];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = quick_flag();
+    let mut args = Args::from_env();
+    let quick = args.switch("--quick");
+    args.finish()?;
     let names = ["convert", "fft", "blowfish", "vertex-simple"];
 
     let mut sweep = Sweep::new();

@@ -49,11 +49,12 @@
 //! * `--crashpoint NAME[:N]` — abort the process at the Nth hit of the
 //!   named store crashpoint (crash-consistency testing; equivalent to
 //!   setting `DLP_CRASHPOINT`).
+//! * `--help` — list the flags and exit. Any other argument is an error.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use dlp_bench::{quick_flag, records_for};
+use dlp_bench::{records_for, Args};
 use dlp_core::store::{fsck, load_dlq, rewrite_dlq};
 use dlp_core::sweep::KernelId;
 use dlp_core::{
@@ -62,31 +63,39 @@ use dlp_core::{
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = quick_flag();
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1));
-    let threads: Option<usize> = flag("--threads").map(|s| s.parse()).transpose()?;
+    let mut args = Args::from_env();
+    let quick = args.switch("--quick");
+    let canonical = args.switch("--canonical");
+    let threads: Option<usize> = args.parsed("--threads")?;
+    let crashpoint = args.value("--crashpoint");
+    let fsck_dir = args.value("--fsck");
+    let replay_path = args.value("--replay-dlq");
+    let out_path = args.value("--out").unwrap_or_else(|| "BENCH_sweep.json".to_string());
+    let scale: usize = args.parsed("--scale")?.unwrap_or(1);
+    let watchdog: Option<u64> = args.parsed("--watchdog")?;
+    let breaker: Option<u32> = args.parsed("--breaker")?;
+    let kernels = args.value("--kernels");
+    let store_dir = args.value("--store");
+    let resume_path = args.value("--resume");
+    let manifest_path = args.value("--manifest");
+    let dlq_path = args.value("--dlq");
+    args.finish()?;
 
-    if let Some(spec) = flag("--crashpoint") {
-        if !dlp_common::crashpoint::arm(spec) {
+    if let Some(spec) = crashpoint {
+        if !dlp_common::crashpoint::arm(&spec) {
             return Err(format!("--crashpoint {spec}: bad spec (want NAME[:N])").into());
         }
     }
 
-    if let Some(dir) = flag("--fsck") {
-        let report = fsck(Path::new(dir))?;
+    if let Some(dir) = fsck_dir {
+        let report = fsck(Path::new(&dir))?;
         println!("{}", dlp_common::json::to_string(&report));
         return Ok(());
     }
 
-    if let Some(path) = flag("--replay-dlq") {
-        return replay_dlq(Path::new(path), threads);
+    if let Some(path) = replay_path {
+        return replay_dlq(Path::new(&path), threads);
     }
-
-    let out_path = flag("--out").cloned().unwrap_or_else(|| "BENCH_sweep.json".to_string());
-    let scale: usize = flag("--scale").map_or(Ok(1), |s| s.parse())?;
-    let watchdog: Option<u64> = flag("--watchdog").map(|s| s.parse()).transpose()?;
-    let breaker: Option<u32> = flag("--breaker").map(|s| s.parse()).transpose()?;
 
     let params = ExperimentParams {
         watchdog: watchdog.or(ExperimentParams::default().watchdog),
@@ -99,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     sweep.set_policy(policy);
     let kernel_filter: Option<Vec<&str>> =
-        flag("--kernels").map(|s| s.split(',').map(str::trim).collect());
+        kernels.as_deref().map(|s| s.split(',').map(str::trim).collect());
     for id in sweep.add_perf_suite() {
         let name = sweep.kernel(id).name().to_string();
         if kernel_filter.as_ref().is_some_and(|names| !names.contains(&name.as_str())) {
@@ -116,12 +125,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    if let Some(dir) = flag("--store") {
+    if let Some(dir) = store_dir {
         sweep.set_store(Arc::new(ResultStore::open(dir)?));
     }
-    match (flag("--resume"), flag("--manifest")) {
+    match (resume_path, manifest_path) {
         (Some(path), _) => {
-            let path = Path::new(path);
+            let path = Path::new(&path);
             let manifest = SweepManifest::load(path)?;
             if manifest.grid_digest != sweep.grid_digest() {
                 return Err(format!(
@@ -143,13 +152,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sweep.set_manifest(ManifestWriter::append_to(path)?);
         }
         (None, Some(path)) => {
-            let path = Path::new(path);
+            let path = Path::new(&path);
             sweep.set_manifest(ManifestWriter::create(path, &sweep.cell_digests())?);
             eprintln!("checkpointing to {}", path.display());
         }
         (None, None) => {}
     }
-    let dlq = flag("--dlq").map(|p| Arc::new(DeadLetterQueue::new(p)));
+    let dlq = dlq_path.map(|p| Arc::new(DeadLetterQueue::new(p)));
     if let Some(d) = &dlq {
         sweep.set_dlq(Arc::clone(d));
     }
@@ -184,7 +193,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("wall clock: {:.0} ms on {} threads", report.wall_ms, report.threads);
 
-    if args.iter().any(|a| a == "--canonical") {
+    if canonical {
         std::fs::write(&out_path, report.canonical_json())?;
     } else {
         std::fs::write(&out_path, dlp_common::json::to_string(&report))?;

@@ -3,7 +3,7 @@
 //!
 //! Pass `--quick` for smoke-scale workloads.
 
-use dlp_bench::{quick_flag, run_suite_on};
+use dlp_bench::{run_suite_on, Args};
 use dlp_core::MachineConfig;
 
 /// The paper's Table 4 values, for side-by-side comparison.
@@ -26,8 +26,10 @@ fn paper_value(kernel: &str) -> Option<f64> {
     })
 }
 
-fn main() {
-    let quick = quick_flag();
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let mut args = Args::from_env();
+    let quick = args.switch("--quick");
+    args.finish()?;
     println!(
         "Table 4: performance on baseline TRIPS (useful ops/cycle){}\n",
         if quick { " [--quick]" } else { "" }
@@ -43,4 +45,5 @@ fn main() {
          the shape to compare is which kernels sustain high vs low throughput\n\
          (see EXPERIMENTS.md)."
     );
+    Ok(())
 }

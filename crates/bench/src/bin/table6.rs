@@ -3,12 +3,14 @@
 //!
 //! Pass `--quick` for smoke-scale workloads.
 
-use dlp_bench::quick_flag;
+use dlp_bench::Args;
 use dlp_core::specialized::table6;
 use dlp_core::ExperimentParams;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = quick_flag();
+    let mut args = Args::from_env();
+    let quick = args.switch("--quick");
+    args.finish()?;
     let params = ExperimentParams::default();
     let rows = table6(&params, if quick { 0 } else { 1 })?;
 

@@ -9,8 +9,9 @@
 //!   [`lu`] (dense LU elimination update);
 //! * **Network / security** (1500-byte packets): [`md5`],
 //!   [`blowfish`], [`rijndael`] (AES-128), all implemented from scratch
-//!   (including π-digit generation for the Blowfish key schedule and GF(2⁸)
-//!   S-box construction for AES);
+//!   (including GF(2⁸) S-box construction for AES; Blowfish's π tables are
+//!   constants that a BBP digit generator in the tests regenerates and
+//!   pins);
 //! * **Real-time graphics**: [`vertex_simple`], [`fragment_simple`],
 //!   [`vertex_reflection`], [`fragment_reflection`], [`vertex_skinning`],
 //!   and [`anisotropic`] (characterized only, excluded from performance

@@ -1,10 +1,11 @@
 //! Blowfish (Schneier, 1993) reference implementation, from scratch.
 //!
 //! The P-array and S-boxes initialize from the fractional hex digits of π
-//! (generated by [`crate::refimpl::pi`]) and are then mixed with the key by
-//! the standard 521-encryption key schedule.
+//! (the constants in [`crate::refimpl::pi`], which `tests/pi_check.rs`
+//! regenerates with the BBP formula and pins word by word) and are then
+//! mixed with the key by the standard 521-encryption key schedule.
 
-use super::pi::pi_words;
+use super::pi::{P_INIT, S_INIT};
 
 /// A key-scheduled Blowfish cipher.
 #[derive(Clone)]
@@ -24,17 +25,7 @@ impl Blowfish {
     #[must_use]
     pub fn new(key: &[u8]) -> Self {
         assert!(!key.is_empty() && key.len() <= 56, "blowfish key must be 1..=56 bytes");
-        // π initialization: 18 + 4*256 = 1042 32-bit words. Digit
-        // extraction is O(n²) over the table, so compute it once.
-        static PI_TABLE: std::sync::OnceLock<Vec<u32>> = std::sync::OnceLock::new();
-        let digits = PI_TABLE.get_or_init(|| pi_words(18 + 4 * 256));
-        let mut p = [0u32; 18];
-        p.copy_from_slice(&digits[..18]);
-        let mut s = [[0u32; 256]; 4];
-        for (b, sbox) in s.iter_mut().enumerate() {
-            sbox.copy_from_slice(&digits[18 + b * 256..18 + (b + 1) * 256]);
-        }
-        let mut bf = Blowfish { p, s };
+        let mut bf = Blowfish { p: P_INIT, s: S_INIT };
 
         // XOR the key into P.
         let mut ki = 0;
