@@ -17,13 +17,15 @@
 //!
 //! Flags:
 //!
-//! * `--fast` — CI smoke scale (few records, few iterations); also
+//! * `--fast` — CI smoke scale (few records, short repeats); also
 //!   honors `--quick` for symmetry with the other binaries.
 //! * `--lanes N` — lanes per batched dispatch (default 8; `1..=64`).
 //! * `--out PATH` — JSON destination (default `BENCH_hotpath.json`).
 //! * `--help` — list the flags and exit. Any other argument is an error.
 
-use dlp_bench::hotpath::{measure, measure_queue, HotpathReport, HOTPATH_CASES, HOTPATH_SCHEMA};
+use dlp_bench::hotpath::{
+    measure, measure_queue, HotpathReport, Timing, HOTPATH_CASES, HOTPATH_SCHEMA,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = dlp_bench::Args::from_env();
@@ -38,14 +40,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trips_sim::batch::MAX_CLASSES
     );
 
-    // Full scale keeps each case around a hundred milliseconds of timed
-    // work; fast scale is a sub-second smoke proof that the harness runs.
-    let (records, iters) = if fast { (24, 3) } else { (256, 20) };
+    // Each repeat alternates the entry points for a fixed minimum wall,
+    // and every figure is the median of the repeats: fast scale (the CI
+    // gate's input) takes ≈2 s, full scale ≈25 s.
+    let (records, timing) = if fast {
+        (24, Timing { warmup: 3, repeats: 7, min_wall_s: 0.05 })
+    } else {
+        (256, Timing { warmup: 3, repeats: 7, min_wall_s: 0.6 })
+    };
     let (queue_live, queue_ops) = if fast { (256, 100_000) } else { (1024, 2_000_000) };
 
     let mut cases = Vec::with_capacity(HOTPATH_CASES.len());
     for case in HOTPATH_CASES {
-        let m = measure(case, records, iters, lanes);
+        let m = measure(case, records, lanes, timing);
         println!(
             "{:>9} {:<9} [{}] {:>10.1} cells/s  {:>12.0} records/s  ({} sim cycles, {} cache hits, lowering {})",
             m.kernel,
@@ -58,16 +65,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &m.lowering_fp[..8],
         );
         println!(
-            "{:>9} {:<9} [batch:{} ] {:>10.1} cells/s  {:>9.2}x vs scalar  ({} sim cycles per lane)",
-            "", "", m.lanes, m.batched_cells_per_sec, m.batch_speedup, m.batched_sim_cycles,
+            "{:>9} {:<9} [batch:{} ] {:>10.1} cells/s  {:>9.2}x vs scalar ±{:.0}%  ({} sim cycles per lane)",
+            "",
+            "",
+            m.lanes,
+            m.batched_cells_per_sec,
+            m.batch_speedup,
+            m.batch_speedup_spread * 50.0,
+            m.batched_sim_cycles,
         );
         println!(
-            "{:>9} {:<9} [lockstep:{}] {:>8.1} cells/s  {:>9.2}x vs scalar  (occupancy {:.2}, fold {:#018x})",
+            "{:>9} {:<9} [lockstep:{}] {:>8.1} cells/s  {:>9.2}x vs scalar ±{:.0}%  (occupancy {:.2}, fold {:#018x})",
             "",
             "",
             m.lanes,
             m.lockstep_cells_per_sec,
             m.lockstep_speedup,
+            m.lockstep_speedup_spread * 50.0,
             m.lockstep_occupancy,
             m.lockstep_sim_cycles,
         );

@@ -223,21 +223,33 @@ pub struct HotpathMeasurement {
     pub engine: String,
     /// Records simulated per cell.
     pub records: usize,
-    /// Timed repetitions.
-    pub iters: usize,
+    /// Untimed warm-up runs before timing (the first generates the
+    /// workload; each checks the cycle count).
+    pub warmup: usize,
+    /// Timed repeats. Each repeat alternates short slices of the scalar,
+    /// batched and lockstep entry points, so its three timings, and the
+    /// ratios formed from them, share the same host conditions.
+    pub repeats: usize,
+    /// Minimum timed wall-clock of one repeat, milliseconds: a repeat
+    /// runs rounds of one slice per entry point (an untimed warm-up
+    /// dispatch, then timed dispatches for a tenth of this) until the
+    /// timed slices together have taken at least this long.
+    pub min_wall_ms: f64,
     /// Simulated machine cycles per cell (a determinism cross-check:
     /// this must not move unless machine behavior changes).
     pub sim_cycles: u64,
-    /// Total wall-clock for the timed repetitions, milliseconds.
+    /// Median over the repeats of the scalar wall-clock per run,
+    /// milliseconds.
     pub wall_ms: f64,
-    /// Verified kernel runs per second of host time — the headline
-    /// throughput a hot-path regression shows up in.
+    /// Verified kernel runs per second of host time (the reciprocal of
+    /// `wall_ms`) — the headline throughput a hot-path regression shows
+    /// up in.
     pub cells_per_sec: f64,
     /// Simulated records per second of host time.
     pub records_per_sec: f64,
-    /// Workload-cache hits over this case's *scalar* runs, captured
-    /// before the batched repetitions (deterministic: equal to `iters`,
-    /// since the warm-up generates and every timed run hits).
+    /// Workload-cache hits over the warm-up runs (deterministic:
+    /// `warmup - 1`, since the first run generates and every later one
+    /// hits).
     pub workload_cache_hits: u64,
     /// Lanes per batched dispatch (identical lanes — the
     /// uniform-collapse path a sweep's repeated cells take).
@@ -245,28 +257,37 @@ pub struct HotpathMeasurement {
     /// Per-lane simulated cycles from the batched runs. CI asserts this
     /// equals `sim_cycles`: batching must not change machine behavior.
     pub batched_sim_cycles: u64,
-    /// Total wall-clock for the batched repetitions, milliseconds.
+    /// Median over the repeats of the wall-clock per batched dispatch,
+    /// milliseconds.
     pub batched_wall_ms: f64,
     /// Verified lane-results per second through the batched entry point
-    /// (`iters × lanes` lane-results over `batched_wall_ms`).
+    /// (`lanes` lane-results per `batched_wall_ms`).
     pub batched_cells_per_sec: f64,
-    /// `batched_cells_per_sec / cells_per_sec` — the headline
-    /// lane-batching win on this case.
+    /// Median over the repeats of `batched / scalar` lane-results per
+    /// second — the headline lane-batching win on this case.
     pub batch_speedup: f64,
+    /// Spread of the per-repeat `batch_speedup` ratios:
+    /// `(max - min) / median`.
+    pub batch_speedup_spread: f64,
     /// Order-sensitive fold of per-lane simulated cycles from the
     /// *distinct-seed* lockstep runs (`rotate_left(7) ^ cycles` per lane
     /// in lane order). A determinism cross-check for the SIMD lockstep
     /// path: moves only when machine behavior changes.
     pub lockstep_sim_cycles: u64,
-    /// Total wall-clock for the lockstep repetitions, milliseconds.
+    /// Median over the repeats of the wall-clock per lockstep dispatch,
+    /// milliseconds.
     pub lockstep_wall_ms: f64,
     /// Verified lane-results per second through the lockstep SoA path
-    /// (`iters × lanes` distinct-seed lane-results over
-    /// `lockstep_wall_ms`) — the SIMD-path throughput column.
+    /// (`lanes` distinct-seed lane-results per `lockstep_wall_ms`) — the
+    /// SIMD-path throughput column.
     pub lockstep_cells_per_sec: f64,
-    /// `lockstep_cells_per_sec / cells_per_sec` — the lockstep win over
-    /// scalar on genuinely divergent lanes.
+    /// Median over the repeats of `lockstep / scalar` lane-results per
+    /// second — the lockstep win over scalar on genuinely divergent
+    /// lanes.
     pub lockstep_speedup: f64,
+    /// Spread of the per-repeat `lockstep_speedup` ratios:
+    /// `(max - min) / median`.
+    pub lockstep_speedup_spread: f64,
     /// Lane-slot occupancy of each lockstep dispatch:
     /// `lanes / MAX_CLASSES` — the fraction of the 64 mask-word slots a
     /// dispatch fills at this `--lanes` setting.
@@ -279,93 +300,146 @@ pub struct HotpathMeasurement {
     pub lowering_fp: String,
 }
 
-/// Timing windows per engine: each window times `iters` runs, and the
-/// fastest window is reported. Scheduler and allocator noise only ever
-/// slows a window down, so the minimum is the stable estimator for the
-/// speedup ratios the CI perf gate compares (a single fast-scale window
-/// jitters more than the gate's 25% allowance).
-const TIMING_WINDOWS: usize = 3;
-
-/// Times [`TIMING_WINDOWS`] windows of `body` and returns the fastest.
-fn best_window(mut body: impl FnMut()) -> f64 {
-    (0..TIMING_WINDOWS)
-        .map(|_| {
-            let started = Instant::now();
-            body();
-            started.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+/// How long and how often [`measure`] times each entry point.
+#[derive(Clone, Copy, Debug)]
+pub struct Timing {
+    /// Untimed warm-up runs (at least 1).
+    pub warmup: usize,
+    /// Timed repeats.
+    pub repeats: usize,
+    /// Minimum wall-clock of one repeat, seconds.
+    pub min_wall_s: f64,
 }
 
-/// Prepares `case`, warms it once, times `iters` scalar runs, then
-/// times `iters` batched dispatches of `lanes` identical lanes each —
-/// interleaved on the same prepared lowering and scratch, so the
-/// scalar-vs-batched comparison is apples-to-apples. Each engine's
-/// wall time is the best of `TIMING_WINDOWS` windows.
+/// One timed repeat: rounds of slices of `dispatch(0)`, `dispatch(1)`
+/// and `dispatch(2)` until the rounds have taken at least `min_wall_s`
+/// seconds; returns each entry point's mean wall per dispatch, seconds.
+/// A slice is one untimed dispatch, which refills the caches the other
+/// entry points evicted, then timed dispatches of the same entry point
+/// for a tenth of `min_wall_s`. Alternating slices exposes the three
+/// entry points to the same host-speed drift, so their ratios stay put
+/// when the host's speed does not; a fixed minimum wall, rather than a
+/// fixed count, keeps sub-millisecond dispatches from being timed over a
+/// window one scheduler tick can swamp.
+fn time_interleaved(min_wall_s: f64, mut dispatch: impl FnMut(usize)) -> [f64; 3] {
+    let slice_s = min_wall_s / 10.0;
+    let (mut spent, mut count) = ([0.0f64; 3], [0u32; 3]);
+    while spent.iter().sum::<f64>() < min_wall_s {
+        for entry in 0..3 {
+            dispatch(entry);
+            let started = Instant::now();
+            loop {
+                dispatch(entry);
+                count[entry] += 1;
+                if started.elapsed().as_secs_f64() >= slice_s {
+                    break;
+                }
+            }
+            spent[entry] += started.elapsed().as_secs_f64();
+        }
+    }
+    std::array::from_fn(|entry| spent[entry] / f64::from(count[entry]))
+}
+
+/// Median of the non-empty `xs` (mean of the middle pair for even
+/// lengths).
+fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// `(median, (max - min) / median)` of `xs`.
+fn median_and_spread(xs: &[f64]) -> (f64, f64) {
+    let m = median(xs);
+    let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (m, if m > 0.0 { (hi - lo) / m } else { 0.0 })
+}
+
+/// Prepares `case`, runs `timing.warmup` untimed scalar runs, then times
+/// `timing.repeats` repeats, each alternating the scalar entry point,
+/// `lanes` identical lanes through the batched entry point and `lanes`
+/// distinct-seed lanes through the lockstep path for at least
+/// `timing.min_wall_s` — all on the same prepared lowering and scratch,
+/// so the ratios are apples-to-apples. Every reported figure is the
+/// median over the repeats; each ratio is formed within a repeat before
+/// the median is taken.
 ///
 /// # Panics
 ///
 /// Panics on lowering, simulation, or verification failure, or when the
 /// batched runs' per-lane cycle count diverges from scalar.
 #[must_use]
-pub fn measure(case: &HotpathCase, records: usize, iters: usize, lanes: usize) -> HotpathMeasurement {
+pub fn measure(case: &HotpathCase, records: usize, lanes: usize, timing: Timing) -> HotpathMeasurement {
     let mut prepared = prepare_case(case, records);
     let sim_cycles = prepared.run_once(); // warm: page in workload paths
-    let wall = best_window(|| {
-        for _ in 0..iters {
-            assert_eq!(prepared.run_once(), sim_cycles, "simulation is deterministic");
-        }
-    });
-    // Snapshot the scalar cache counter before the batched loop so the
-    // schema-3 field keeps its deterministic meaning.
+    for _ in 1..timing.warmup {
+        assert_eq!(prepared.run_once(), sim_cycles, "simulation is deterministic");
+    }
     let workload_cache_hits = prepared.workload_cache_hits();
 
     let batched_sim_cycles = prepared.run_batched_once(lanes); // warm
     assert_eq!(batched_sim_cycles, sim_cycles, "batching must not change machine behavior");
-    let batched_wall = best_window(|| {
-        for _ in 0..iters {
-            assert_eq!(
+    let lockstep_sim_cycles = prepared.run_lockstep_once(lanes); // warm
+
+    let repeats = timing.repeats.max(1);
+    let (mut scalar, mut batched, mut lockstep) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..repeats {
+        let [s, b, l] = time_interleaved(timing.min_wall_s, |entry| match entry {
+            0 => assert_eq!(prepared.run_once(), sim_cycles, "simulation is deterministic"),
+            1 => assert_eq!(
                 prepared.run_batched_once(lanes),
                 sim_cycles,
                 "batched runs are deterministic"
-            );
-        }
-    });
-
-    let lockstep_sim_cycles = prepared.run_lockstep_once(lanes); // warm
-    let lockstep_wall = best_window(|| {
-        for _ in 0..iters {
-            assert_eq!(
+            ),
+            _ => assert_eq!(
                 prepared.run_lockstep_once(lanes),
                 lockstep_sim_cycles,
                 "lockstep runs are deterministic"
-            );
-        }
-    });
-
-    let cells_per_sec = iters as f64 / wall.max(1e-9);
-    let batched_cells_per_sec = (iters * lanes) as f64 / batched_wall.max(1e-9);
-    let lockstep_cells_per_sec = (iters * lanes) as f64 / lockstep_wall.max(1e-9);
+            ),
+        });
+        scalar.push(s);
+        batched.push(b);
+        lockstep.push(l);
+    }
+    let ratio = |per_dispatch: &[f64]| -> Vec<f64> {
+        scalar.iter().zip(per_dispatch).map(|(s, d)| lanes as f64 * s / d.max(1e-12)).collect()
+    };
+    let (batch_speedup, batch_speedup_spread) = median_and_spread(&ratio(&batched));
+    let (lockstep_speedup, lockstep_speedup_spread) = median_and_spread(&ratio(&lockstep));
+    let wall = median(&scalar).max(1e-12);
+    let batched_wall = median(&batched).max(1e-12);
+    let lockstep_wall = median(&lockstep).max(1e-12);
     HotpathMeasurement {
         kernel: case.kernel.to_string(),
         config: case.config.to_string(),
         engine: case.engine.to_string(),
         records,
-        iters,
+        warmup: timing.warmup.max(1),
+        repeats,
+        min_wall_ms: timing.min_wall_s * 1e3,
         sim_cycles,
         wall_ms: wall * 1e3,
-        cells_per_sec,
-        records_per_sec: (iters * records) as f64 / wall.max(1e-9),
+        cells_per_sec: 1.0 / wall,
+        records_per_sec: records as f64 / wall,
         workload_cache_hits,
         lanes,
         batched_sim_cycles,
         batched_wall_ms: batched_wall * 1e3,
-        batched_cells_per_sec,
-        batch_speedup: batched_cells_per_sec / cells_per_sec.max(1e-9),
+        batched_cells_per_sec: lanes as f64 / batched_wall,
+        batch_speedup,
+        batch_speedup_spread,
         lockstep_sim_cycles,
         lockstep_wall_ms: lockstep_wall * 1e3,
-        lockstep_cells_per_sec,
-        lockstep_speedup: lockstep_cells_per_sec / cells_per_sec.max(1e-9),
+        lockstep_cells_per_sec: lanes as f64 / lockstep_wall,
+        lockstep_speedup,
+        lockstep_speedup_spread,
         lockstep_occupancy: lanes as f64 / trips_sim::batch::MAX_CLASSES as f64,
         lowering_fp: prepared.lowering_fp().to_string(),
     }
@@ -483,7 +557,11 @@ pub struct HotpathReport {
     /// 5 the distinct-seed lockstep (SIMD-path) columns
     /// (`lockstep_sim_cycles`, `lockstep_wall_ms`,
     /// `lockstep_cells_per_sec`, `lockstep_speedup`,
-    /// `lockstep_occupancy`). See `EXPERIMENTS.md`.
+    /// `lockstep_occupancy`); 6 replaced the best-of-three fixed-count
+    /// windows with the median of interleaved fixed-minimum-wall repeats
+    /// (`warmup`, `repeats`, `min_wall_ms` and the `*_speedup_spread`
+    /// columns replace `iters`; the wall columns became per dispatch).
+    /// See `EXPERIMENTS.md`.
     pub schema: u32,
     /// Whether the fast (CI smoke) scale was used.
     pub fast: bool,
@@ -494,7 +572,7 @@ pub struct HotpathReport {
 }
 
 /// Current [`HotpathReport::schema`] version.
-pub const HOTPATH_SCHEMA: u32 = 5;
+pub const HOTPATH_SCHEMA: u32 = 6;
 
 #[cfg(test)]
 mod tests {
@@ -508,6 +586,13 @@ mod tests {
             assert_eq!(a, b, "order parity at {live} live events");
             assert_eq!(a, queue_churn(live, 2_000), "deterministic at {live}");
         }
+    }
+
+    #[test]
+    fn median_and_spread_of_repeats() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median_and_spread(&[1.0, 2.0, 4.0]), (2.0, 1.5));
     }
 
     #[test]

@@ -841,12 +841,7 @@ impl ManifestWriter {
     ///
     /// I/O errors opening or repairing the file.
     pub fn append_to(path: &Path) -> io::Result<ManifestWriter> {
-        let bytes = std::fs::read(path)?;
-        if bytes.last().is_some_and(|&b| b != b'\n') {
-            let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-            let file = std::fs::OpenOptions::new().write(true).open(path)?;
-            file.set_len(keep as u64)?;
-        }
+        truncate_torn_tail(path)?;
         let file = AppendWriter::append_to(path, MANIFEST_SITES, Class::Manifest)?;
         Ok(ManifestWriter { file })
     }
@@ -972,13 +967,41 @@ impl DlqRecord {
     }
 }
 
+/// Cut a torn final line (bytes after the last newline, left by a killed
+/// writer) off the existing file at `path`, so it cannot glue onto the
+/// next appended line. Returns the file's length afterwards.
+fn truncate_torn_tail(path: &Path) -> io::Result<u64> {
+    let bytes = std::fs::read(path)?;
+    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+    if keep < bytes.len() {
+        let file = std::fs::OpenOptions::new().write(true).open(path)?;
+        file.set_len(keep as u64)?;
+    }
+    Ok(keep as u64)
+}
+
 /// Append-only dead-letter queue writer (sealed JSONL; one synced line
 /// per record, so records survive a kill and corruption is detected on
 /// load).
+///
+/// Workers append in completion order, which varies run to run. Once a
+/// sweep finishes, [`DeadLetterQueue::order_by_cell`] rewrites the lines
+/// this writer added into cell order, so two runs of one grid write the
+/// same bytes; lines already in the file stay first and untouched.
 pub struct DeadLetterQueue {
     path: PathBuf,
-    file: Mutex<Option<AppendWriter>>,
+    state: Mutex<DlqState>,
     appended: AtomicU64,
+}
+
+/// The open append handle plus what [`DeadLetterQueue::order_by_cell`]
+/// needs: the file's length before this writer's first pending line, and
+/// the pending sealed lines keyed by cell.
+#[derive(Default)]
+struct DlqState {
+    file: Option<AppendWriter>,
+    prior_len: u64,
+    lines: Vec<(usize, String)>,
 }
 
 impl DeadLetterQueue {
@@ -986,7 +1009,11 @@ impl DeadLetterQueue {
     /// on the first record, so a clean sweep leaves no empty file).
     #[must_use]
     pub fn new(path: impl Into<PathBuf>) -> DeadLetterQueue {
-        DeadLetterQueue { path: path.into(), file: Mutex::new(None), appended: AtomicU64::new(0) }
+        DeadLetterQueue {
+            path: path.into(),
+            state: Mutex::new(DlqState::default()),
+            appended: AtomicU64::new(0),
+        }
     }
 
     /// The queue's path.
@@ -1001,19 +1028,53 @@ impl DeadLetterQueue {
         self.appended.load(Ordering::Relaxed)
     }
 
-    /// Append one record (thread-safe, sealed, synced; best-effort like
-    /// the manifest — an unwritable queue must not fail the sweep).
-    pub fn append(&self, record: &DlqRecord) {
+    /// Append cell `cell`'s record (thread-safe, sealed, synced;
+    /// best-effort like the manifest — an unwritable queue must not fail
+    /// the sweep).
+    pub fn append(&self, cell: usize, record: &DlqRecord) {
         let line = json::to_string(record);
-        let mut guard = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if guard.is_none() {
-            *guard = AppendWriter::append_to(&self.path, DLQ_SITES, Class::Dlq).ok();
+        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if state.file.is_none() {
+            // A torn line an interrupted run left would swallow this
+            // record; unreadable either way, it is cut off first. If that
+            // fails, every existing byte counts as earlier.
+            state.prior_len = truncate_torn_tail(&self.path)
+                .or_else(|_| std::fs::metadata(&self.path).map(|m| m.len()))
+                .unwrap_or(0);
+            state.file = AppendWriter::append_to(&self.path, DLQ_SITES, Class::Dlq).ok();
         }
-        if let Some(file) = guard.as_ref() {
+        if let Some(file) = state.file.as_ref() {
             if file.append_line(&line).is_ok() {
                 self.appended.fetch_add(1, Ordering::Relaxed);
+                state.lines.push((cell, seal_line(&line)));
             }
         }
+    }
+
+    /// Rewrite the lines appended since the last call into cell order
+    /// (stable, so one cell's lines keep their own order), atomically:
+    /// the file's earlier bytes first and unchanged, then the sorted
+    /// lines. A no-op when nothing was appended.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors reading or rewriting the file.
+    pub fn order_by_cell(&self) -> io::Result<()> {
+        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if state.lines.is_empty() {
+            return Ok(());
+        }
+        // The rewrite replaces the file, so the next append reopens it.
+        state.file = None;
+        let mut lines = std::mem::take(&mut state.lines);
+        lines.sort_by_key(|&(cell, _)| cell);
+        let mut out = std::fs::read(&self.path)?;
+        out.truncate(usize::try_from(state.prior_len).unwrap_or(usize::MAX));
+        for (_, line) in &lines {
+            out.extend_from_slice(line.as_bytes());
+            out.push(b'\n');
+        }
+        atomic_write_file(&self.path, &out, DLQ_REWRITE_SITES, Class::Dlq)
     }
 }
 
@@ -1304,9 +1365,9 @@ mod tests {
             attempts: 1,
             timed_out: false,
         };
-        queue.append(&record);
+        queue.append(0, &record);
         record.base_seed = 2;
-        queue.append(&record);
+        queue.append(1, &record);
         assert_eq!(queue.appended(), 2);
 
         // A torn final line (kill mid-write) is skipped.
@@ -1319,8 +1380,18 @@ mod tests {
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[1].base_seed, 2);
 
+        // The next run's writer cuts the torn tail before appending, so
+        // its first record stays readable.
+        let next_run = DeadLetterQueue::new(&path);
+        record.base_seed = 3;
+        next_run.append(0, &record);
+        next_run.order_by_cell().expect("order");
+        let loaded = load_dlq(&path);
+        assert_eq!(loaded.len(), 3);
+        assert_eq!(loaded[2].base_seed, 3);
+
         rewrite_dlq(&path, &loaded[1..]).expect("rewrite");
-        assert_eq!(load_dlq(&path).len(), 1);
+        assert_eq!(load_dlq(&path).len(), 2);
         rewrite_dlq(&path, &[]).expect("rewrite empty");
         assert!(!path.exists(), "empty queue removes the file");
         rewrite_dlq(&path, &[]).expect("idempotent on missing file");

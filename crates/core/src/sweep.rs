@@ -746,7 +746,12 @@ impl Sweep {
             cell_results.iter().filter(|r| r.origin == Origin::Executed).count();
         let cells_skipped =
             cell_results.iter().filter(|r| r.origin == Origin::Skipped).count();
-        let dlq_appended = self.dlq.as_ref().map_or(0, |d| d.appended());
+        let dlq_appended = self.dlq.as_ref().map_or(0, |d| {
+            // Best-effort like the appends: the streamed lines stay valid
+            // (in completion order) if the rewrite fails.
+            let _ = d.order_by_cell();
+            d.appended()
+        });
         // Provenance, like the cache counters: a warm run prepares no
         // plans and so carries no warnings or predictions.
         let analysis_warnings: u64 = plans
@@ -868,7 +873,7 @@ impl Sweep {
         }
         if let Some(dlq) = &self.dlq {
             if matches!(outcome, CellOutcome::Failed { .. }) && !cacheable(outcome) {
-                dlq.append(&self.dlq_record(i, outcome));
+                dlq.append(i, &self.dlq_record(i, outcome));
             }
         }
     }

@@ -102,6 +102,12 @@ pub struct NetStats {
 /// Messages are routed Y-first (within the source column to the destination
 /// row) then X (along the row). Each link serializes: with the default
 /// [`NetParams`], one message per tick per link; later messages wait.
+///
+/// Link state is one flat table indexed `node * 4 + direction`, so a
+/// route is two runs of evenly spaced entries: the vertical run steps by
+/// `±4 * cols`, the horizontal run by `±4`. [`MeshRouter::send`] walks
+/// those runs by index — no per-hop coordinate or bounds-asserting grid
+/// lookup — and reserves each link with a branch-free update.
 #[derive(Clone, Debug)]
 pub struct MeshRouter {
     grid: GridShape,
@@ -157,43 +163,55 @@ impl MeshRouter {
     /// Route a message injected at `now`, returning its arrival tick.
     ///
     /// Reserves capacity on every link along the dimension-order path, so
-    /// concurrent messages sharing links are serialized.
+    /// concurrent messages sharing links are serialized. The walk steps a
+    /// link index through the flat table: the source node's outgoing
+    /// vertical link, then `±LINKS_PER_NODE * cols` per row; then the
+    /// turn node's horizontal link, then `±LINKS_PER_NODE` per column.
     pub fn send(&mut self, from: Endpoint, to: Endpoint, now: Tick) -> Tick {
         let (src, src_edge) = from.attach();
         let (dst, dst_edge) = to.attach();
         debug_assert!(self.grid.contains(src), "source {src} off-grid");
         debug_assert!(self.grid.contains(dst), "destination {dst} off-grid");
 
-        let mut t = now + Tick::from(src_edge) * self.params.hop_ticks;
-        let mut at = src;
-        let mut hops = src_edge + dst_edge;
+        let hop = self.params.hop_ticks;
+        let row_stride = self.grid.cols() as usize * LINKS_PER_NODE;
+        let start = now + Tick::from(src_edge) * hop;
 
-        // Y first: move within the column to the destination row.
-        while at.row != dst.row {
-            let dir = if dst.row > at.row { Dir::South } else { Dir::North };
-            t = self.traverse(at, dir, t);
-            at = match dir {
-                Dir::South => Coord::new(at.row + 1, at.col),
-                Dir::North => Coord::new(at.row - 1, at.col),
-                _ => unreachable!(),
-            };
-            hops += 1;
-        }
-        // Then X along the row.
-        while at.col != dst.col {
-            let dir = if dst.col > at.col { Dir::East } else { Dir::West };
-            t = self.traverse(at, dir, t);
-            at = match dir {
-                Dir::East => Coord::new(at.row, at.col + 1),
-                Dir::West => Coord::new(at.row, at.col - 1),
-                _ => unreachable!(),
-            };
-            hops += 1;
-        }
-        t += Tick::from(dst_edge) * self.params.hop_ticks;
-
+        // Y first: move within the source column to the destination row.
+        let rows = u32::from(src.row.abs_diff(dst.row));
+        let (dir, step) = if dst.row > src.row {
+            (Dir::South, row_stride)
+        } else {
+            (Dir::North, row_stride.wrapping_neg())
+        };
+        let link = usize::from(src.row) * row_stride + usize::from(src.col) * LINKS_PER_NODE;
+        let t = self.walk(link + dir as usize, step, rows, start);
+        // Then X along the destination row.
+        let cols = u32::from(src.col.abs_diff(dst.col));
+        let (dir, step) = if dst.col > src.col {
+            (Dir::East, LINKS_PER_NODE)
+        } else {
+            (Dir::West, LINKS_PER_NODE.wrapping_neg())
+        };
+        let link = usize::from(dst.row) * row_stride + usize::from(src.col) * LINKS_PER_NODE;
+        let t = self.walk(link + dir as usize, step, cols, t);
+        // Whatever the links took beyond one hop each was spent queued.
+        self.stats.queue_ticks += t - start - Tick::from(rows + cols) * hop;
         self.stats.msgs += 1;
-        self.stats.hops += u64::from(hops);
+        self.stats.hops += u64::from(src_edge + rows + cols + dst_edge);
+        t + Tick::from(dst_edge) * hop
+    }
+
+    /// Reserve `n` links in turn for a message ready at `t`, the first at
+    /// index `link` and each next one `step` entries on (wrapping, so a
+    /// negative step is its two's complement); returns when the message
+    /// leaves the last link.
+    fn walk(&mut self, mut link: usize, step: usize, n: u32, mut t: Tick) -> Tick {
+        let (cap, hop) = (self.params.link_msgs_per_tick.max(1), self.params.hop_ticks);
+        for _ in 0..n {
+            t = reserve(&mut self.usage[link], cap, t) + hop;
+            link = link.wrapping_add(step);
+        }
         t
     }
 
@@ -245,26 +263,20 @@ impl MeshRouter {
             inject = arrive + inj.backoff(attempt);
         }
     }
+}
 
-    /// Traverse one link: wait for a departure slot, reserve it, advance
-    /// time. A link carries at most `link_msgs_per_tick` messages per tick.
-    fn traverse(&mut self, at: Coord, dir: Dir, ready: Tick) -> Tick {
-        let cap = self.params.link_msgs_per_tick.max(1);
-        let entry = &mut self.usage[self.grid.index(at) * LINKS_PER_NODE + dir as usize];
-        let mut depart = ready;
-        if entry.tick >= ready && entry.count >= cap {
-            depart = entry.tick + 1; // slot on `entry.tick` is full
-        } else if entry.tick > ready {
-            depart = entry.tick; // join the latest partially filled slot
-        }
-        if depart == entry.tick {
-            entry.count += 1;
-        } else {
-            *entry = LinkUse { tick: depart, count: 1 };
-        }
-        self.stats.queue_ticks += depart - ready;
-        depart + self.params.hop_ticks
-    }
+/// Reserve a departure slot on one link for a message ready at `ready`,
+/// returning its departure tick. A link carries at most `cap` messages
+/// per tick: the message joins the link's latest slot if that is at or
+/// after `ready` and not full, else the next tick after it, else departs
+/// at `ready`.
+fn reserve(entry: &mut LinkUse, cap: u32, ready: Tick) -> Tick {
+    let full = entry.tick >= ready && entry.count >= cap;
+    let depart = ready.max(entry.tick) + Tick::from(full);
+    let same = depart == entry.tick;
+    entry.count = if same { entry.count + 1 } else { 1 };
+    entry.tick = depart;
+    depart
 }
 
 #[cfg(test)]
@@ -412,7 +424,111 @@ mod tests {
         assert_eq!(t2, net.distance(a, b) as u64 + 100);
     }
 
+    /// The per-hop walk `MeshRouter::send` replaced: rebuild each hop's
+    /// coordinate, index the link through `GridShape::index`, and
+    /// reserve it with explicit branches. Kept as the oracle the link-
+    /// index walk must match message for message.
+    struct HopWalk {
+        grid: GridShape,
+        params: NetParams,
+        usage: Vec<LinkUse>,
+        stats: NetStats,
+    }
+
+    impl HopWalk {
+        fn new(grid: GridShape, params: NetParams) -> Self {
+            let usage = vec![LinkUse::default(); grid.nodes() * LINKS_PER_NODE];
+            HopWalk { grid, params, usage, stats: NetStats::default() }
+        }
+
+        fn send(&mut self, from: Endpoint, to: Endpoint, now: Tick) -> Tick {
+            let (src, src_edge) = from.attach();
+            let (dst, dst_edge) = to.attach();
+            let mut t = now + Tick::from(src_edge) * self.params.hop_ticks;
+            let mut at = src;
+            let mut hops = src_edge + dst_edge;
+            while at.row != dst.row {
+                let dir = if dst.row > at.row { Dir::South } else { Dir::North };
+                t = self.traverse(at, dir, t);
+                at = match dir {
+                    Dir::South => Coord::new(at.row + 1, at.col),
+                    _ => Coord::new(at.row - 1, at.col),
+                };
+                hops += 1;
+            }
+            while at.col != dst.col {
+                let dir = if dst.col > at.col { Dir::East } else { Dir::West };
+                t = self.traverse(at, dir, t);
+                at = match dir {
+                    Dir::East => Coord::new(at.row, at.col + 1),
+                    _ => Coord::new(at.row, at.col - 1),
+                };
+                hops += 1;
+            }
+            t += Tick::from(dst_edge) * self.params.hop_ticks;
+            self.stats.msgs += 1;
+            self.stats.hops += u64::from(hops);
+            t
+        }
+
+        fn traverse(&mut self, at: Coord, dir: Dir, ready: Tick) -> Tick {
+            let cap = self.params.link_msgs_per_tick.max(1);
+            let entry = &mut self.usage[self.grid.index(at) * LINKS_PER_NODE + dir as usize];
+            let mut depart = ready;
+            if entry.tick >= ready && entry.count >= cap {
+                depart = entry.tick + 1;
+            } else if entry.tick > ready {
+                depart = entry.tick;
+            }
+            if depart == entry.tick {
+                entry.count += 1;
+            } else {
+                *entry = LinkUse { tick: depart, count: 1 };
+            }
+            self.stats.queue_ticks += depart - ready;
+            depart + self.params.hop_ticks
+        }
+    }
+
+    /// Endpoint `kind` 0 = node, 1 = register bank, 2 = memory port, on a
+    /// `rows × cols` grid, from raw coordinates reduced into range.
+    fn endpoint(kind: u8, row: u8, col: u8, grid: GridShape) -> Endpoint {
+        match kind {
+            0 => Endpoint::Node(Coord::new(row % grid.rows(), col % grid.cols())),
+            1 => Endpoint::RegBank(col % grid.cols()),
+            _ => Endpoint::MemPort(row % grid.rows()),
+        }
+    }
+
     proptest! {
+        /// Random traffic over a small non-square mesh — node, register
+        /// bank and memory-port endpoints, injection ticks drawn from a
+        /// narrow window so links contend — gives every message the same
+        /// arrival tick, and the run the same `NetStats`, under the
+        /// link-index walk as under the per-hop oracle.
+        #[test]
+        fn link_index_walk_matches_per_hop_walk(
+            shape in (1u8..6, 1u8..7),
+            params in (1u64..3, 1u32..3),
+            sends in proptest::collection::vec(
+                ((0u8..3, 0u8..8, 0u8..8), (0u8..3, 0u8..8, 0u8..8), 0u64..6),
+                1..80,
+            ),
+        ) {
+            let grid = GridShape::new(shape.0, shape.1);
+            let params = NetParams { hop_ticks: params.0, link_msgs_per_tick: params.1 };
+            let mut net = MeshRouter::new(grid, params);
+            let mut oracle = HopWalk::new(grid, params);
+            let mut now = 0;
+            for ((fk, fr, fc), (tk, tr, tc), dt) in sends {
+                now += dt / 2;
+                let from = endpoint(fk, fr, fc, grid);
+                let to = endpoint(tk, tr, tc, grid);
+                prop_assert_eq!(net.send(from, to, now), oracle.send(from, to, now));
+            }
+            prop_assert_eq!(net.stats(), oracle.stats);
+        }
+
         #[test]
         fn arrival_never_precedes_distance(
             r1 in 0u8..8, c1 in 0u8..8, r2 in 0u8..8, c2 in 0u8..8, now in 0u64..1000

@@ -5,7 +5,7 @@
 //! only the SoA state, the merge window, and the lane-vectorized pass.
 
 use dlp_common::{DlpError, SimStats, Tick, Value};
-use trips_isa::{DataflowBlock, OpClass, OpRole, Port};
+use trips_isa::{DataflowBlock, OpClass, OpRole};
 use trips_mem::Throttle;
 
 use super::{
@@ -84,7 +84,7 @@ impl Outbox {
     /// Buffer class `c`'s push of `ev` at `tick` on `frame`.
     fn push(&mut self, nc: usize, c: usize, frame: usize, tick: Tick, ev: Ev) {
         let (inst, port, value) = match ev {
-            Ev::Operand { inst, port, value } => (inst as u32, port_idx(port) as u8, Some(value)),
+            Ev::Operand { inst, port, value } => (inst, port_idx(port) as u8, Some(value)),
             Ev::Quiesce => (NO_INST, 0, None),
         };
         let (idx, appended) = self.buf.push(c, tick, frame as u32, inst, port);
@@ -176,10 +176,8 @@ fn df_seed_iteration(
             continue;
         }
         let b3 = (frame * ctx.len + i) * 3;
-        let req = s.tables.required[i];
-        let ready = (!req[0] || s.ops_set[b3] & bit != 0)
-            && (!req[1] || s.ops_set[b3 + 1] & bit != 0)
-            && (!req[2] || s.ops_set[b3 + 2] & bit != 0);
+        let req = s.tables.req[i];
+        let ready = (0..3).all(|p| req >> p & 1 == 0 || s.ops_set[b3 + p] & bit != 0);
         if ready {
             df_execute(ctx, block, s, m, c, frame, i, start);
         }
@@ -302,23 +300,16 @@ fn df_execute_lanes(
     }
 }
 
-/// Reset class `c`'s view of a frame for its next iteration.
-fn df_reset_frame(
-    ctx: DfCtx,
-    block: &DataflowBlock,
-    s: &mut BatchDataflowScratch,
-    c: usize,
-    frame: usize,
-    keep_persistent: bool,
-) {
-    let op_revit = keep_persistent && ctx.op_revit;
+/// Reset class `c`'s view of a frame for its next iteration, keeping
+/// only the operands the tables mark as surviving it.
+fn df_reset_frame(ctx: DfCtx, s: &mut BatchDataflowScratch, c: usize, frame: usize) {
     let bit = 1u64 << c;
     for i in 0..ctx.len {
         s.executed[frame * ctx.len + i] &= !bit;
-        let persist = block.insts()[i].persistent;
+        let keep = s.tables.keep[i];
         let b3 = (frame * ctx.len + i) * 3;
-        for (pi, port) in [Port::Left, Port::Right, Port::Pred].into_iter().enumerate() {
-            if !(op_revit && persist.contains(port)) {
+        for pi in 0..3 {
+            if keep >> pi & 1 == 0 {
                 s.ops_set[b3 + pi] &= !bit;
             }
         }
@@ -346,7 +337,7 @@ fn df_complete_iteration(
     let t = s.frame_last_tick[frame * nc + c];
     s.final_tick[c] = s.final_tick[c].max(t);
     if s.next_iter[c] < s.iterations[c] {
-        df_reset_frame(ctx, block, s, c, frame, ctx.fetch.keeps_operands());
+        df_reset_frame(ctx, s, c, frame);
         let start = ctx.fetch.restart(&mut s.stats[c], &mut s.fetch_done[c], t);
         df_seed_iteration(ctx, block, s, m, c, frame, start, s.next_iter[c], false);
         s.next_iter[c] += 1;
@@ -564,10 +555,10 @@ pub fn run_dataflow_batch_in(
             mask::simd_latch_lanes(&mut s.ops_val[vbase..vbase + nc], &s.out.rows[rbase..rbase + nc], proc);
             s.ops_set[slot] |= proc;
             // Readiness for all classes at once: one AND tree.
-            let req = s.tables.required[i];
-            let m0 = if req[0] { s.ops_set[b3] } else { !0u64 };
-            let m1 = if req[1] { s.ops_set[b3 + 1] } else { !0u64 };
-            let m2 = if req[2] { s.ops_set[b3 + 2] } else { !0u64 };
+            let req = s.tables.req[i];
+            let m0 = if req & 1 != 0 { s.ops_set[b3] } else { !0u64 };
+            let m1 = if req & 2 != 0 { s.ops_set[b3 + 1] } else { !0u64 };
+            let m2 = if req & 4 != 0 { s.ops_set[b3 + 2] } else { !0u64 };
             let mut ready = proc & !s.executed[frame * len + i] & m0 & m1 & m2;
             if ready.count_ones() >= 2
                 && ctx.uniform_timing

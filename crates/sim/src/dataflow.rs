@@ -26,7 +26,7 @@
 //! steady state.
 
 use dlp_common::{DlpError, SimStats, Tick, Value};
-use trips_isa::{DataflowBlock, Port};
+use trips_isa::DataflowBlock;
 use trips_mem::Throttle;
 
 use crate::equeue::CalendarQueue;
@@ -34,10 +34,13 @@ use crate::semantics::dataflow::{self as sem, port_idx, BlockTables, Ev};
 use crate::{EngineArena, Machine};
 
 /// Reservation-station runtime state for one instruction in one frame.
-#[derive(Clone, Default)]
+#[derive(Clone, Copy, Default)]
 struct RsState {
-    /// Operand values present at [Left, Right, Pred].
-    ops: [Option<Value>; 3],
+    /// Operand values at [Left, Right, Pred]; `vals[p]` is meaningful only
+    /// while bit `p` of `present` is set.
+    vals: [Value; 3],
+    /// Which operands have arrived, as a bitmask over the ports.
+    present: u8,
     executed: bool,
 }
 
@@ -79,7 +82,7 @@ impl Frame {
 pub(crate) struct DataflowScratch {
     pub(crate) tables: BlockTables,
     /// The scheduler: `(frame, event)` pairs in `(tick, seq)` order.
-    events: CalendarQueue<(), (usize, Ev)>,
+    events: CalendarQueue<(), (u32, Ev)>,
     frames: Vec<Frame>,
     /// Per-node issue throttles, indexed by dense grid index.
     node_issue: Vec<Throttle>,
@@ -89,12 +92,12 @@ pub(crate) struct DataflowScratch {
 /// The push sink the shared semantics write `frame`'s events into.
 fn sink<'s>(
     frames: &'s mut [Frame],
-    events: &'s mut CalendarQueue<(), (usize, Ev)>,
+    events: &'s mut CalendarQueue<(), (u32, Ev)>,
     frame: usize,
 ) -> impl FnMut(Tick, Ev) + 's {
     move |t, ev| {
         frames[frame].pending += 1;
-        events.push(t, (), (frame, ev));
+        events.push(t, (), (frame as u32, ev));
     }
 }
 
@@ -158,16 +161,19 @@ impl<'a> Engine<'a> {
 
     fn ready(&self, frame: usize, i: usize) -> bool {
         let rs = &self.s.frames[frame].rs[i];
-        !rs.executed && (0..3).all(|p| !self.s.tables.required[i][p] || rs.ops[p].is_some())
+        let req = self.s.tables.req[i];
+        !rs.executed && rs.present & req == req
     }
 
     /// Issue and execute instruction `i` of `frame`, whose operands became
     /// complete at `t`; schedules all downstream events.
     fn execute(&mut self, frame: usize, i: usize, t: Tick) {
         let f = &mut self.s.frames[frame];
-        f.rs[i].executed = true;
+        let rs = &mut f.rs[i];
+        rs.executed = true;
+        let ops = std::array::from_fn(|p| (rs.present >> p & 1 != 0).then_some(rs.vals[p]));
         f.executed += 1;
-        let (ops, iter) = (f.rs[i].ops, f.iter);
+        let iter = f.iter;
         let s = &mut *self.s;
         sem::execute(
             self.m,
@@ -183,20 +189,15 @@ impl<'a> Engine<'a> {
         );
     }
 
-    /// Reset a frame's reservation stations for its next iteration.
-    /// `keep_persistent` preserves operand-revitalized values.
-    fn reset_frame(&mut self, frame: usize, keep_persistent: bool) {
-        let op_revit = keep_persistent && self.m.mechanisms().operand_revitalization;
-        for (i, state) in self.s.frames[frame].rs.iter_mut().enumerate() {
+    /// Reset a frame's reservation stations for its next iteration,
+    /// keeping only the operands the tables mark as surviving it.
+    fn reset_frame(&mut self, frame: usize) {
+        let f = &mut self.s.frames[frame];
+        for (state, &keep) in f.rs.iter_mut().zip(&self.s.tables.keep) {
             state.executed = false;
-            let persist = self.block.insts()[i].persistent;
-            for (pi, port) in [Port::Left, Port::Right, Port::Pred].into_iter().enumerate() {
-                if !(op_revit && persist.contains(port)) {
-                    state.ops[pi] = None;
-                }
-            }
+            state.present &= keep;
         }
-        self.s.frames[frame].executed = 0;
+        f.executed = 0;
     }
 }
 
@@ -268,11 +269,15 @@ impl Machine {
         let mut final_tick: Tick = fetch_done;
         while let Some((tick, (), (frame, ev))) = engine.s.events.pop() {
             sem::guard(engine.m, block, tick, done_iters, iterations)?;
+            let frame = frame as usize;
             let f = &mut engine.s.frames[frame];
             f.pending -= 1;
             f.last_tick = f.last_tick.max(tick);
             if let Ev::Operand { inst, port, value } = ev {
-                f.rs[inst].ops[port_idx(port)] = Some(value);
+                let (inst, p) = (inst as usize, port_idx(port));
+                let rs = &mut f.rs[inst];
+                rs.vals[p] = value;
+                rs.present |= 1 << p;
                 if engine.ready(frame, inst) {
                     engine.execute(frame, inst, tick);
                 }
@@ -287,7 +292,7 @@ impl Machine {
                 let t = f.last_tick;
                 final_tick = final_tick.max(t);
                 if next_iter < iterations {
-                    engine.reset_frame(frame, fetch.keeps_operands());
+                    engine.reset_frame(frame);
                     let start = fetch.restart(&mut engine.stats, &mut fetch_done, t);
                     engine.seed_iteration(frame, start, next_iter, false);
                     next_iter += 1;
@@ -304,7 +309,7 @@ impl Machine {
 mod tests {
     use super::*;
     use dlp_common::{Coord, GridShape, TimingParams};
-    use trips_isa::{MemSpace, Opcode, PlacedInst, PortSet, RegRead, Slot, Target};
+    use trips_isa::{MemSpace, Opcode, PlacedInst, Port, PortSet, RegRead, Slot, Target};
 
     use crate::MechanismSet;
 

@@ -29,30 +29,38 @@ pub(crate) fn port_idx(p: Port) -> usize {
 #[derive(Clone, Copy)]
 pub(crate) enum ResolvedTarget {
     /// An operand port of instruction `inst`, which lives on `node`.
-    Port { inst: usize, node: Coord, port: Port },
+    Port { inst: u32, node: Coord, port: Port },
     /// Architectural register `reg`, written through the bank above
     /// `bank_col`.
     Reg { reg: u16, bank_col: u8 },
 }
 
 /// What executing an instruction schedules, handed to the engine's push
-/// sink together with the tick it happens at.
+/// sink together with the tick it happens at. Sixteen bytes, so a queued
+/// scalar event (`seq`, frame, `Ev`) fills one 32-byte queue entry.
+#[derive(Clone, Copy)]
 pub(crate) enum Ev {
-    /// An operand arrives at an instruction port.
-    Operand { inst: usize, port: Port, value: Value },
+    /// An operand arrives at instruction `inst`'s `port`.
+    Operand { inst: u32, port: Port, value: Value },
     /// A bookkeeping completion (store drain, register-write arrival) that
     /// extends the iteration's completion tick without enabling anything.
     Quiesce,
 }
 
 /// The block-shape tables both dataflow engines execute from: slot
-/// index, required-port issue conditions, resolved targets, register-read
-/// destinations, and per-instruction node indices. Rebuilt per run (the
-/// contents depend on the block and machine); the allocations carry over.
+/// index, required-port issue conditions, persistent-operand masks,
+/// resolved targets, register-read destinations, and per-instruction node
+/// indices. Rebuilt per run (the contents depend on the block and
+/// machine); the allocations carry over.
 #[derive(Default)]
 pub(crate) struct BlockTables {
-    /// Which ports of each instruction must be filled before issue.
-    pub(crate) required: Vec<[bool; 3]>,
+    /// Ports of each instruction that must be filled before issue, as a
+    /// bitmask over [`port_idx`] (bit `p` = port `p`).
+    pub(crate) req: Vec<u8>,
+    /// Ports of each instruction whose operand survives into the frame's
+    /// next iteration, as a bitmask like `req`: the persistent ports when
+    /// the machine revitalizes both instructions and operands, else none.
+    pub(crate) keep: Vec<u8>,
     /// Every instruction's resolved targets, flattened: instruction `i`
     /// owns `resolved[span.0..span.1]` for `span = resolved_span[i]`, in
     /// the same order as `insts()[i].targets` (so LMW word `k` still
@@ -60,13 +68,13 @@ pub(crate) struct BlockTables {
     resolved: Vec<ResolvedTarget>,
     resolved_span: Vec<(u32, u32)>,
     /// Port destinations of register reads, flattened like `resolved`.
-    reg_read_dsts: Vec<(usize, Port, Coord)>,
+    reg_read_dsts: Vec<(u32, Port, Coord)>,
     reg_read_span: Vec<(u32, u32)>,
     /// Dense grid index of each instruction's node, for issue throttling.
     pub(crate) inst_node: Vec<usize>,
     /// Slot → dense instruction index (setup-time only: the hot paths go
     /// through the pre-resolved tables above).
-    idx_of: HashMap<Slot, usize>,
+    idx_of: HashMap<Slot, u32>,
     /// Fingerprint of the last block these tables validated —
     /// `(block address, block length, grid, slots per node)`. Validation
     /// is linear in the block (≈0.4–0.7 ms for a full ≈4096-instruction
@@ -119,20 +127,20 @@ impl BlockTables {
 
         s.idx_of.clear();
         for (i, inst) in block.insts().iter().enumerate() {
-            s.idx_of.insert(inst.slot, i);
+            s.idx_of.insert(inst.slot, i as u32);
         }
 
-        // `required` doubles as the fed-port table while it is built:
-        // first mark which ports are fed, then rewrite each entry into
-        // the issue condition in place.
-        s.required.clear();
-        s.required.resize(block.len(), [false; 3]);
+        // `req` doubles as the fed-port table while it is built: first
+        // mark which ports are fed, then rewrite each entry into the
+        // issue condition in place.
+        s.req.clear();
+        s.req.resize(block.len(), 0);
         {
             let idx_of = &s.idx_of;
-            let fed = &mut s.required;
+            let fed = &mut s.req;
             let mut mark = |t: &Target| {
                 if let Target::Port { slot, port } = t {
-                    fed[idx_of[slot]][port_idx(*port)] = true;
+                    fed[idx_of[slot] as usize] |= 1 << port_idx(*port);
                 }
             };
             for inst in block.insts() {
@@ -147,16 +155,22 @@ impl BlockTables {
             }
         }
         for (i, inst) in block.insts().iter().enumerate() {
-            let fed = s.required[i];
+            let fed_left = s.req[i] & 1 != 0;
             let (l, r, p) = inst.op.ports();
-            s.required[i] = [
-                l && (fed[0] || !matches!(inst.op, Opcode::Lut)),
-                // A store's immediate is an address offset, so its right
-                // port (the stored value) still comes from the network.
-                r && (inst.imm.is_none() || matches!(inst.op, Opcode::Store(_))),
-                p,
-            ];
+            let left = l && (fed_left || !matches!(inst.op, Opcode::Lut));
+            // A store's immediate is an address offset, so its right
+            // port (the stored value) still comes from the network.
+            let right = r && (inst.imm.is_none() || matches!(inst.op, Opcode::Store(_)));
+            s.req[i] = u8::from(left) | u8::from(right) << 1 | u8::from(p) << 2;
         }
+        let revit_operands = mech.inst_revitalization && mech.operand_revitalization;
+        s.keep.clear();
+        s.keep.extend(block.insts().iter().map(|inst| {
+            [Port::Left, Port::Right, Port::Pred]
+                .into_iter()
+                .filter(|&port| revit_operands && inst.persistent.contains(port))
+                .fold(0, |k, port| k | 1 << port_idx(port))
+        }));
 
         let banks = m.params().core.reg_banks.max(1);
         let reg_cols = m.grid().cols();
@@ -251,13 +265,6 @@ impl Fetch {
         *fetch_done += self.per_fetch;
         stats.blocks_fetched += 1;
         *fetch_done
-    }
-
-    /// Whether a frame's operand-revitalized values survive into its
-    /// next iteration (they do when the block is revitalized, not
-    /// refetched).
-    pub(crate) fn keeps_operands(&self) -> bool {
-        self.inst_revit
     }
 
     /// A frame completed its iteration at `t`: when the next one starts.

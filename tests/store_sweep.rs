@@ -221,6 +221,42 @@ fn dead_letter_queue_round_trips_the_failure_taxonomy() {
 }
 
 #[test]
+fn dead_letter_queue_lines_follow_cell_order() {
+    // Every cell dead-letters (2-tick watchdog) on two workers, so the
+    // appends arrive in completion order; the queue must still end up in
+    // cell order, after the lines an earlier run left, byte for byte.
+    let dir = tmpdir("dlq-order");
+    let earlier = b"{\"an earlier run's line\":1}\n";
+    let run = |tag: &str| {
+        let path = dir.join(format!("{tag}.dlq.jsonl"));
+        std::fs::write(&path, earlier).expect("seed queue");
+        let params = ExperimentParams { watchdog: Some(2), ..ExperimentParams::default() };
+        let mut sweep = Sweep::with_threads(2);
+        for name in ["convert", "blowfish", "md5"] {
+            let id = sweep.add_kernel_by_name(name).expect("suite kernel");
+            for config in MachineConfig::ALL {
+                sweep.push_config(id, config, 24, &params);
+            }
+        }
+        sweep.set_dlq(Arc::new(DeadLetterQueue::new(&path)));
+        let report = sweep.run();
+        assert_eq!(report.dlq_appended as usize, report.cells.len());
+        let cells: Vec<(String, String)> =
+            report.cells.iter().map(|c| (c.kernel.clone(), c.config.clone())).collect();
+        (std::fs::read(&path).expect("read queue"), cells)
+    };
+    let (first, cells) = run("a");
+    let (second, _) = run("b");
+    assert_eq!(first, second, "two runs write the same queue bytes");
+    assert!(first.starts_with(earlier), "earlier lines stay first and unchanged");
+    let path = dir.join("a.dlq.jsonl");
+    let order: Vec<(String, String)> =
+        load_dlq(&path).into_iter().map(|r| (r.kernel, r.config)).collect();
+    assert_eq!(order, cells, "records follow cell order");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn damaged_store_entries_are_misses_never_panics() {
     let dir = tmpdir("damaged");
     let store = Arc::new(ResultStore::open(&dir).expect("open store"));
