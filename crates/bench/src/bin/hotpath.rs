@@ -24,7 +24,7 @@
 //! * `--help` — list the flags and exit. Any other argument is an error.
 
 use dlp_bench::hotpath::{
-    measure, measure_queue, HotpathReport, Timing, HOTPATH_CASES, HOTPATH_SCHEMA,
+    measure, measure_queue, HotpathReport, HOTPATH_CASES, HOTPATH_SCHEMA,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,16 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Each repeat alternates the entry points for a fixed minimum wall,
     // and every figure is the median of the repeats: fast scale (the CI
     // gate's input) takes ≈2 s, full scale ≈25 s.
-    let (records, timing) = if fast {
-        (24, Timing { warmup: 3, repeats: 7, min_wall_s: 0.05 })
-    } else {
-        (256, Timing { warmup: 3, repeats: 7, min_wall_s: 0.6 })
-    };
+    let (records, min_wall_s) = if fast { (24, 0.05) } else { (256, 0.6) };
     let (queue_live, queue_ops) = if fast { (256, 100_000) } else { (1024, 2_000_000) };
 
     let mut cases = Vec::with_capacity(HOTPATH_CASES.len());
     for case in HOTPATH_CASES {
-        let m = measure(case, records, lanes, timing);
+        let m = measure(case, records, lanes, min_wall_s);
         println!(
             "{:>9} {:<9} [{}] {:>10.1} cells/s  {:>12.0} records/s  ({} sim cycles, {} cache hits, lowering {})",
             m.kernel,

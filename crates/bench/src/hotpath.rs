@@ -300,16 +300,12 @@ pub struct HotpathMeasurement {
     pub lowering_fp: String,
 }
 
-/// How long and how often [`measure`] times each entry point.
-#[derive(Clone, Copy, Debug)]
-pub struct Timing {
-    /// Untimed warm-up runs (at least 1).
-    pub warmup: usize,
-    /// Timed repeats.
-    pub repeats: usize,
-    /// Minimum wall-clock of one repeat, seconds.
-    pub min_wall_s: f64,
-}
+/// Untimed scalar warm-up runs before timing (the first generates the
+/// workload; each later one hits the workload cache).
+const WARMUP: usize = 3;
+
+/// Timed repeats per case; every reported figure is their median.
+const REPEATS: usize = 7;
 
 /// One timed repeat: rounds of slices of `dispatch(0)`, `dispatch(1)`
 /// and `dispatch(2)` until the rounds have taken at least `min_wall_s`
@@ -362,11 +358,11 @@ fn median_and_spread(xs: &[f64]) -> (f64, f64) {
     (m, if m > 0.0 { (hi - lo) / m } else { 0.0 })
 }
 
-/// Prepares `case`, runs `timing.warmup` untimed scalar runs, then times
-/// `timing.repeats` repeats, each alternating the scalar entry point,
+/// Prepares `case`, runs `WARMUP` untimed scalar runs, then times
+/// `REPEATS` repeats, each alternating the scalar entry point,
 /// `lanes` identical lanes through the batched entry point and `lanes`
 /// distinct-seed lanes through the lockstep path for at least
-/// `timing.min_wall_s` — all on the same prepared lowering and scratch,
+/// `min_wall_s` seconds — all on the same prepared lowering and scratch,
 /// so the ratios are apples-to-apples. Every reported figure is the
 /// median over the repeats; each ratio is formed within a repeat before
 /// the median is taken.
@@ -376,10 +372,10 @@ fn median_and_spread(xs: &[f64]) -> (f64, f64) {
 /// Panics on lowering, simulation, or verification failure, or when the
 /// batched runs' per-lane cycle count diverges from scalar.
 #[must_use]
-pub fn measure(case: &HotpathCase, records: usize, lanes: usize, timing: Timing) -> HotpathMeasurement {
+pub fn measure(case: &HotpathCase, records: usize, lanes: usize, min_wall_s: f64) -> HotpathMeasurement {
     let mut prepared = prepare_case(case, records);
     let sim_cycles = prepared.run_once(); // warm: page in workload paths
-    for _ in 1..timing.warmup {
+    for _ in 1..WARMUP {
         assert_eq!(prepared.run_once(), sim_cycles, "simulation is deterministic");
     }
     let workload_cache_hits = prepared.workload_cache_hits();
@@ -388,10 +384,9 @@ pub fn measure(case: &HotpathCase, records: usize, lanes: usize, timing: Timing)
     assert_eq!(batched_sim_cycles, sim_cycles, "batching must not change machine behavior");
     let lockstep_sim_cycles = prepared.run_lockstep_once(lanes); // warm
 
-    let repeats = timing.repeats.max(1);
     let (mut scalar, mut batched, mut lockstep) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..repeats {
-        let [s, b, l] = time_interleaved(timing.min_wall_s, |entry| match entry {
+    for _ in 0..REPEATS {
+        let [s, b, l] = time_interleaved(min_wall_s, |entry| match entry {
             0 => assert_eq!(prepared.run_once(), sim_cycles, "simulation is deterministic"),
             1 => assert_eq!(
                 prepared.run_batched_once(lanes),
@@ -421,9 +416,9 @@ pub fn measure(case: &HotpathCase, records: usize, lanes: usize, timing: Timing)
         config: case.config.to_string(),
         engine: case.engine.to_string(),
         records,
-        warmup: timing.warmup.max(1),
-        repeats,
-        min_wall_ms: timing.min_wall_s * 1e3,
+        warmup: WARMUP,
+        repeats: REPEATS,
+        min_wall_ms: min_wall_s * 1e3,
         sim_cycles,
         wall_ms: wall * 1e3,
         cells_per_sec: 1.0 / wall,

@@ -1056,6 +1056,12 @@ impl DeadLetterQueue {
     /// the file's earlier bytes first and unchanged, then the sorted
     /// lines. A no-op when nothing was appended.
     ///
+    /// The rewrite happens only when the file's bytes after the earlier
+    /// ones are exactly this writer's lines in append order. Anything
+    /// else there (another process appending to the same path, or a
+    /// failed append's torn bytes) leaves the file in completion order,
+    /// untouched, rather than dropping lines this writer did not write.
+    ///
     /// # Errors
     ///
     /// I/O errors reading or rewriting the file.
@@ -1064,12 +1070,18 @@ impl DeadLetterQueue {
         if state.lines.is_empty() {
             return Ok(());
         }
-        // The rewrite replaces the file, so the next append reopens it.
+        // The next append reopens the file, as the rewrite replaces it.
         state.file = None;
         let mut lines = std::mem::take(&mut state.lines);
-        lines.sort_by_key(|&(cell, _)| cell);
         let mut out = std::fs::read(&self.path)?;
-        out.truncate(usize::try_from(state.prior_len).unwrap_or(usize::MAX));
+        let prior = usize::try_from(state.prior_len).unwrap_or(usize::MAX).min(out.len());
+        let appended: Vec<u8> =
+            lines.iter().flat_map(|(_, line)| line.bytes().chain(std::iter::once(b'\n'))).collect();
+        if out[prior..] != appended[..] {
+            return Ok(());
+        }
+        lines.sort_by_key(|&(cell, _)| cell);
+        out.truncate(prior);
         for (_, line) in &lines {
             out.extend_from_slice(line.as_bytes());
             out.push(b'\n');
@@ -1340,15 +1352,9 @@ mod tests {
         assert_eq!(params.timing, TimingParams::default());
     }
 
-    #[test]
-    fn dlq_file_append_load_rewrite() {
-        let dir = tmpdir("dlq");
-        let path = dir.join("dlq.jsonl");
-        let queue = DeadLetterQueue::new(&path);
-        assert!(!path.exists(), "created lazily");
-        assert!(load_dlq(&path).is_empty(), "missing file is an empty queue");
-
-        let mut record = DlqRecord {
+    /// A watchdog record for `convert` on M, told apart by `base_seed`.
+    fn dlq_record(base_seed: u64) -> DlqRecord {
+        DlqRecord {
             dlq_version: DLQ_VERSION,
             kernel: "convert".into(),
             config: "M".into(),
@@ -1357,14 +1363,25 @@ mod tests {
             grid: GridShape::trips_baseline(),
             timing: TimingParams::default(),
             fault: FaultPlan::none(),
-            base_seed: 1,
+            base_seed,
             watchdog: None,
             records: 8,
             error: "e".into(),
             kind: "watchdog".into(),
             attempts: 1,
             timed_out: false,
-        };
+        }
+    }
+
+    #[test]
+    fn dlq_file_append_load_rewrite() {
+        let dir = tmpdir("dlq");
+        let path = dir.join("dlq.jsonl");
+        let queue = DeadLetterQueue::new(&path);
+        assert!(!path.exists(), "created lazily");
+        assert!(load_dlq(&path).is_empty(), "missing file is an empty queue");
+
+        let mut record = dlq_record(1);
         queue.append(0, &record);
         record.base_seed = 2;
         queue.append(1, &record);
@@ -1395,6 +1412,37 @@ mod tests {
         rewrite_dlq(&path, &[]).expect("rewrite empty");
         assert!(!path.exists(), "empty queue removes the file");
         rewrite_dlq(&path, &[]).expect("idempotent on missing file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dlq_order_by_cell_sorts_own_lines_and_keeps_foreign_ones() {
+        let dir = tmpdir("dlq-order");
+        let path = dir.join("dlq.jsonl");
+        let seeds = |path: &Path| load_dlq(path).iter().map(|r| r.base_seed).collect::<Vec<_>>();
+
+        // One writer: its lines land in cell order behind earlier ones.
+        let earlier = DeadLetterQueue::new(&path);
+        earlier.append(5, &dlq_record(50));
+        earlier.order_by_cell().expect("order");
+        let queue = DeadLetterQueue::new(&path);
+        queue.append(2, &dlq_record(2));
+        queue.append(0, &dlq_record(0));
+        queue.append(1, &dlq_record(1));
+        queue.order_by_cell().expect("order");
+        assert_eq!(seeds(&path), [50, 0, 1, 2]);
+
+        // Two writers on one path: neither rewrite may drop the other's
+        // lines, so both leave completion order.
+        std::fs::remove_file(&path).expect("remove");
+        let a = DeadLetterQueue::new(&path);
+        let b = DeadLetterQueue::new(&path);
+        a.append(1, &dlq_record(1));
+        b.append(0, &dlq_record(10));
+        a.append(0, &dlq_record(0));
+        a.order_by_cell().expect("order a");
+        b.order_by_cell().expect("order b");
+        assert_eq!(seeds(&path), [1, 10, 0]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
