@@ -8,13 +8,14 @@
 //!
 //! Pass `--quick` for smoke-scale workloads.
 
-use dlp_bench::{records_for, Args};
-use dlp_core::{CellSpec, ExperimentParams, MachineConfig, Sweep};
+use dlp_bench::Args;
+use dlp_core::{default_records, CellSpec, ExperimentParams, MachineConfig, Sweep};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = Args::from_env();
     let quick = args.switch("--quick");
     args.finish()?;
+    let scale = usize::from(!quick);
     let mut sweep = Sweep::new();
 
     // A1: revitalize-broadcast delay on the S machine (convert).
@@ -26,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             kernel: convert,
             config: Some(MachineConfig::S),
             mech: MachineConfig::S.mechanisms(),
-            records: records_for("convert", quick),
+            records: default_records("convert", scale),
             params,
             label: format!("A1 delay={delay_cycles}"),
         });
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             kernel: blowfish,
             config: Some(MachineConfig::SOD),
             mech: MachineConfig::SOD.mechanisms(),
-            records: records_for("blowfish", quick),
+            records: default_records("blowfish", scale),
             params,
             label: format!("A2 latency={lat}"),
         });
@@ -56,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             kernel: highpass,
             config: Some(MachineConfig::SO),
             mech: MachineConfig::SO.mechanisms(),
-            records: records_for("highpassfilter", quick),
+            records: default_records("highpassfilter", scale),
             params,
             label: format!("A3 width={width}"),
         });

@@ -11,8 +11,8 @@
 //!
 //! Pass `--quick` for smoke-scale workloads.
 
-use dlp_bench::{records_for, Args};
-use dlp_core::{CellOutcome, CellSpec, ExperimentParams, Sweep};
+use dlp_bench::Args;
+use dlp_core::{default_records, CellOutcome, CellSpec, ExperimentParams, Sweep};
 use trips_sim::MechanismSet;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 kernel: id,
                 config: None,
                 mech: *mech,
-                records: records_for(name, quick),
+                records: default_records(name, usize::from(!quick)),
                 params,
                 label: name.to_string(),
             });

@@ -5,8 +5,8 @@
 //!
 //! Pass `--quick` for smoke-scale workloads.
 
-use dlp_bench::{records_for, Args};
-use dlp_core::{run_kernel, EnergyModel, ExperimentParams, MachineConfig};
+use dlp_bench::Args;
+use dlp_core::{default_records, run_kernel, EnergyModel, ExperimentParams, MachineConfig};
 use dlp_kernels::suite;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for name in ["convert", "blowfish", "vertex-skinning"] {
         let kernel = kernels.iter().find(|k| k.name() == name).expect("kernel");
-        let records = records_for(name, quick);
+        let records = default_records(name, usize::from(!quick));
         for config in [
             MachineConfig::Baseline,
             MachineConfig::S,

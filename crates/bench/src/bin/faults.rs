@@ -106,7 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut specs = Vec::new();
     for (name, config) in GRID {
         let id = sweep.add_kernel_by_name(name).ok_or(format!("no suite kernel {name}"))?;
-        let records = dlp_bench::records_for(name, quick);
+        let records = dlp_core::default_records(name, usize::from(!quick));
         for rate in RATES_PPM {
             let params = ExperimentParams {
                 fault: FaultPlan::uniform(FaultRate::per_million(rate)),

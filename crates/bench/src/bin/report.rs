@@ -1,19 +1,41 @@
-//! Machine-readable experiment report: runs the Figure 5 and Table 6
-//! experiments and writes `report.json` plus a markdown summary to
-//! stdout — the artifact EXPERIMENTS.md is refreshed from.
+//! The paper artifacts from one run of the paper grid (every
+//! performance-suite kernel on the baseline and the five DLP
+//! configurations): prints Table 4, Figure 5 and Table 6 as markdown and
+//! writes Figure 5 and Table 6 to `report.json`, the artifact
+//! EXPERIMENTS.md is refreshed from.
 //!
-//! Pass `--quick` for smoke-scale workloads; pass `--out <path>` to choose
-//! the JSON destination.
+//! Pass `--quick` for smoke-scale workloads (24 records per kernel);
+//! pass `--out <path>` to choose the JSON destination.
 
 use dlp_bench::Args;
 use dlp_common::json::ToJson;
 use dlp_core::specialized::{table6, Table6Row};
-use dlp_core::{flexible, ExperimentParams, Figure5, MachineConfig};
+use dlp_core::{ExperimentParams, Figure5, MachineConfig, Sweep};
 
 #[derive(ToJson)]
 struct Report {
     figure5: Figure5,
     table6: Vec<Table6Row>,
+}
+
+/// The paper's Table 4 values, for side-by-side comparison.
+fn paper_value(kernel: &str) -> Option<f64> {
+    Some(match kernel {
+        "convert" => 14.1,
+        "dct" => 10.4,
+        "highpassfilter" => 7.4,
+        "fft" => 3.7,
+        "lu" => 0.7,
+        "md5" => 2.8,
+        "blowfish" => 5.1,
+        "rijndael" => 7.5,
+        "vertex-simple" => 3.6,
+        "fragment-simple" => 2.6,
+        "vertex-reflection" => 5.2,
+        "fragment-reflection" => 4.0,
+        "vertex-skinning" => 5.6,
+        _ => return None,
+    })
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,13 +44,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_path = args.value("--out").unwrap_or_else(|| "report.json".to_string());
     args.finish()?;
 
-    let params = ExperimentParams::default();
-    let scale = usize::from(!quick);
-    let figure5 = flexible(&params, scale)?;
-    let t6 = table6(&params, scale)?;
+    let mut sweep = Sweep::new();
+    let ids = sweep.add_perf_suite();
+    sweep.push_paper_grid(&ids, &ExperimentParams::default(), usize::from(!quick));
+    let grid = sweep.run();
+    let figure5 = Figure5::from_report(&grid)?;
+    let t6 = table6(&grid)?;
+    let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.1}"));
 
     // Markdown summary.
-    println!("## Figure 5 (speedup over baseline)\n");
+    println!("## Table 4 (baseline useful ops/cycle)\n");
+    println!("| benchmark | measured | paper |");
+    println!("|---|---|---|");
+    for row in &figure5.rows {
+        println!(
+            "| {} | {:.1} | {} |",
+            row.kernel,
+            row.baseline_ops_per_cycle,
+            fmt(paper_value(&row.kernel))
+        );
+    }
+    println!("\n## Figure 5 (speedup over baseline)\n");
     println!("| benchmark | S | S-O | S-O-D | M | M-D | best |");
     println!("|---|---|---|---|---|---|---|");
     for row in &figure5.rows {
@@ -55,7 +91,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("| benchmark | ours | paper TRIPS | specialized | units |");
     println!("|---|---|---|---|---|");
     for r in &t6 {
-        let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.1}"));
         println!(
             "| {} | {:.1} | {} | {} | {} |",
             r.kernel,

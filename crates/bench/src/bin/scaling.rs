@@ -10,9 +10,9 @@
 //!
 //! Pass `--quick` for smoke-scale workloads.
 
-use dlp_bench::{records_for, Args};
+use dlp_bench::Args;
 use dlp_common::GridShape;
-use dlp_core::{recommend, CellSpec, ExperimentParams, Sweep};
+use dlp_core::{default_records, recommend, CellSpec, ExperimentParams, Sweep};
 
 const DIMS: [u8; 4] = [4, 8, 12, 16];
 
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 kernel: id,
                 config: Some(config),
                 mech: config.mechanisms(),
-                records: records_for(name, quick),
+                records: default_records(name, usize::from(!quick)),
                 params,
                 label: format!("{dim}x{dim}"),
             });

@@ -1,9 +1,8 @@
 //! The full experiment sweep: every performance-suite kernel × every
 //! Table 5 machine configuration (baseline, S, S-O, S-O-D, M, M-D), run
 //! by the work-stealing [`Sweep`] engine and written to
-//! `BENCH_sweep.json` — the machine-readable artifact the figure and
-//! table binaries' numbers are slices of (Figure 5 = the speedup
-//! columns, Table 4 = the baseline ops/cycle column).
+//! `BENCH_sweep.json`. It is the same paper grid the `report` binary
+//! projects Table 4, Figure 5 and Table 6 from.
 //!
 //! With `--store` the sweep becomes a service endpoint: results are
 //! content-addressed on disk, so a repeat run executes only cells whose
@@ -22,7 +21,8 @@
 //! * `--quick` — smoke-scale workloads (24 records per kernel).
 //! * `--scale N` — multiply every kernel's default record count by N
 //!   (ignored under `--quick`); heavier grids for scheduling and
-//!   wall-clock experiments.
+//!   wall-clock experiments. `--scale 0` is the smoke size `--quick`
+//!   selects.
 //! * `--threads N` — worker-thread count (default: one per CPU, max 8).
 //!   `--threads 1` is the serial reference; any N produces bit-identical
 //!   statistics.
@@ -54,7 +54,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use dlp_bench::{records_for, Args};
+use dlp_bench::Args;
 use dlp_core::store::{fsck, load_dlq, rewrite_dlq};
 use dlp_core::sweep::KernelId;
 use dlp_core::{
@@ -109,21 +109,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sweep.set_policy(policy);
     let kernel_filter: Option<Vec<&str>> =
         kernels.as_deref().map(|s| s.split(',').map(str::trim).collect());
-    for id in sweep.add_perf_suite() {
-        let name = sweep.kernel(id).name().to_string();
-        if kernel_filter.as_ref().is_some_and(|names| !names.contains(&name.as_str())) {
-            continue;
-        }
-        let records = if quick {
-            records_for(&name, quick)
-        } else {
-            dlp_core::default_records(&name, scale)
-        };
-        sweep.push_config(id, MachineConfig::Baseline, records, &params);
-        for config in MachineConfig::DLP {
-            sweep.push_config(id, config, records, &params);
-        }
-    }
+    let ids: Vec<KernelId> = sweep
+        .add_perf_suite()
+        .into_iter()
+        .filter(|&id| {
+            let name = sweep.kernel(id).name();
+            kernel_filter.as_ref().is_none_or(|names| names.contains(&name))
+        })
+        .collect();
+    sweep.push_paper_grid(&ids, &params, if quick { 0 } else { scale });
 
     if let Some(dir) = store_dir {
         sweep.set_store(Arc::new(ResultStore::open(dir)?));

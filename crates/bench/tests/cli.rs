@@ -1,9 +1,12 @@
 //! Command-line contract of the sweep binaries: `--help` lists the flags
 //! and runs nothing, and an argument no flag reads is an error that names
-//! it rather than a silently ignored word.
+//! it rather than a silently ignored word. Also pins the bytes of the
+//! paper-artifact report.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use dlp_core::store::Hasher;
 
 /// A fresh, empty working directory for one test.
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -62,4 +65,20 @@ fn faults_help_lists_flags_and_writes_nothing() {
 fn faults_rejects_a_misspelt_flag_by_name() {
     let args = ["--quick", "--threds", "1"];
     assert_rejects(env!("CARGO_BIN_EXE_faults"), "faults-threds", &args, "--threds");
+}
+
+/// `report --quick` writes the Figure 5 and Table 6 JSON these values
+/// were taken from; any change to a simulated number, a projection or
+/// the JSON encoding moves them.
+#[test]
+fn quick_report_json_is_pinned() {
+    let dir = scratch_dir("report-quick");
+    let out = run(env!("CARGO_BIN_EXE_report"), &dir, &["--quick", "--out", "r.json"]);
+    assert!(out.status.success(), "report --quick: {}", String::from_utf8_lossy(&out.stderr));
+    let json = std::fs::read(dir.join("r.json")).unwrap();
+    assert_eq!(json.len(), 5143);
+    let mut h = Hasher::new();
+    h.update(&json);
+    assert_eq!(h.digest().hex(), "39743551d603d5a994e379b9e0a84986");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

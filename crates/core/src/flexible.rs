@@ -7,8 +7,8 @@ use dlp_common::json::ToJson;
 use dlp_common::{harmonic_mean, DlpError};
 use dlp_kernels::suite;
 
-use crate::sweep::Sweep;
-use crate::{default_records, recommend, ExperimentParams, MachineConfig};
+use crate::sweep::SweepReport;
+use crate::{recommend, MachineConfig};
 
 /// One benchmark's Figure 5 data: speedup of each configuration over the
 /// baseline (measured in execution cycles, like the paper).
@@ -49,121 +49,100 @@ pub struct Figure5 {
     pub summary: FlexibleSummary,
 }
 
-/// Run every performance-suite kernel on every configuration and compute
-/// Figure 5. `record_scale` scales the workload sizes (1 = the standard
-/// experiment; smaller values make smoke tests fast).
-///
-/// The whole kernel × configuration grid is dispatched through the
-/// [`sweep`](crate::sweep) engine, so each kernel is scheduled once per
-/// mechanism set and the cells run on all available workers — and the
-/// numbers are identical to a serial run by construction.
-///
-/// Every run is verified against the reference implementation; a
-/// mismatch is reported as an error, because a simulator that computes
-/// wrong answers has no business reporting speedups.
-///
-/// # Errors
-///
-/// Propagates scheduling/simulation failures and verification mismatches.
-pub fn flexible(params: &ExperimentParams, record_scale: usize) -> Result<Figure5, DlpError> {
-    let mut sweep = Sweep::new();
-    // (kernel name, its Table 3 recommendation) in suite order.
-    let mut entries: Vec<(String, MachineConfig)> = Vec::new();
-    for kernel in suite() {
-        if !kernel.in_perf_suite() {
-            continue;
+impl Figure5 {
+    /// Figure 5 as a projection of the paper grid's report
+    /// ([`Sweep::push_paper_grid`](crate::Sweep::push_paper_grid) over
+    /// the performance suite): one row per performance-suite kernel, in
+    /// suite order, with its cells looked up by name, and the flexible
+    /// architecture's harmonic means.
+    ///
+    /// A report that fails verification is an error, because a simulator
+    /// that computes wrong answers has no business reporting speedups.
+    ///
+    /// # Errors
+    ///
+    /// The first failed or mis-verified cell, and [`DlpError::Internal`]
+    /// naming the kernel and configuration of a cell the report lacks
+    /// or, when the report holds more than the paper grid, the cell count.
+    pub fn from_report(report: &SweepReport) -> Result<Figure5, DlpError> {
+        report.ensure_verified()?;
+        let mut rows = Vec::new();
+        for kernel in suite().into_iter().filter(|k| k.in_perf_suite()) {
+            let name = kernel.name();
+            let (base, _) = report.ran_cell(name, MachineConfig::Baseline)?;
+            let mut speedup = BTreeMap::new();
+            for config in MachineConfig::DLP {
+                let (out, _) = report.ran_cell(name, config)?;
+                speedup.insert(config, out.speedup_over(base));
+            }
+            // Prefer the simplest configuration on (near-)ties: S-O and
+            // S-O-D perform identically on kernels without lookup tables,
+            // and the cheaper machine should win the tie.
+            let max = speedup.values().fold(0.0f64, |a, &b| a.max(b));
+            let best = *speedup
+                .iter()
+                .find(|(_, &s)| s >= max * 0.999)
+                .ok_or_else(|| DlpError::Internal {
+                    detail: format!("{name}: no best configuration among {speedup:?}"),
+                })?
+                .0;
+            rows.push(Figure5Row {
+                kernel: name.to_string(),
+                speedup,
+                best,
+                recommended: recommend(&kernel.ir().attributes()).config,
+                baseline_ops_per_cycle: base.ops_per_cycle().0,
+            });
         }
-        // record_scale 0 means "smoke test": clamp to the minimum workload.
-        let records = if record_scale == 0 {
-            24
-        } else {
-            default_records(kernel.name(), record_scale)
-        };
-        let recommended = recommend(&kernel.ir().attributes()).config;
-        let name = kernel.name().to_string();
-        let id = sweep.add_kernel(kernel);
-        sweep.push_config(id, MachineConfig::Baseline, records, params);
+        // The fixed-configuration means run over every cell of the
+        // report, so anything beyond the paper grid would skew them.
+        let grid_cells = rows.len() * (MachineConfig::DLP.len() + 1);
+        if report.cells.len() != grid_cells {
+            return Err(DlpError::Internal {
+                detail: format!(
+                    "the report holds {} cells; the paper grid has {grid_cells}",
+                    report.cells.len()
+                ),
+            });
+        }
+
+        // Flexible = each kernel on its recommended configuration.
+        let flex: Vec<f64> = rows.iter().map(|r| r.speedup[&r.recommended]).collect();
+        let flexible_hm = harmonic_mean(&flex).unwrap_or(0.0);
+        let hms = report.harmonic_mean_speedups(&MachineConfig::Baseline.to_string());
+        let mut fixed_hm = BTreeMap::new();
+        let mut advantage_over = BTreeMap::new();
         for config in MachineConfig::DLP {
-            sweep.push_config(id, config, records, params);
+            let hm = hms.get(&config.to_string()).copied().unwrap_or(0.0);
+            fixed_hm.insert(config, hm);
+            if hm > 0.0 {
+                advantage_over.insert(config, flexible_hm / hm - 1.0);
+            }
         }
-        entries.push((name, recommended));
-    }
-    let report = sweep.run();
-    report.ensure_verified()?;
 
-    let mut rows = Vec::new();
-    for (name, recommended) in entries {
-        let missing = |what: &str| DlpError::Internal {
-            detail: format!("{name}: {what} missing after ensure_verified"),
-        };
-        let base = report.stats(&name, "baseline").ok_or_else(|| missing("baseline cell"))?;
-        let mut speedup = BTreeMap::new();
-        for config in MachineConfig::DLP {
-            let out = report
-                .stats(&name, &config.to_string())
-                .ok_or_else(|| missing("configuration cell"))?;
-            speedup.insert(config, out.speedup_over(base));
-        }
-        // Prefer the simplest configuration on (near-)ties: S-O and S-O-D
-        // perform identically on kernels without lookup tables, and the
-        // cheaper machine should win the tie.
-        let max = speedup.values().fold(0.0f64, |a, &b| a.max(b));
-        let best = *speedup
-            .iter()
-            .find(|(_, &s)| s >= max * 0.999)
-            .ok_or_else(|| missing("best configuration"))?
-            .0;
-        rows.push(Figure5Row {
-            kernel: name,
-            speedup,
-            best,
-            recommended,
-            baseline_ops_per_cycle: base.ops_per_cycle().0,
-        });
+        Ok(Figure5 { rows, summary: FlexibleSummary { flexible_hm, fixed_hm, advantage_over } })
     }
-
-    // Flexible = each kernel on its recommended configuration.
-    let flex: Vec<f64> = rows
-        .iter()
-        .map(|r| {
-            // The recommender may pick S-O-D where S-O-D wasn't measured?
-            // All five are measured, so just look it up.
-            r.speedup[&r.recommended]
-        })
-        .collect();
-    let flexible_hm = harmonic_mean(&flex).unwrap_or(0.0);
-    let mut fixed_hm = BTreeMap::new();
-    let mut advantage_over = BTreeMap::new();
-    for config in MachineConfig::DLP {
-        let xs: Vec<f64> = rows.iter().map(|r| r.speedup[&config]).collect();
-        let hm = harmonic_mean(&xs).unwrap_or(0.0);
-        fixed_hm.insert(config, hm);
-        if hm > 0.0 {
-            advantage_over.insert(config, flexible_hm / hm - 1.0);
-        }
-    }
-
-    Ok(Figure5 { rows, summary: FlexibleSummary { flexible_hm, fixed_hm, advantage_over } })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{specialized, ExperimentParams, Sweep};
 
-    /// A miniature Figure 5 (tiny workloads) — the full experiment runs in
-    /// the bench harness; this proves the machinery end to end.
     #[test]
-    fn miniature_figure5_runs_and_verifies() {
+    fn projections_of_an_incomplete_report_are_errors() {
+        let mut sweep = Sweep::new();
+        let id = sweep.add_kernel_by_name("convert").expect("suite kernel");
         let params = ExperimentParams::default();
-        // record_scale 0 clamps to minimum workloads.
-        let fig = flexible(&params, 0).expect("all kernels verify on all configs");
-        assert_eq!(fig.rows.len(), 13);
-        for row in &fig.rows {
-            assert_eq!(row.speedup.len(), 5, "{}", row.kernel);
-            for (c, s) in &row.speedup {
-                assert!(*s > 0.0, "{} on {c}: speedup {s}", row.kernel);
-            }
+        for config in [MachineConfig::Baseline, MachineConfig::S] {
+            sweep.push_config(id, config, 24, &params);
         }
-        assert!(fig.summary.flexible_hm > 0.0);
+        let report = sweep.run();
+        report.ensure_verified().expect("both cells verify");
+
+        let err = Figure5::from_report(&report).expect_err("S-O is missing");
+        assert!(err.to_string().contains("convert cell on S-O"), "{err}");
+        let err = specialized::table6(&report).expect_err("S-O is missing");
+        assert!(err.to_string().contains("convert cell on S-O"), "{err}");
     }
 }

@@ -12,17 +12,19 @@
 //! * [`run_kernel`] — the experiment driver: schedule a benchmark kernel
 //!   onto a configuration, stage its workload, simulate, and *verify the
 //!   outputs against the kernel's reference implementation*.
-//! * [`flexible`] — the Figure 5 experiment: per-kernel speedups of every
-//!   configuration over the baseline, plus the harmonic-mean comparison of
-//!   the flexible architecture against each fixed one (the paper's
-//!   5%–55% headline).
-//! * [`specialized`] — the Table 6 comparison against published
-//!   specialized-hardware numbers (MPC7447, Imagine, Tarantula,
-//!   CryptoManiac, QuadroFX).
 //! * [`sweep`] — the parallel experiment engine: the kernel ×
 //!   configuration grid run by work-stealing workers with schedule
-//!   caching and deterministic seeding, emitting the [`sweep::SweepReport`]
-//!   artifact every figure/table binary aggregates from.
+//!   caching and deterministic seeding, emitting a [`sweep::SweepReport`].
+//!   [`Sweep::push_paper_grid`] builds the paper's grid: every kernel on
+//!   the baseline and the five DLP configurations.
+//! * [`Figure5::from_report`] — the Figure 5 projection of that grid's
+//!   report: per-kernel speedups of every configuration over the
+//!   baseline, the baseline ops/cycle (Table 4), and the harmonic-mean
+//!   comparison of the flexible architecture against each fixed one
+//!   (the paper's 5%–55% headline).
+//! * [`specialized`] — the Table 6 projection: the grid's recommended
+//!   cells against published specialized-hardware numbers (MPC7447,
+//!   Imagine, Tarantula, CryptoManiac, QuadroFX).
 //! * [`store`] — the persistence layer that turns the sweep into a
 //!   service: a content-addressed result store (warm re-runs execute
 //!   nothing), sweep checkpoint/resume manifests, and a dead-letter
@@ -66,7 +68,7 @@ pub mod sweep;
 
 pub use config::MachineConfig;
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use flexible::{flexible, Figure5, Figure5Row, FlexibleSummary};
+pub use flexible::{Figure5, Figure5Row, FlexibleSummary};
 pub use recommend::{recommend, Recommendation};
 pub use runner::{
     batchable, default_records, natural_unroll, prepare_kernel, run_kernel, run_kernel_mech,

@@ -83,10 +83,13 @@ impl RunOutcome {
 /// A sensible record count per kernel for the performance experiments,
 /// scaled so that heavyweight kernels (dct's 1920-instruction body) finish
 /// in reasonable simulation time while lightweight ones amortize their
-/// setup. `scale` multiplies the defaults (use 1 for the paper tables,
-/// smaller for smoke tests).
+/// setup. `scale` multiplies the defaults (use 1 for the paper tables);
+/// scale 0 is the 24-record smoke size every `--quick` run uses.
 #[must_use]
 pub fn default_records(kernel_name: &str, scale: usize) -> usize {
+    if scale == 0 {
+        return 24;
+    }
     let base = match kernel_name {
         "convert" | "highpassfilter" | "fft" | "lu" => 2048,
         "dct" => 64,
@@ -95,7 +98,7 @@ pub fn default_records(kernel_name: &str, scale: usize) -> usize {
         "vertex-skinning" => 256,
         _ => 512, // remaining shaders
     };
-    (base * scale.max(1)).max(8)
+    base * scale
 }
 
 /// Schedule, stage, simulate and verify one kernel on one configuration.
@@ -888,5 +891,6 @@ mod tests {
         assert!(default_records("dct", 1) < default_records("convert", 1));
         assert_eq!(default_records("unknown-kernel", 1), 512);
         assert!(default_records("fft", 2) > default_records("fft", 1));
+        assert_eq!(default_records("convert", 0), 24, "scale 0 is the smoke size");
     }
 }

@@ -9,9 +9,10 @@
 
 use dlp_common::DlpError;
 use dlp_common::json::ToJson;
+use dlp_kernels::suite;
 
-use crate::sweep::Sweep;
-use crate::{default_records, recommend, ExperimentParams};
+use crate::recommend;
+use crate::sweep::SweepReport;
 
 /// Performance units used in Table 6.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson)]
@@ -91,39 +92,28 @@ pub fn paper_reference() -> Vec<ReferenceRow> {
     ]
 }
 
-/// Regenerate Table 6: run each benchmark on its best configuration and
-/// convert to the row's units.
-///
-/// All thirteen runs go through one parallel [`Sweep`] batch; the rows
-/// come back in `paper_reference()` order.
+/// Table 6 as a projection of the paper grid's report
+/// ([`Sweep::push_paper_grid`](crate::Sweep::push_paper_grid)): each
+/// [`paper_reference`] row's kernel on its recommended configuration,
+/// looked up by name and converted to the row's units. Rows come back
+/// in `paper_reference()` order.
 ///
 /// # Errors
 ///
-/// Propagates simulation failures and verification mismatches.
-pub fn table6(params: &ExperimentParams, record_scale: usize) -> Result<Vec<Table6Row>, DlpError> {
-    let reference = paper_reference();
-    let mut sweep = Sweep::new();
-    for (name, ..) in &reference {
-        let id = sweep.add_kernel_by_name(name).ok_or_else(|| DlpError::Internal {
-            detail: format!("Table 6 reference row '{name}' is not a suite kernel"),
-        })?;
-        let config = recommend(&sweep.kernel(id).ir().attributes()).config;
-        // record_scale 0 means "smoke test": clamp to a minimal workload.
-        let records =
-            if record_scale == 0 { 24 } else { default_records(name, record_scale) };
-        sweep.push_config(id, config, records, params);
-    }
-    let report = sweep.run();
+/// The first failed or mis-verified cell, and [`DlpError::Internal`]
+/// naming the kernel and configuration of a cell the report lacks.
+pub fn table6(report: &SweepReport) -> Result<Vec<Table6Row>, DlpError> {
     report.ensure_verified()?;
-
+    let kernels = suite();
     let mut rows = Vec::new();
-    for ((name, paper_trips, specialized, hardware, units), cell) in
-        reference.into_iter().zip(&report.cells)
-    {
-        let stats = cell.outcome.stats().ok_or_else(|| DlpError::Internal {
-            detail: format!("{name}: cell has no statistics after ensure_verified"),
-        })?;
-        let cyc_per_rec = stats.cycles() as f64 / cell.records.max(1) as f64;
+    for (name, paper_trips, specialized, hardware, units) in paper_reference() {
+        let kernel =
+            kernels.iter().find(|k| k.name() == name).ok_or_else(|| DlpError::Internal {
+                detail: format!("Table 6 reference row '{name}' is not a suite kernel"),
+            })?;
+        let config = recommend(&kernel.ir().attributes()).config;
+        let (stats, records) = report.ran_cell(name, config)?;
+        let cyc_per_rec = stats.cycles() as f64 / records.max(1) as f64;
         let trips = match units {
             Units::OpsPerCycle => stats.ops_per_cycle().0,
             Units::CyclesPerBlock => cyc_per_rec,

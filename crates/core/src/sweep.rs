@@ -53,8 +53,11 @@
 //!
 //! The output is a serializable [`SweepReport`] — the artifact behind
 //! `BENCH_sweep.json` — with per-cell statistics, verification results,
-//! wall-clock, and the harmonic-mean aggregation the figure/table
-//! binaries share.
+//! wall-clock, and the harmonic-mean aggregation Figure 5 and the
+//! sweep summary share. [`Sweep::push_paper_grid`] builds the paper's
+//! kernel × configuration grid; Figure 5, Table 4 and Table 6 are
+//! projections of its report ([`crate::Figure5::from_report`],
+//! [`crate::specialized::table6`]).
 //!
 //! # Example
 //!
@@ -89,8 +92,8 @@ use dlp_kernels::{suite, DlpKernel};
 use trips_sim::MechanismSet;
 
 use crate::runner::{
-    natural_unroll, prepare_kernel, run_prepared_batch_in, run_prepared_in, BatchLane,
-    LaneResult, PreparedProgram, RunScratch, WorkloadCache,
+    default_records, natural_unroll, prepare_kernel, run_prepared_batch_in, run_prepared_in,
+    BatchLane, LaneResult, PreparedProgram, RunScratch, WorkloadCache,
 };
 use crate::store::{
     self, cacheable, lowering_fingerprint, DeadLetterQueue, Digest, DlqRecord, ManifestEntry,
@@ -429,6 +432,21 @@ impl Sweep {
             params: *params,
             label: config.to_string(),
         });
+    }
+
+    /// Adds the paper grid for `ids`: each kernel's baseline cell, then
+    /// one cell per [`MachineConfig::DLP`] configuration, in `ids` order,
+    /// at [`default_records`]`(name, scale)` records (scale 0 is the
+    /// 24-record smoke size). Figure 5, Table 4 and Table 6 are
+    /// projections of this grid's report.
+    pub fn push_paper_grid(&mut self, ids: &[KernelId], params: &ExperimentParams, scale: usize) {
+        for &id in ids {
+            let records = default_records(self.kernel(id).name(), scale);
+            self.push_config(id, MachineConfig::Baseline, records, params);
+            for config in MachineConfig::DLP {
+                self.push_config(id, config, records, params);
+            }
+        }
     }
 
     /// Number of cells queued.
@@ -1433,6 +1451,25 @@ impl SweepReport {
         self.cell(kernel, config).and_then(|c| c.outcome.stats())
     }
 
+    /// Statistics and record count of `kernel`'s cell on `config`: the
+    /// lookup the paper-artifact projections make.
+    ///
+    /// # Errors
+    ///
+    /// [`DlpError::Internal`] naming the kernel and configuration when
+    /// the report holds no such cell that ran.
+    pub(crate) fn ran_cell(
+        &self,
+        kernel: &str,
+        config: MachineConfig,
+    ) -> Result<(&SimStats, usize), DlpError> {
+        self.cell(kernel, &config.to_string())
+            .and_then(|c| Some((c.outcome.stats()?, c.records)))
+            .ok_or_else(|| DlpError::Internal {
+                detail: format!("the report has no {kernel} cell on {config} that ran"),
+            })
+    }
+
     /// Every failed cell, in push order — the structured view a
     /// degraded sweep's consumer triages (pair with
     /// [`CellOutcome::failure_kind`]).
@@ -1776,16 +1813,11 @@ mod tests {
         assert_eq!(cached.batch_dispatches, 1);
         cached.ensure_verified().expect("verifies");
 
-        // Every cell of the quick perf-suite grid (each kernel on the
-        // baseline and every DLP configuration, 24 records), run against
-        // the shared cache, equals a fresh run that uses no cache.
+        // Every cell of the quick paper grid, run against the shared
+        // cache, equals a fresh run that uses no cache.
         let mut grid = Sweep::with_threads(2);
-        for id in grid.add_perf_suite() {
-            grid.push_config(id, MachineConfig::Baseline, 24, &params);
-            for config in MachineConfig::DLP {
-                grid.push_config(id, config, 24, &params);
-            }
-        }
+        let ids = grid.add_perf_suite();
+        grid.push_paper_grid(&ids, &params, 0);
         let report = grid.run();
         assert_eq!(report.cells.len(), 78);
         assert!(report.workload_cache_hits > 0, "configurations of a kernel share workloads");

@@ -8,12 +8,14 @@
 //! cargo run --release --example flexible_vs_fixed -- --quick
 //! ```
 
-use dlp_core::{flexible, ExperimentParams, MachineConfig};
+use dlp_core::{ExperimentParams, Figure5, MachineConfig, Sweep};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
-    let params = ExperimentParams::default();
-    let fig = flexible(&params, if quick { 0 } else { 1 })?;
+    let mut sweep = Sweep::new();
+    let ids = sweep.add_perf_suite();
+    sweep.push_paper_grid(&ids, &ExperimentParams::default(), usize::from(!quick));
+    let fig = Figure5::from_report(&sweep.run())?;
 
     println!("speedup over baseline (execution cycles), per configuration\n");
     println!(

@@ -1,8 +1,40 @@
 //! Integration: the flexible architecture (Table 3 recommender + Table 5
-//! configurations) reproduces the paper's Figure 5 structure.
+//! configurations) reproduces the paper's Figure 5 structure, and Table 6
+//! keeps the paper's comparison directions. Both are projections of one
+//! run of the quick paper grid.
 
-use dlp_core::{flexible, recommend, ExperimentParams, MachineConfig};
+use std::sync::OnceLock;
+
+use dlp_core::specialized::table6;
+use dlp_core::{recommend, ExperimentParams, Figure5, MachineConfig, Sweep, SweepReport};
 use dlp_kernels::suite;
+
+/// The paper grid (every performance-suite kernel on the baseline and the
+/// five DLP configurations) at the 24-record smoke size.
+fn quick_paper_grid() -> Sweep {
+    let mut sweep = Sweep::new();
+    let ids = sweep.add_perf_suite();
+    sweep.push_paper_grid(&ids, &ExperimentParams::default(), 0);
+    sweep
+}
+
+/// The quick paper grid's report, run once for every test here.
+fn quick_report() -> &'static SweepReport {
+    static REPORT: OnceLock<SweepReport> = OnceLock::new();
+    REPORT.get_or_init(|| quick_paper_grid().run())
+}
+
+fn quick_figure5() -> Figure5 {
+    Figure5::from_report(quick_report()).expect("figure 5 experiment runs verified")
+}
+
+/// Pins the quick paper grid's identity: the digest a manifest of
+/// `sweep --quick` carries, so a change to how the grid is built (its
+/// cells, their order, records or parameters) shows here.
+#[test]
+fn quick_paper_grid_digest_is_pinned() {
+    assert_eq!(quick_paper_grid().grid_digest().hex(), "01f27942233ad42f749b6065b38a14d0");
+}
 
 #[test]
 fn recommender_matches_paper_grouping() {
@@ -32,13 +64,23 @@ fn recommender_matches_paper_grouping() {
 
 #[test]
 fn flexible_beats_every_fixed_configuration() {
-    let params = ExperimentParams::default();
     // Smoke-scale workloads: the shapes (who wins) are stable even at
-    // small record counts; the bench harness runs the full-size version.
-    let fig = flexible(&params, 0).expect("figure 5 experiment runs verified");
+    // small record counts; the `report` binary runs the full-size version.
+    let fig = quick_figure5();
 
-    // Structure: 13 rows, all verified (flexible() errors otherwise).
+    // Structure: one row per performance-suite kernel, in suite order,
+    // all verified (`from_report` errors otherwise), each with a positive
+    // speedup on all five DLP configurations.
+    let kernels = suite();
+    let perf_suite = kernels.iter().filter(|k| k.in_perf_suite()).map(|k| k.name());
+    assert!(fig.rows.iter().map(|r| r.kernel.as_str()).eq(perf_suite), "rows in suite order");
     assert_eq!(fig.rows.len(), 13);
+    for row in &fig.rows {
+        assert_eq!(row.speedup.len(), 5, "{}", row.kernel);
+        for (c, s) in &row.speedup {
+            assert!(*s > 0.0, "{} on {c}: speedup {s}", row.kernel);
+        }
+    }
 
     // The flexible architecture must not lose to any fixed configuration
     // (it can tie when one configuration happens to be best for every
@@ -60,10 +102,19 @@ fn flexible_beats_every_fixed_configuration() {
     );
 }
 
+/// The fixed-configuration means run over every cell of the report, so a
+/// cell beyond the paper grid is an error rather than a skewed bar.
+#[test]
+fn figure5_rejects_cells_beyond_the_paper_grid() {
+    let mut report = quick_report().clone();
+    report.cells.push(report.cells[1].clone());
+    let err = Figure5::from_report(&report).expect_err("79 cells is not the paper grid");
+    assert!(err.to_string().contains("holds 79 cells"), "{err}");
+}
+
 #[test]
 fn per_kernel_preferences_match_paper_shapes() {
-    let params = ExperimentParams::default();
-    let fig = flexible(&params, 0).expect("figure 5 experiment runs verified");
+    let fig = quick_figure5();
     let row = |name: &str| fig.rows.iter().find(|r| r.kernel == name).expect("row exists");
 
     // Constant-heavy kernels gain from operand revitalization.
@@ -86,6 +137,30 @@ fn per_kernel_preferences_match_paper_shapes() {
             "{name}: M-D should beat M"
         );
     }
+}
+
+/// Table 6 regenerates with the right comparison directions at smoke scale.
+#[test]
+fn table6_preserves_comparison_directions() {
+    let rows = table6(quick_report()).expect("table 6 runs verified");
+    assert_eq!(rows.len(), 13);
+    let row = |name: &str| rows.iter().find(|r| r.kernel == name).expect("row");
+
+    // Crypto: TRIPS cycles/block is an order of magnitude below
+    // CryptoManiac's published numbers (smaller is better).
+    for name in ["blowfish", "rijndael"] {
+        let r = row(name);
+        let specialized = r.specialized.expect("published value");
+        assert!(
+            r.trips < specialized,
+            "{name}: ours {} should beat specialized {}",
+            r.trips,
+            specialized
+        );
+    }
+    // Fragment shading: the specialized GPU wins.
+    let r = row("fragment-simple");
+    assert!(r.trips < r.specialized.expect("published value"));
 }
 
 /// fft/lu prefer the streaming S machine; MIMD per-element load routing
