@@ -6,17 +6,12 @@
 //! This module pins one *dataflow-heavy* and one *MIMD-heavy* kernel to
 //! the configurations that stress those loops and measures simulation
 //! throughput with the scheduling cost excluded — each case is prepared
-//! once ([`dlp_core::prepare_kernel`]) and only
-//! [`dlp_core::run_prepared_in`] is timed, so the numbers move when the
-//! engines' hot paths do and not when the scheduler does. Since
-//! schema 4 every case is additionally timed through the lane-batched
-//! entry point ([`dlp_core::run_prepared_batch_in`], DESIGN.md §10)
-//! with `lanes` identical lanes per dispatch, and the artifact carries
-//! the batched-vs-scalar speedup alongside a `batched_sim_cycles`
-//! column CI asserts equal to the scalar `sim_cycles`. A
-//! [`measure_queue`] microbenchmark additionally times the event
-//! scheduler itself — the calendar queue against the `BinaryHeap` it
-//! replaced — with a checksum asserting both emit the identical order.
+//! once ([`dlp_core::prepare_kernel`]) and only the simulation is
+//! timed, so the numbers move when the engines' hot paths do and not
+//! when the scheduler does. Each case is timed through the two paths a
+//! sweep takes: the scalar entry point ([`dlp_core::run_prepared_in`])
+//! and the lockstep engines ([`dlp_core::run_prepared_batch_in`],
+//! DESIGN.md §10) with eight distinct-seed lanes per dispatch.
 //!
 //! The one consumer is `cargo run --release -p dlp-bench --bin hotpath`,
 //! which writes `BENCH_hotpath.json` (schema documented in
@@ -24,20 +19,16 @@
 //! `BENCH_baseline.json`; regressions show up as a drop in
 //! `cells_per_sec` between two commits' artifacts.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dlp_common::json::ToJson;
-use dlp_common::{SplitMix64, Tick};
 use dlp_core::sweep::derive_seed;
 use dlp_core::{
     prepare_kernel, run_prepared_batch_in, run_prepared_in, BatchLane, ExperimentParams,
     MachineConfig, RunScratch, WorkloadCache,
 };
 use dlp_kernels::{suite, DlpKernel};
-use trips_sim::equeue::CalendarQueue;
 
 /// One measured hot-path case: a kernel pinned to the engine family it
 /// stresses.
@@ -137,46 +128,19 @@ impl PreparedCase {
     }
 
     /// Runs the prepared case once through the lane-batched entry point
-    /// with `lanes` identical lanes — the shape a sweep's repeated cells
-    /// take (one uniformity class, so one simulation serves every lane;
-    /// see DESIGN.md §10) — and returns the per-lane cycle count after
-    /// asserting every lane verified and agreed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on simulation failure, an output mismatch, or lanes
-    /// disagreeing on cycle count — per-lane results must stay
-    /// bit-identical to scalar.
-    #[must_use]
-    fn run_batched_once(&mut self, lanes: usize) -> u64 {
-        let specs = vec![BatchLane { records: self.records, params: self.params }; lanes];
-        let results =
-            run_prepared_batch_in(self.kernel.as_ref(), &self.prepared, &specs, &mut self.scratch);
-        assert_eq!(results.len(), lanes);
-        let mut cycles = None;
-        for r in results {
-            let (stats, mismatch) = r.expect("hot-path batched case simulates");
-            assert_eq!(mismatch, None, "{} must verify batched", self.kernel.name());
-            let c = stats.cycles();
-            assert_eq!(*cycles.get_or_insert(c), c, "identical lanes agree on cycles");
-        }
-        cycles.expect("at least one lane")
-    }
-
-    /// Runs the prepared case once through the lane-batched entry point
-    /// with `lanes` *distinct-seed* lanes — the genuinely divergent shape
-    /// that exercises the lockstep SoA engines rather than the
-    /// uniform-collapse fast path — and returns an order-sensitive fold
-    /// of the per-lane cycle counts (distinct seeds may legitimately
-    /// produce distinct cycle counts on cache-timing-sensitive cases, so
-    /// the fold, not a single count, is the determinism probe).
+    /// with `LANES` *distinct-seed* lanes — the shape a sweep's
+    /// seed-varied cells take through the lockstep SoA engines — and
+    /// returns an order-sensitive fold of the per-lane cycle counts
+    /// (distinct seeds may legitimately produce distinct cycle counts on
+    /// cache-timing-sensitive cases, so the fold, not a single count, is
+    /// the determinism probe).
     ///
     /// # Panics
     ///
     /// Panics on simulation failure or any lane failing verification.
     #[must_use]
-    fn run_lockstep_once(&mut self, lanes: usize) -> u64 {
-        let specs: Vec<BatchLane> = (0..lanes)
+    fn run_lockstep_once(&mut self) -> u64 {
+        let specs: Vec<BatchLane> = (0..LANES)
             .map(|i| BatchLane {
                 records: self.records,
                 params: ExperimentParams {
@@ -187,7 +151,7 @@ impl PreparedCase {
             .collect();
         let results =
             run_prepared_batch_in(self.kernel.as_ref(), &self.prepared, &specs, &mut self.scratch);
-        assert_eq!(results.len(), lanes);
+        assert_eq!(results.len(), LANES);
         let mut fold = 0u64;
         for r in results {
             let (stats, mismatch) = r.expect("hot-path lockstep case simulates");
@@ -226,9 +190,9 @@ pub struct HotpathMeasurement {
     /// Untimed warm-up runs before timing (the first generates the
     /// workload; each checks the cycle count).
     pub warmup: usize,
-    /// Timed repeats. Each repeat alternates short slices of the scalar,
-    /// batched and lockstep entry points, so its three timings, and the
-    /// ratios formed from them, share the same host conditions.
+    /// Timed repeats. Each repeat alternates short slices of the scalar
+    /// and lockstep entry points, so its two timings, and the ratio
+    /// formed from them, share the same host conditions.
     pub repeats: usize,
     /// Minimum timed wall-clock of one repeat, milliseconds: a repeat
     /// runs rounds of one slice per entry point (an untimed warm-up
@@ -251,24 +215,6 @@ pub struct HotpathMeasurement {
     /// `warmup - 1`, since the first run generates and every later one
     /// hits).
     pub workload_cache_hits: u64,
-    /// Lanes per batched dispatch (identical lanes — the
-    /// uniform-collapse path a sweep's repeated cells take).
-    pub lanes: usize,
-    /// Per-lane simulated cycles from the batched runs. CI asserts this
-    /// equals `sim_cycles`: batching must not change machine behavior.
-    pub batched_sim_cycles: u64,
-    /// Median over the repeats of the wall-clock per batched dispatch,
-    /// milliseconds.
-    pub batched_wall_ms: f64,
-    /// Verified lane-results per second through the batched entry point
-    /// (`lanes` lane-results per `batched_wall_ms`).
-    pub batched_cells_per_sec: f64,
-    /// Median over the repeats of `batched / scalar` lane-results per
-    /// second — the headline lane-batching win on this case.
-    pub batch_speedup: f64,
-    /// Spread of the per-repeat `batch_speedup` ratios:
-    /// `(max - min) / median`.
-    pub batch_speedup_spread: f64,
     /// Order-sensitive fold of per-lane simulated cycles from the
     /// *distinct-seed* lockstep runs (`rotate_left(7) ^ cycles` per lane
     /// in lane order). A determinism cross-check for the SIMD lockstep
@@ -278,7 +224,7 @@ pub struct HotpathMeasurement {
     /// milliseconds.
     pub lockstep_wall_ms: f64,
     /// Verified lane-results per second through the lockstep SoA path
-    /// (`lanes` distinct-seed lane-results per `lockstep_wall_ms`) — the
+    /// (`LANES` distinct-seed lane-results per `lockstep_wall_ms`) — the
     /// SIMD-path throughput column.
     pub lockstep_cells_per_sec: f64,
     /// Median over the repeats of `lockstep / scalar` lane-results per
@@ -288,10 +234,6 @@ pub struct HotpathMeasurement {
     /// Spread of the per-repeat `lockstep_speedup` ratios:
     /// `(max - min) / median`.
     pub lockstep_speedup_spread: f64,
-    /// Lane-slot occupancy of each lockstep dispatch:
-    /// `lanes / MAX_CLASSES` — the fraction of the 64 mask-word slots a
-    /// dispatch fills at this `--lanes` setting.
-    pub lockstep_occupancy: f64,
     /// The case's lowering fingerprint (hex), as the result store would
     /// key it ([`dlp_core::store::lowering_fingerprint`]). Deterministic;
     /// when `cells_per_sec` moves between commits, an unchanged
@@ -307,21 +249,24 @@ const WARMUP: usize = 3;
 /// Timed repeats per case; every reported figure is their median.
 const REPEATS: usize = 7;
 
-/// One timed repeat: rounds of slices of `dispatch(0)`, `dispatch(1)`
-/// and `dispatch(2)` until the rounds have taken at least `min_wall_s`
-/// seconds; returns each entry point's mean wall per dispatch, seconds.
+/// Distinct-seed lanes per lockstep dispatch.
+const LANES: usize = 8;
+
+/// One timed repeat: rounds of slices of `dispatch(0)` and `dispatch(1)`
+/// until the rounds have taken at least `min_wall_s` seconds; returns
+/// each entry point's mean wall per dispatch, seconds.
 /// A slice is one untimed dispatch, which refills the caches the other
 /// entry points evicted, then timed dispatches of the same entry point
-/// for a tenth of `min_wall_s`. Alternating slices exposes the three
-/// entry points to the same host-speed drift, so their ratios stay put
+/// for a tenth of `min_wall_s`. Alternating slices exposes the two
+/// entry points to the same host-speed drift, so their ratio stays put
 /// when the host's speed does not; a fixed minimum wall, rather than a
 /// fixed count, keeps sub-millisecond dispatches from being timed over a
 /// window one scheduler tick can swamp.
-fn time_interleaved(min_wall_s: f64, mut dispatch: impl FnMut(usize)) -> [f64; 3] {
+fn time_interleaved(min_wall_s: f64, mut dispatch: impl FnMut(usize)) -> [f64; 2] {
     let slice_s = min_wall_s / 10.0;
-    let (mut spent, mut count) = ([0.0f64; 3], [0u32; 3]);
+    let (mut spent, mut count) = ([0.0f64; 2], [0u32; 2]);
     while spent.iter().sum::<f64>() < min_wall_s {
-        for entry in 0..3 {
+        for entry in 0..2 {
             dispatch(entry);
             let started = Instant::now();
             loop {
@@ -359,20 +304,19 @@ fn median_and_spread(xs: &[f64]) -> (f64, f64) {
 }
 
 /// Prepares `case`, runs `WARMUP` untimed scalar runs, then times
-/// `REPEATS` repeats, each alternating the scalar entry point,
-/// `lanes` identical lanes through the batched entry point and `lanes`
-/// distinct-seed lanes through the lockstep path for at least
-/// `min_wall_s` seconds — all on the same prepared lowering and scratch,
-/// so the ratios are apples-to-apples. Every reported figure is the
-/// median over the repeats; each ratio is formed within a repeat before
-/// the median is taken.
+/// `REPEATS` repeats, each alternating the scalar entry point and
+/// `LANES` distinct-seed lanes through the lockstep path for at least
+/// `min_wall_s` seconds — both on the same prepared lowering and
+/// scratch, so the ratio is apples-to-apples. Every reported figure is
+/// the median over the repeats; each ratio is formed within a repeat
+/// before the median is taken.
 ///
 /// # Panics
 ///
-/// Panics on lowering, simulation, or verification failure, or when the
-/// batched runs' per-lane cycle count diverges from scalar.
+/// Panics on lowering, simulation, or verification failure, or when a
+/// run's cycle count differs from the warm-up's.
 #[must_use]
-pub fn measure(case: &HotpathCase, records: usize, lanes: usize, min_wall_s: f64) -> HotpathMeasurement {
+pub fn measure(case: &HotpathCase, records: usize, min_wall_s: f64) -> HotpathMeasurement {
     let mut prepared = prepare_case(case, records);
     let sim_cycles = prepared.run_once(); // warm: page in workload paths
     for _ in 1..WARMUP {
@@ -380,36 +324,25 @@ pub fn measure(case: &HotpathCase, records: usize, lanes: usize, min_wall_s: f64
     }
     let workload_cache_hits = prepared.workload_cache_hits();
 
-    let batched_sim_cycles = prepared.run_batched_once(lanes); // warm
-    assert_eq!(batched_sim_cycles, sim_cycles, "batching must not change machine behavior");
-    let lockstep_sim_cycles = prepared.run_lockstep_once(lanes); // warm
+    let lockstep_sim_cycles = prepared.run_lockstep_once(); // warm
 
-    let (mut scalar, mut batched, mut lockstep) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut scalar, mut lockstep) = (Vec::new(), Vec::new());
     for _ in 0..REPEATS {
-        let [s, b, l] = time_interleaved(min_wall_s, |entry| match entry {
+        let [s, l] = time_interleaved(min_wall_s, |entry| match entry {
             0 => assert_eq!(prepared.run_once(), sim_cycles, "simulation is deterministic"),
-            1 => assert_eq!(
-                prepared.run_batched_once(lanes),
-                sim_cycles,
-                "batched runs are deterministic"
-            ),
             _ => assert_eq!(
-                prepared.run_lockstep_once(lanes),
+                prepared.run_lockstep_once(),
                 lockstep_sim_cycles,
                 "lockstep runs are deterministic"
             ),
         });
         scalar.push(s);
-        batched.push(b);
         lockstep.push(l);
     }
-    let ratio = |per_dispatch: &[f64]| -> Vec<f64> {
-        scalar.iter().zip(per_dispatch).map(|(s, d)| lanes as f64 * s / d.max(1e-12)).collect()
-    };
-    let (batch_speedup, batch_speedup_spread) = median_and_spread(&ratio(&batched));
-    let (lockstep_speedup, lockstep_speedup_spread) = median_and_spread(&ratio(&lockstep));
+    let ratios: Vec<f64> =
+        scalar.iter().zip(&lockstep).map(|(s, l)| LANES as f64 * s / l.max(1e-12)).collect();
+    let (lockstep_speedup, lockstep_speedup_spread) = median_and_spread(&ratios);
     let wall = median(&scalar).max(1e-12);
-    let batched_wall = median(&batched).max(1e-12);
     let lockstep_wall = median(&lockstep).max(1e-12);
     HotpathMeasurement {
         kernel: case.kernel.to_string(),
@@ -424,164 +357,45 @@ pub fn measure(case: &HotpathCase, records: usize, lanes: usize, min_wall_s: f64
         cells_per_sec: 1.0 / wall,
         records_per_sec: records as f64 / wall,
         workload_cache_hits,
-        lanes,
-        batched_sim_cycles,
-        batched_wall_ms: batched_wall * 1e3,
-        batched_cells_per_sec: lanes as f64 / batched_wall,
-        batch_speedup,
-        batch_speedup_spread,
         lockstep_sim_cycles,
         lockstep_wall_ms: lockstep_wall * 1e3,
-        lockstep_cells_per_sec: lanes as f64 / lockstep_wall,
+        lockstep_cells_per_sec: LANES as f64 / lockstep_wall,
         lockstep_speedup,
         lockstep_speedup_spread,
-        lockstep_occupancy: lanes as f64 / trips_sim::batch::MAX_CLASSES as f64,
         lowering_fp: prepared.lowering_fp().to_string(),
-    }
-}
-
-/// Seed for the queue-churn microbenchmark's deterministic schedule.
-const CHURN_SEED: u64 = 0x0051_EEED;
-
-/// Drives a [`CalendarQueue`] through a hold-model churn — `live`
-/// resident events, `ops` pop-then-push rounds with pseudo-random tick
-/// deltas in 1..=64 — and folds every popped `(tick, payload)` into a
-/// checksum. The identical schedule runs through [`heap_churn`]; equal
-/// checksums prove the two schedulers emit the same total order.
-#[must_use]
-fn queue_churn(live: usize, ops: u64) -> u64 {
-    let mut q: CalendarQueue<(), u64> = CalendarQueue::new();
-    let mut rng = SplitMix64::new(CHURN_SEED ^ live as u64);
-    for i in 0..live as u64 {
-        q.push((rng.next_u64() & 63) + 1, (), i);
-    }
-    let mut checksum = 0u64;
-    for _ in 0..ops {
-        let (t, (), v) = q.pop().expect("churn queue stays populated");
-        checksum = checksum.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(t ^ v);
-        q.push(t + (rng.next_u64() & 63) + 1, (), v);
-    }
-    checksum
-}
-
-/// The `BinaryHeap` reference for [`queue_churn`]: same schedule, same
-/// checksum, through a `Reverse<(tick, seq)>` heap — the scheduler both
-/// engines used before the calendar queue.
-#[must_use]
-fn heap_churn(live: usize, ops: u64) -> u64 {
-    let mut q: BinaryHeap<Reverse<(Tick, u64, u64)>> = BinaryHeap::new();
-    let mut rng = SplitMix64::new(CHURN_SEED ^ live as u64);
-    let mut seq = 0u64;
-    for i in 0..live as u64 {
-        q.push(Reverse(((rng.next_u64() & 63) + 1, seq, i)));
-        seq += 1;
-    }
-    let mut checksum = 0u64;
-    for _ in 0..ops {
-        let Reverse((t, _, v)) = q.pop().expect("churn heap stays populated");
-        checksum = checksum.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(t ^ v);
-        q.push(Reverse((t + (rng.next_u64() & 63) + 1, seq, v)));
-        seq += 1;
-    }
-    checksum
-}
-
-/// The event-scheduler microbenchmark row of `BENCH_hotpath.json`.
-#[derive(Clone, Debug, ToJson)]
-pub struct QueueMeasurement {
-    /// Resident events held in the queue throughout the churn.
-    pub live: usize,
-    /// Pop-then-push rounds timed.
-    pub ops: u64,
-    /// Calendar-queue wall-clock, milliseconds.
-    pub wall_ms: f64,
-    /// Calendar-queue rounds per second.
-    pub ops_per_sec: f64,
-    /// `BinaryHeap` reference wall-clock, milliseconds.
-    pub heap_wall_ms: f64,
-    /// `BinaryHeap` reference rounds per second.
-    pub heap_ops_per_sec: f64,
-    /// Order checksum (identical for both schedulers by construction —
-    /// [`measure_queue`] asserts it — and deterministic, so it doubles
-    /// as a cross-commit determinism check).
-    pub checksum: u64,
-}
-
-/// Times the calendar queue against the `BinaryHeap` it replaced, through
-/// the same hold-model churn at `live` resident events, and asserts
-/// their order checksums agree.
-///
-/// # Panics
-///
-/// Panics when the calendar queue and the heap emit different orders —
-/// a scheduler-equivalence violation that must fail the bench.
-#[must_use]
-pub fn measure_queue(live: usize, ops: u64) -> QueueMeasurement {
-    // Warm both once so allocation warm-up is outside the timed region
-    // (matching how the engines hold their queues across runs).
-    let warm_q = queue_churn(live, ops);
-    let warm_h = heap_churn(live, ops);
-    assert_eq!(warm_q, warm_h, "calendar queue must emit the heap's exact order");
-
-    let started = Instant::now();
-    let checksum = queue_churn(live, ops);
-    let wall = started.elapsed().as_secs_f64();
-    let started = Instant::now();
-    let heap_checksum = heap_churn(live, ops);
-    let heap_wall = started.elapsed().as_secs_f64();
-    assert_eq!(checksum, heap_checksum, "checksums diverged between timed runs");
-
-    QueueMeasurement {
-        live,
-        ops,
-        wall_ms: wall * 1e3,
-        ops_per_sec: ops as f64 / wall.max(1e-9),
-        heap_wall_ms: heap_wall * 1e3,
-        heap_ops_per_sec: ops as f64 / heap_wall.max(1e-9),
-        checksum,
     }
 }
 
 /// The full `BENCH_hotpath.json` artifact.
 #[derive(Clone, Debug, ToJson)]
 pub struct HotpathReport {
-    /// Artifact schema version. 2 added `queue` and the per-case
-    /// `workload_cache_hits`; 3 added the per-case `lowering_fp`;
-    /// 4 added the lane-batched columns (`lanes`, `batched_sim_cycles`,
-    /// `batched_wall_ms`, `batched_cells_per_sec`, `batch_speedup`);
-    /// 5 the distinct-seed lockstep (SIMD-path) columns
+    /// Artifact schema version. 2 added the per-case
+    /// `workload_cache_hits` (and a queue microbenchmark row); 3 added
+    /// the per-case `lowering_fp`; 4 added identical-lane batched
+    /// columns; 5 the distinct-seed lockstep (SIMD-path) columns
     /// (`lockstep_sim_cycles`, `lockstep_wall_ms`,
     /// `lockstep_cells_per_sec`, `lockstep_speedup`,
     /// `lockstep_occupancy`); 6 replaced the best-of-three fixed-count
     /// windows with the median of interleaved fixed-minimum-wall repeats
     /// (`warmup`, `repeats`, `min_wall_ms` and the `*_speedup_spread`
-    /// columns replace `iters`; the wall columns became per dispatch).
+    /// columns replace `iters`; the wall columns became per dispatch);
+    /// 7 dropped the identical-lane batched columns, `lanes`,
+    /// `lockstep_occupancy` and the queue row, leaving the scalar and
+    /// lockstep paths a sweep takes.
     /// See `EXPERIMENTS.md`.
     pub schema: u32,
     /// Whether the fast (CI smoke) scale was used.
     pub fast: bool,
     /// One row per [`HOTPATH_CASES`] entry.
     pub cases: Vec<HotpathMeasurement>,
-    /// The event-scheduler microbenchmark.
-    pub queue: QueueMeasurement,
 }
 
 /// Current [`HotpathReport::schema`] version.
-pub const HOTPATH_SCHEMA: u32 = 6;
+pub const HOTPATH_SCHEMA: u32 = 7;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn churn_checksums_agree_and_are_deterministic() {
-        for live in [1usize, 7, 64, 700] {
-            let a = queue_churn(live, 2_000);
-            let b = heap_churn(live, 2_000);
-            assert_eq!(a, b, "order parity at {live} live events");
-            assert_eq!(a, queue_churn(live, 2_000), "deterministic at {live}");
-        }
-    }
 
     #[test]
     fn median_and_spread_of_repeats() {
@@ -591,23 +405,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_lanes_match_scalar_cycles_on_both_engine_families() {
-        // fft/baseline exercises the dataflow engine, blowfish/M the
-        // MIMD engine; `run_batched_once` asserts per-lane agreement
-        // internally, this pins batched == scalar across entry points.
-        for case in [&HOTPATH_CASES[0], &HOTPATH_CASES[3]] {
-            let mut prepared = prepare_case(case, 8);
-            let scalar = prepared.run_once();
-            assert_eq!(prepared.run_batched_once(4), scalar, "{} batched cycles", case.kernel);
-        }
-    }
-
-    #[test]
     fn lockstep_fold_is_deterministic_on_both_engine_families() {
         for case in [&HOTPATH_CASES[0], &HOTPATH_CASES[3]] {
             let mut prepared = prepare_case(case, 8);
-            let first = prepared.run_lockstep_once(4);
-            assert_eq!(first, prepared.run_lockstep_once(4), "{} lockstep fold", case.kernel);
+            let first = prepared.run_lockstep_once();
+            assert_eq!(first, prepared.run_lockstep_once(), "{} lockstep fold", case.kernel);
         }
     }
 

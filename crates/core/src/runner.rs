@@ -487,51 +487,6 @@ pub fn run_prepared_in(
     params: &ExperimentParams,
     scratch: &mut RunScratch,
 ) -> LaneResult {
-    let (stats, machine, workload, out_words) =
-        run_prepared_parts(kernel, prepared, records, params, scratch)?;
-    Ok((stats, verify_lane(kernel, &machine, &workload, records, out_words)))
-}
-
-/// The record count the *simulation* actually sees for `records`:
-/// dataflow runs pad to a whole number of unrolled iterations, MIMD
-/// programs loop over the raw count (`r29`). Two record counts with the
-/// same sim count (and the same seed, fault plan, and machine shape)
-/// run the exact same simulation — only the verified output prefix
-/// differs — which is what lets [`run_prepared_batch_in`] collapse them
-/// into one lane class.
-fn sim_records(prepared: &PreparedProgram, records: usize) -> usize {
-    match &prepared.variant {
-        PreparedVariant::Mimd { .. } => records,
-        PreparedVariant::Dataflow(sched) => records.div_ceil(sched.unroll) * sched.unroll,
-    }
-}
-
-/// Check one lane's unpadded output prefix against its reference.
-fn verify_lane(
-    kernel: &dyn DlpKernel,
-    machine: &Machine,
-    workload: &Workload,
-    records: usize,
-    out_words: usize,
-) -> Option<usize> {
-    let got = machine.memory().read_words(memmap::BASE_OUT, records * out_words);
-    let expected = &workload.expected[..records * out_words];
-    first_mismatch(kernel.output_kind(), &got, expected)
-}
-
-/// Everything [`run_prepared_in`] does except output verification:
-/// stage, simulate, and hand back the statistics together with the
-/// machine (whose memory holds the outputs) and the workload (whose
-/// `expected` holds the reference), so callers can verify any record
-/// prefix of the same simulation — the batch path verifies each lane's
-/// own prefix against one shared class run.
-fn run_prepared_parts(
-    kernel: &dyn DlpKernel,
-    prepared: &PreparedProgram,
-    records: usize,
-    params: &ExperimentParams,
-    scratch: &mut RunScratch,
-) -> Result<(SimStats, Machine, Arc<Workload>, usize), DlpError> {
     let ir = kernel.ir();
     let in_words = ir.record_in_words() as usize;
     let out_words = ir.record_out_words() as usize;
@@ -555,7 +510,30 @@ fn run_prepared_parts(
             machine.run_dataflow_in(&sched.block, iterations, &mut scratch.arena)?
         }
     };
-    Ok((stats, machine, workload, out_words))
+    Ok((stats, verify_lane(kernel, &machine, &workload, records, out_words)))
+}
+
+/// The record count the *simulation* actually sees for `records`:
+/// dataflow runs pad to a whole number of unrolled iterations, MIMD
+/// programs loop over the raw count (`r29`).
+fn sim_records(prepared: &PreparedProgram, records: usize) -> usize {
+    match &prepared.variant {
+        PreparedVariant::Mimd { .. } => records,
+        PreparedVariant::Dataflow(sched) => records.div_ceil(sched.unroll) * sched.unroll,
+    }
+}
+
+/// Check one lane's unpadded output prefix against its reference.
+fn verify_lane(
+    kernel: &dyn DlpKernel,
+    machine: &Machine,
+    workload: &Workload,
+    records: usize,
+    out_words: usize,
+) -> Option<usize> {
+    let got = machine.memory().read_words(memmap::BASE_OUT, records * out_words);
+    let expected = &workload.expected[..records * out_words];
+    first_mismatch(kernel.output_kind(), &got, expected)
 }
 
 /// Build one lane's machine and stage everything a run of `prepared`
@@ -622,8 +600,8 @@ fn stage_lane(
 /// One lane of a batched dispatch: the record count and experiment
 /// parameters of one scalar run of a shared [`PreparedProgram`]. In the
 /// sweep engine a lane is one cell attempt (same lowering, possibly a
-/// different fault salt); in the hot-path harness it is one repetition
-/// of a case.
+/// different seed, fault salt or record count); in the hot-path harness
+/// it is one distinct-seed run of a case.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchLane {
     /// Records to process (excluding unroll padding).
@@ -635,11 +613,12 @@ pub struct BatchLane {
 }
 
 /// Whether `lanes` may be dispatched through
-/// [`run_prepared_batch_in`]'s lockstep path: non-empty, with uniform
-/// grid shape, timing model, and watchdog. Seeds, fault plans, *and
-/// record counts* may differ freely — they become lane *classes* inside
-/// the batch, and a class whose record tail is exhausted masks off
-/// while the rest keep running (mask-padded tails, DESIGN.md §12).
+/// [`run_prepared_batch_in`]'s lockstep path: non-empty, at most
+/// [`trips_sim::batch::MAX_CLASSES`] lanes, with uniform grid shape,
+/// timing model, and watchdog. Seeds, fault plans, *and record counts*
+/// may differ freely — each lane is its own class inside the batch, and
+/// a class whose record tail is exhausted masks off while the rest keep
+/// running (mask-padded tails, DESIGN.md §12).
 #[must_use]
 pub fn batchable(lanes: &[BatchLane]) -> bool {
     let Some(first) = lanes.first() else { return false };
@@ -651,115 +630,47 @@ pub fn batchable(lanes: &[BatchLane]) -> bool {
         })
 }
 
-/// Whether two lanes are *uniform*: they would run the exact same
-/// simulation, so one run serves both (each lane still verifies its own
-/// output prefix). The comparison is the full simulation identity —
-/// seed, fault plan, machine shape, and the record count as the
-/// *simulation* sees it ([`sim_records`]: two dataflow counts padding to
-/// the same unroll multiple collapse; MIMD counts must match exactly).
-/// Fault plans that are both inert ([`FaultPlan::is_none`]) compare
-/// equal regardless of salt — the injector never installs, so the salt
-/// is unobservable.
-fn same_class(prepared: &PreparedProgram, a: &BatchLane, b: &BatchLane) -> bool {
-    sim_records(prepared, a.records) == sim_records(prepared, b.records)
-        && a.params.seed == b.params.seed
-        && ((a.params.fault.is_none() && b.params.fault.is_none())
-            || a.params.fault == b.params.fault)
-        && a.params.grid == b.params.grid
-        && a.params.timing == b.params.timing
-        && a.params.watchdog == b.params.watchdog
-}
-
-/// As [`run_prepared_in`], for a whole batch of lanes at once: dedupe
-/// the lanes into uniformity classes, execute all classes in lockstep
-/// through one shared event queue
+/// As [`run_prepared_in`], for a whole batch of lanes at once: a
+/// [`batchable`] batch of two or more lanes runs every lane as its own
+/// class in lockstep through one shared event queue
 /// ([`trips_sim::batch::run_dataflow_batch_in`] /
-/// [`trips_sim::batch::run_mimd_batch_in`]), and verify each class's
+/// [`trips_sim::batch::run_mimd_batch_in`]), and each lane verifies its
 /// outputs against its own workload. Per-lane results are bit-identical
 /// to calling [`run_prepared_in`] on each lane alone — the whole point;
 /// see DESIGN.md §10 — so the returned vector (same order as `lanes`)
 /// can be consumed exactly as N scalar results.
 ///
-/// Fast paths: a fully uniform batch (one class — the common case when
-/// repeating a measurement or retrying without faults) runs the scalar
-/// engine once and replicates its result; a batch that is not
-/// [`batchable`] falls back to per-class scalar runs. Any error while
-/// staging a class's machine also falls back to the all-scalar path,
-/// which is trivially identical.
+/// A single lane, or a batch that is not [`batchable`], runs each lane
+/// through [`run_prepared_in`]. Any error while staging a lane's machine
+/// also falls back to that all-scalar path, which is trivially
+/// identical.
 pub fn run_prepared_batch_in(
     kernel: &dyn DlpKernel,
     prepared: &PreparedProgram,
     lanes: &[BatchLane],
     scratch: &mut RunScratch,
 ) -> Vec<LaneResult> {
-    // Dedupe lanes into uniformity classes (reps = lane index of each
-    // class representative).
-    let mut reps: Vec<usize> = Vec::new();
-    let mut class_of: Vec<usize> = Vec::with_capacity(lanes.len());
-    for (i, lane) in lanes.iter().enumerate() {
-        match reps.iter().position(|&r| same_class(prepared, &lanes[r], lane)) {
-            Some(c) => class_of.push(c),
-            None => {
-                class_of.push(reps.len());
-                reps.push(i);
-            }
+    if lanes.len() >= 2 && batchable(lanes) {
+        if let Some(per_lane) = run_lockstep(kernel, prepared, lanes, scratch) {
+            return per_lane;
         }
+        // A lane failed setup (staging DMA, L0 capacity): take the
+        // scalar path for every lane so error attribution matches the
+        // scalar contract exactly.
     }
-
-    // One class, an unbatchable mix, or more classes than mask bits:
-    // run each class through the scalar reference path.
-    if reps.len() <= 1 || !batchable(lanes) {
-        return run_classes_scalar(kernel, prepared, lanes, &reps, &class_of, scratch);
-    }
-
-    match run_classes_lockstep(kernel, prepared, lanes, &reps, &class_of, scratch) {
-        Some(per_lane) => per_lane,
-        // A class failed setup (staging DMA, L0 capacity): take the
-        // scalar path for every class so error attribution matches
-        // the scalar contract exactly.
-        None => run_classes_scalar(kernel, prepared, lanes, &reps, &class_of, scratch),
-    }
-}
-
-/// The scalar reference path of [`run_prepared_batch_in`]: one
-/// [`run_prepared_parts`] run per class, then every lane verifies its
-/// own record prefix against its class's outputs.
-fn run_classes_scalar(
-    kernel: &dyn DlpKernel,
-    prepared: &PreparedProgram,
-    lanes: &[BatchLane],
-    reps: &[usize],
-    class_of: &[usize],
-    scratch: &mut RunScratch,
-) -> Vec<LaneResult> {
-    let per_class: Vec<_> = reps
-        .iter()
-        .map(|&r| run_prepared_parts(kernel, prepared, lanes[r].records, &lanes[r].params, scratch))
-        .collect();
-    lanes
-        .iter()
-        .zip(class_of)
-        .map(|(lane, &c)| match &per_class[c] {
-            Ok((stats, machine, workload, out_words)) => {
-                Ok((*stats, verify_lane(kernel, machine, workload, lane.records, *out_words)))
-            }
-            Err(e) => Err(e.clone()),
-        })
-        .collect()
+    lanes.iter().map(|l| run_prepared_in(kernel, prepared, l.records, &l.params, scratch)).collect()
 }
 
 /// The lockstep core of [`run_prepared_batch_in`]: one machine per
-/// class, each staged by the same [`stage_lane`] as [`run_prepared_in`],
-/// then one batched engine dispatch with per-class record counts
-/// (classes with shorter tails mask off as they finish). Every lane then
-/// verifies its own record prefix against its class's outputs. Returns
-/// `None` if any class's setup errors (the caller falls back to scalar).
-fn run_classes_lockstep(
+/// lane, each staged by the same [`stage_lane`] as [`run_prepared_in`],
+/// then one batched engine dispatch with per-lane record counts (lanes
+/// with shorter tails mask off as they finish), then per-lane
+/// verification. Returns `None` if any lane's setup errors (the caller
+/// falls back to scalar).
+fn run_lockstep(
     kernel: &dyn DlpKernel,
     prepared: &PreparedProgram,
     lanes: &[BatchLane],
-    reps: &[usize],
-    class_of: &[usize],
     scratch: &mut RunScratch,
 ) -> Option<Vec<LaneResult>> {
     let ir = kernel.ir();
@@ -767,9 +678,9 @@ fn run_classes_lockstep(
     let out_words = ir.record_out_words() as usize;
 
     let workloads = scratch.workloads.as_deref();
-    let (mut machines, workloads): (Vec<Machine>, Vec<Arc<Workload>>) = reps
+    let (mut machines, workloads): (Vec<Machine>, Vec<Arc<Workload>>) = lanes
         .iter()
-        .map(|&r| stage_lane(kernel, prepared, lanes[r].records, &lanes[r].params, in_words, workloads))
+        .map(|l| stage_lane(kernel, prepared, l.records, &l.params, in_words, workloads))
         .collect::<Result<Vec<_>, _>>()
         .ok()?
         .into_iter()
@@ -777,15 +688,15 @@ fn run_classes_lockstep(
 
     let results = match &prepared.variant {
         PreparedVariant::Mimd { progs, .. } => {
-            let records: Vec<u64> = reps.iter().map(|&r| lanes[r].records as u64).collect();
+            let records: Vec<u64> = lanes.iter().map(|l| l.records as u64).collect();
             trips_sim::batch::run_mimd_batch_in(&mut machines, progs, &records, &mut scratch.arena)
         }
         PreparedVariant::Dataflow(sched) => {
-            let iterations: Vec<u64> = reps
+            let iterations: Vec<u64> = lanes
                 .iter()
-                .map(|&r| (sim_records(prepared, lanes[r].records) / sched.unroll) as u64)
+                .map(|l| (sim_records(prepared, l.records) / sched.unroll) as u64)
                 .collect();
-            let params = &lanes[reps[0]].params;
+            let params = &lanes[0].params;
             scratch.arena.mark_dataflow_block_validated(
                 &sched.block,
                 params.grid,
@@ -800,18 +711,15 @@ fn run_classes_lockstep(
         }
     };
 
-    // Per-lane verification against the lane's own record prefix of its
-    // class's reference output.
     Some(
         lanes
             .iter()
-            .zip(class_of)
-            .map(|(lane, &c)| match &results[c] {
-                Ok(stats) => Ok((
-                    *stats,
-                    verify_lane(kernel, &machines[c], &workloads[c], lane.records, out_words),
-                )),
-                Err(e) => Err(e.clone()),
+            .zip(results)
+            .zip(machines.iter().zip(&workloads))
+            .map(|((lane, result), (machine, workload))| {
+                result.map(|stats| {
+                    (stats, verify_lane(kernel, machine, workload, lane.records, out_words))
+                })
             })
             .collect(),
     )

@@ -16,8 +16,8 @@
 //! * stale `.tmp-*` files in the root and the shards are removed;
 //! * a missing or stale `STORE_INFO.json` stamp is rewritten.
 //!
-//! Exposed as `sweep --fsck DIR` and `cargo xtask storeck DIR`; the
-//! chaos harness runs it after every injected kill. Takes the store
+//! Exposed as `sweep --fsck DIR`; the chaos harness runs it after
+//! every injected kill. Takes the store
 //! lock, so it cannot race a live sweep in another process.
 
 use std::io;

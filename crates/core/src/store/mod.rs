@@ -61,8 +61,8 @@
 //! misses and recomputes, never wrong results: corrupt bytes can't
 //! pass the seal. Concurrent sweeps on one store serialize on an
 //! advisory [`lock::StoreLock`], and [`fsck::fsck`] (exposed as
-//! `sweep --fsck` / `cargo xtask storeck`) quarantines anything a
-//! crash or bit rot left unreadable. `DESIGN.md` §11 states the full
+//! `sweep --fsck`) quarantines anything a crash or bit rot left
+//! unreadable. `DESIGN.md` §11 states the full
 //! contract.
 
 use std::io::{self, BufRead as _};

@@ -5,14 +5,77 @@
 //! duplicate ticks — [`CalendarQueue`] emits exactly the order a
 //! `BinaryHeap<Reverse<(tick, key, seq)>>` would. Small tick domains
 //! force heavy duplicate-tick collisions, and a small window forces the
-//! overflow and rebase paths.
+//! overflow and rebase paths. A hold-model churn checks the default
+//! window, the one the engines run with, against the same heap model.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use dlp_common::{SplitMix64, Tick};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use trips_sim::equeue::CalendarQueue;
+
+/// Seed for the hold-model churn's deterministic schedule.
+const CHURN_SEED: u64 = 0x0051_EEED;
+
+/// Drives a default-window [`CalendarQueue`] through a hold-model churn
+/// — `live` resident events, `ops` pop-then-push rounds with
+/// pseudo-random tick deltas in 1..=64 — and folds every popped
+/// `(tick, payload)` into a checksum. The identical schedule runs
+/// through [`heap_churn`]; equal checksums mean the two schedulers emit
+/// the same total order.
+fn queue_churn(live: usize, ops: u64) -> u64 {
+    let mut q: CalendarQueue<(), u64> = CalendarQueue::new();
+    let mut rng = SplitMix64::new(CHURN_SEED ^ live as u64);
+    for i in 0..live as u64 {
+        q.push((rng.next_u64() & 63) + 1, (), i);
+    }
+    let mut checksum = 0u64;
+    for _ in 0..ops {
+        let (t, (), v) = q.pop().expect("churn queue stays populated");
+        checksum = checksum
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(t ^ v);
+        q.push(t + (rng.next_u64() & 63) + 1, (), v);
+    }
+    checksum
+}
+
+/// The `BinaryHeap` reference for [`queue_churn`]: same schedule, same
+/// checksum, through a `Reverse<(tick, seq)>` heap.
+fn heap_churn(live: usize, ops: u64) -> u64 {
+    let mut q: BinaryHeap<Reverse<(Tick, u64, u64)>> = BinaryHeap::new();
+    let mut rng = SplitMix64::new(CHURN_SEED ^ live as u64);
+    let mut seq = 0u64;
+    for i in 0..live as u64 {
+        q.push(Reverse(((rng.next_u64() & 63) + 1, seq, i)));
+        seq += 1;
+    }
+    let mut checksum = 0u64;
+    for _ in 0..ops {
+        let Reverse((t, _, v)) = q.pop().expect("churn heap stays populated");
+        checksum = checksum
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(t ^ v);
+        q.push(Reverse((t + (rng.next_u64() & 63) + 1, seq, v)));
+        seq += 1;
+    }
+    checksum
+}
+
+#[test]
+fn default_window_churn_matches_heap_order() {
+    for live in [1usize, 7, 64, 700, 1024] {
+        let a = queue_churn(live, 2_000);
+        assert_eq!(
+            a,
+            heap_churn(live, 2_000),
+            "order parity at {live} live events"
+        );
+        assert_eq!(a, queue_churn(live, 2_000), "deterministic at {live}");
+    }
+}
 
 /// One scripted operation: `op == 0` pops, anything else pushes at
 /// `tick` (and, for the keyed tests, with `key`).

@@ -21,8 +21,8 @@
 //! then replays the same check at random `(site, nth-hit)` pairs.
 //!
 //! The run writes `BENCH_chaos.json` and exits non-zero on any
-//! divergence. `cargo xtask storeck DIR` exposes the same fsck the
-//! harness uses.
+//! divergence. `sweep --fsck DIR` runs the same fsck the harness uses
+//! on any store.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -148,24 +148,6 @@ fn print_result(r: &SiteResult) {
         if r.resumed_from_manifest { "warm" } else { "cold" },
         r.identical,
     );
-}
-
-/// `cargo xtask storeck DIR` — run the store fsck and print its report.
-pub fn storeck(args: &[String]) -> ExitCode {
-    let Some(dir) = args.first() else {
-        eprintln!("usage: cargo xtask storeck <store-dir>");
-        return ExitCode::FAILURE;
-    };
-    match dlp_core::store::fsck(Path::new(dir)) {
-        Ok(report) => {
-            println!("{}", dlp_common::json::to_string(&report));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("storeck {dir}: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 struct Harness {

@@ -19,9 +19,8 @@
 //! * `chaos` — the crash-consistency harness: kills a child sweep at
 //!   every named store crashpoint, fscks the wreckage, resumes, and
 //!   requires the canonical report to be byte-identical to an
-//!   uninterrupted run's; plus a seeded randomized kill campaign.
-//! * `storeck` — run the store fsck (scan, quarantine, gc, restamp) on
-//!   a result-store directory and print its report.
+//!   uninterrupted run's; plus a seeded randomized kill campaign. To
+//!   fsck a store by hand, run `sweep --fsck DIR`.
 //! * `asmcheck` — the autovectorization gate: emits release assembly
 //!   for `trips-sim` and requires every tagged SIMD pass in the batch
 //!   engine (`crates/sim/src/batch/mask.rs`, DESIGN.md §12) to contain
@@ -41,14 +40,13 @@ fn main() -> ExitCode {
         Some("verify-grid") => grid::verify_grid(),
         Some("analyze-grid") => grid::analyze_grid(&args[1..]),
         Some("chaos") => chaos::run(&args[1..]),
-        Some("storeck") => chaos::storeck(&args[1..]),
         Some("asmcheck") => asmcheck::run(),
         _ => {
             eprintln!(
                 "usage: cargo xtask <detlint [allowlist] [--format human|json|github] | \
                  verify-grid | \
                  analyze-grid [--deny-warnings] [--budget N] [--json path] | \
-                 chaos [--quick] [--seed N] [--trials N] | storeck <dir> | asmcheck>"
+                 chaos [--quick] [--seed N] [--trials N] | asmcheck>"
             );
             ExitCode::FAILURE
         }

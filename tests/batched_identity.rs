@@ -4,13 +4,14 @@
 //! errors — to running [`run_prepared_in`] on that lane alone.
 //!
 //! 1. Every cell of the full kernel × configuration grid, batched with
-//!    genuinely divergent lanes (distinct workload seeds → distinct
-//!    uniformity classes → the lockstep path).
-//! 2. Uniform lanes (the collapse path) replicate the scalar result.
+//!    genuinely divergent lanes (distinct workload seeds).
+//! 2. Identical lanes run through the lockstep engine as separate
+//!    lanes, on both engine families and up to the full
+//!    [`MAX_CLASSES`]-lane width, and each reproduces the scalar result.
 //! 3. Mixed record counts in one batch (cross-record packing,
 //!    DESIGN.md §12): exhausted lanes mask off as padded tails, and
-//!    lanes whose counts pad to the same unroll multiple collapse into
-//!    one class while each still verifies its own prefix.
+//!    lanes whose counts pad to the same unroll multiple run as separate
+//!    lanes, each verifying its own prefix.
 //! 4. Properties: arbitrary fault plans with distinct per-lane salts —
 //!    including plans that kill some lanes and not others — and
 //!    arbitrary per-lane record counts batch identically on both engine
@@ -27,10 +28,10 @@ use dlp_core::{
 };
 use dlp_kernels::{suite, DlpKernel};
 use proptest::prelude::*;
+use trips_sim::batch::MAX_CLASSES;
 
-/// Three lanes varying only the workload seed: three uniformity
-/// classes, so the lockstep engine (not the uniform-collapse fast path)
-/// carries the batch.
+/// Three lanes varying only the workload seed, so the lockstep engine
+/// runs three divergent lanes.
 fn seed_lanes(base: &ExperimentParams, records: usize) -> Vec<BatchLane> {
     (0..3u64)
         .map(|i| BatchLane {
@@ -68,18 +69,26 @@ fn every_grid_cell_batches_bit_identically() {
 }
 
 #[test]
-fn uniform_lanes_collapse_to_the_scalar_result() {
+fn identical_lanes_each_reproduce_the_scalar_result() {
+    // Identical lanes share seed, fault plan and record count, yet each
+    // runs as its own lockstep lane: 8 lanes and the full mask-word
+    // width, on a dataflow (fft/S-O) and an MIMD (blowfish/M) cell.
     let params = ExperimentParams::default();
-    let k = suite().into_iter().find(|k| k.name() == "fft").expect("suite kernel");
-    let prepared =
-        prepare_kernel(k.as_ref(), MachineConfig::SO.mechanisms(), 16, &params).expect("lowers");
-    let mut scratch = RunScratch::new();
-    let scalar = run_prepared_in(k.as_ref(), &prepared, 16, &params, &mut scratch);
-    let lanes = vec![BatchLane { records: 16, params }; 8];
-    let batched = run_prepared_batch_in(k.as_ref(), &prepared, &lanes, &mut scratch);
-    assert_eq!(batched.len(), 8);
-    for lane in &batched {
-        assert_eq!(*lane, scalar, "every uniform lane replicates the one scalar run");
+    for (name, config) in [("fft", MachineConfig::SO), ("blowfish", MachineConfig::M)] {
+        let k = kernel(name);
+        let prepared =
+            prepare_kernel(k.as_ref(), config.mechanisms(), 16, &params).expect("lowers");
+        let mut scratch = RunScratch::new();
+        let scalar = run_prepared_in(k.as_ref(), &prepared, 16, &params, &mut scratch);
+        for width in [8, MAX_CLASSES] {
+            let lanes = vec![BatchLane { records: 16, params }; width];
+            assert!(batchable(&lanes));
+            let batched = run_prepared_batch_in(k.as_ref(), &prepared, &lanes, &mut scratch);
+            assert_eq!(batched.len(), width);
+            for lane in &batched {
+                assert_eq!(*lane, scalar, "{name} on {config}: identical lane of {width}");
+            }
+        }
     }
 }
 
@@ -88,8 +97,7 @@ fn mixed_record_counts_batch_in_lockstep() {
     // Cross-record packing: records 8 / 24 / 64 join one batch. The
     // short lanes exhaust first and ride along as mask-padded tails
     // while the 64-record lane keeps the shared queue busy; distinct
-    // seeds keep the lanes in distinct uniformity classes so the
-    // lockstep path (not uniform collapse) carries the batch.
+    // seeds keep the lanes divergent.
     let base = ExperimentParams::default();
     let k = suite().into_iter().find(|k| k.name() == "convert").expect("suite kernel");
     for config in [MachineConfig::S, MachineConfig::M] {
@@ -118,11 +126,11 @@ fn mixed_record_counts_batch_in_lockstep() {
 }
 
 #[test]
-fn padded_tails_share_a_class_yet_verify_their_own_prefix() {
+fn same_pad_lanes_run_separately_and_verify_their_own_prefix() {
     // Two lanes whose record counts pad to the same unroll multiple
-    // collapse into a single uniformity class (one simulation serves
-    // both), but each lane is still verified against its *own* record
-    // prefix — the padding records must stay invisible.
+    // simulate the same padded count as separate lockstep lanes, but
+    // each lane is verified against its *own* record prefix — the
+    // padding records must stay invisible.
     let params = ExperimentParams::default();
     let k = suite().into_iter().find(|k| k.name() == "convert").expect("suite kernel");
     let prepared =
