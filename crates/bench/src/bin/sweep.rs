@@ -172,6 +172,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "schedule cache: {} lowerings prepared, {} cells served from cache",
         report.plans_prepared, report.plan_reuses
     );
+    // Every cell is executed, store-served, resumed, skipped, or took
+    // the run of an identical pending cell.
+    let shared = total
+        .saturating_sub(report.cells_executed)
+        .saturating_sub(report.store_hits as usize)
+        .saturating_sub(report.resumed_cells)
+        .saturating_sub(report.cells_skipped);
+    println!(
+        "run sharing: {} cells executed, {shared} took an identical cell's run",
+        report.cells_executed
+    );
     println!(
         "workload cache: {} hits, {} generated",
         report.workload_cache_hits, report.workload_cache_misses

@@ -72,7 +72,8 @@ pub use flexible::{Figure5, Figure5Row, FlexibleSummary};
 pub use recommend::{recommend, Recommendation};
 pub use runner::{
     batchable, default_records, natural_unroll, prepare_kernel, run_kernel, run_kernel_mech,
-    run_prepared, run_prepared_batch_in, run_prepared_in, BatchLane, ExperimentParams,
+    run_prepared, run_prepared_batch_in, run_prepared_in, visible_mechanisms, BatchLane,
+    ExperimentParams,
     LaneResult, PreparedProgram, RunOutcome, RunScratch, WorkloadCache,
 };
 pub use store::{

@@ -4,6 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use dlp_common::{DlpError, FaultPlan, GridShape, SimStats, Tick, TimingParams, Value};
+use dlp_kernel_ir::IrOp;
 use dlp_kernels::{first_mismatch, memmap, DlpKernel, MimdTarget, Workload};
 use trips_isa::MimdProgram;
 use trips_sched::verify::analyze::{self, AnalysisReport};
@@ -358,6 +359,53 @@ pub fn natural_unroll(
         dataflow_layout(),
         ScheduleOptions::default(),
     )
+}
+
+/// The part of a coherent mechanism set `kernel` can observe (Table 3):
+/// `mech` without the L0 data store when the kernel has no lookup table,
+/// and without operand revitalization when it has no scalar constant.
+///
+/// Those two flags reach a lowering and a run only through the kernel's
+/// indexed and scalar named constants. The scheduler reads the L0 flag
+/// at `IrOp::TableRead` and in the table placement it outputs, and the
+/// operand flag where it wires `IrOp::Const` register reads (marking
+/// them persistent). The engines read them only to reject `Lut`s and L0
+/// table loads, and to skip persistent operands and register reads. A
+/// dataflow kernel whose IR has no table or no `Const` node therefore
+/// lowers to the same block and runs to the same statistics under `mech`
+/// and under its visible set. A MIMD program is hand-written, so there
+/// the L0 store is dropped only when the table image is empty *and*
+/// [`DlpKernel::mimd_program`] assembles the same program with and
+/// without `tables_in_l0`.
+///
+/// An incoherent set is returned unchanged, so it fails as it would.
+/// The sweep engine keys its schedule cache on this set, which lets a
+/// configuration whose extra mechanisms a kernel cannot observe share
+/// the lowering and the run of the configuration it reduces to.
+#[must_use]
+pub fn visible_mechanisms(kernel: &dyn DlpKernel, mech: MechanismSet) -> MechanismSet {
+    if !mech.is_coherent() {
+        return mech;
+    }
+    let mut visible = mech;
+    if mech.local_pc {
+        if mech.l0_data_store && kernel.mimd_table_image().is_empty() {
+            let with = kernel.mimd_program(MimdTarget { tables_in_l0: true });
+            let without = kernel.mimd_program(MimdTarget { tables_in_l0: false });
+            if matches!((with, without), (Ok(a), Ok(b)) if a == b) {
+                visible.l0_data_store = false;
+            }
+        }
+    } else {
+        let ir = kernel.ir();
+        if ir.tables().is_empty() {
+            visible.l0_data_store = false;
+        }
+        if !ir.nodes().iter().any(|n| matches!(n.op, IrOp::Const(_))) {
+            visible.operand_revitalization = false;
+        }
+    }
+    visible
 }
 
 /// Cross-run cache of generated workloads, keyed on
@@ -792,6 +840,101 @@ mod tests {
         assert_eq!(fresh, second, "warm scratch stays bit-identical");
         assert_eq!(cache.misses(), 1, "workload generated once");
         assert_eq!(cache.hits(), 1, "second run served from the cache");
+    }
+
+    /// Asserts `kernel` lowers to the same artifact (or fails the same
+    /// way) under `mech` and under its visible set and, where the two
+    /// differ, runs 24 records to the same result: statistics and
+    /// verification, or error. Returns whether they differ.
+    fn assert_visible_set_is_unobservable(kernel: &dyn DlpKernel, mech: MechanismSet) -> bool {
+        let visible = visible_mechanisms(kernel, mech);
+        if visible == mech {
+            return false;
+        }
+        let params = ExperimentParams::default();
+        let what = format!("{} on {mech} (visible: {visible})", kernel.name());
+        let (named, reduced) = match (
+            prepare_kernel(kernel, mech, 24, &params),
+            prepare_kernel(kernel, visible, 24, &params),
+        ) {
+            (Ok(named), Ok(reduced)) => (named, reduced),
+            (named, reduced) => {
+                assert_eq!(named.err(), reduced.err(), "{what}: both lowerings fail alike");
+                return true;
+            }
+        };
+        match (&named.variant, &reduced.variant) {
+            (PreparedVariant::Dataflow(a), PreparedVariant::Dataflow(b)) => {
+                assert_eq!(a.block, b.block, "{what}: block");
+                assert_eq!(a.unroll, b.unroll, "{what}: unroll");
+                assert_eq!(a.const_regs, b.const_regs, "{what}: constant registers");
+                assert_eq!(a.table_image, b.table_image, "{what}: table image");
+                // Where an empty image goes is never read.
+                assert!(a.tables_in_l0 == b.tables_in_l0 || a.table_image.is_empty(), "{what}");
+            }
+            (
+                PreparedVariant::Mimd { progs: a, table: ta },
+                PreparedVariant::Mimd { progs: b, table: tb },
+            ) => {
+                assert_eq!(a, b, "{what}: MIMD replicas");
+                assert_eq!(ta, tb, "{what}: MIMD table image");
+            }
+            _ => panic!("{what}: the engine changed"),
+        }
+        assert_eq!(format!("{:?}", named.analysis), format!("{:?}", reduced.analysis), "{what}");
+        // run_kernel_mech is exactly prepare_kernel + run_prepared.
+        let ran = run_prepared(kernel, &named, 24, &params);
+        assert_eq!(ran, run_prepared(kernel, &reduced, 24, &params), "{what}");
+        true
+    }
+
+    #[test]
+    fn visible_sets_lower_and_run_like_the_named_paper_grid_sets() {
+        let mut differ = Vec::new();
+        for k in suite().into_iter().filter(|k| k.in_perf_suite()) {
+            for config in MachineConfig::ALL {
+                if assert_visible_set_is_unobservable(k.as_ref(), config.mechanisms()) {
+                    differ.push(format!("{}/{config}", k.name()));
+                }
+            }
+        }
+        // The paper-grid cells a kernel cannot tell from a sibling
+        // configuration (Table 3): S-O-D on the table-free kernels, S-O
+        // on the constant-free ones, M-D where the MIMD program reads
+        // no table. A model change that lets one of them observe its
+        // extra mechanism shows up here.
+        assert_eq!(
+            differ,
+            [
+                "convert/S-O-D", "convert/M-D", "dct/S-O-D", "highpassfilter/S-O-D",
+                "highpassfilter/M-D", "fft/S-O", "fft/S-O-D", "fft/M-D", "lu/S-O",
+                "lu/S-O-D", "lu/M-D", "md5/S-O-D", "vertex-simple/S-O-D", "vertex-simple/M-D",
+                "fragment-simple/S-O-D", "fragment-simple/M-D", "vertex-reflection/S-O-D",
+                "vertex-reflection/M-D", "fragment-reflection/S-O-D", "fragment-reflection/M-D",
+            ]
+        );
+    }
+
+    #[test]
+    fn visible_sets_lower_and_run_like_the_whole_configuration_space() {
+        let space = MechanismSet::all_coherent();
+        let mut differ = 0;
+        for name in ["fft", "convert", "blowfish", "vertex-skinning"] {
+            let k = suite().into_iter().find(|k| k.name() == name).expect("kernel exists");
+            for &mech in &space {
+                differ += usize::from(assert_visible_set_is_unobservable(k.as_ref(), mech));
+            }
+        }
+        // Of the 64 kernel × set pairs `configspace` sweeps, 18 reduce
+        // to another pair's set: 46 distinct lowerings.
+        assert_eq!(differ, 18);
+    }
+
+    #[test]
+    fn incoherent_sets_are_their_own_visible_set() {
+        let k = suite().into_iter().find(|k| k.name() == "convert").expect("kernel exists");
+        let orphan = MechanismSet { operand_revitalization: true, ..MechanismSet::default() };
+        assert_eq!(visible_mechanisms(k.as_ref(), orphan), orphan, "it must still fail");
     }
 
     #[test]

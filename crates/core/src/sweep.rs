@@ -9,19 +9,27 @@
 //!   baseline) never serializes the rest of the sweep behind it.
 //! * **Schedule caching** — lowering a kernel (placement, routing,
 //!   unrolling, or MIMD replication) depends only on the kernel, the
-//!   mechanism set, the grid/timing model, and the *unroll factor* the
-//!   record count caps. The engine coarsens the record count down to
-//!   that unroll cap (MIMD lowerings are record-independent outright;
-//!   dataflow cells share whenever `natural_unroll.min(records)`
-//!   agrees), deduplicates, and prepares each distinct
-//!   [`PreparedProgram`] exactly once, sharing it across all cells that
-//!   need it ([`SweepReport::plans_prepared`] vs
-//!   [`SweepReport::plan_reuses`] reports the savings). Note the
-//!   default experiment grid (one record count per kernel, every
-//!   kernel × configuration pair distinct) legitimately reports
-//!   `plan_reuses: 0` — every cell really is a distinct lowering; the
-//!   cache pays off in grids that vary records, seeds, or repeat
-//!   configurations (scaling studies, ablations).
+//!   mechanisms it can observe ([`crate::visible_mechanisms`]: a kernel
+//!   without lookup tables cannot observe the L0 data store, one without
+//!   scalar constants cannot observe operand revitalization), the
+//!   grid/timing model, and the *unroll factor* the record count caps.
+//!   The engine reduces each cell's mechanism set to its visible set,
+//!   coarsens the record count down to that unroll cap (MIMD lowerings
+//!   are record-independent outright; dataflow cells share whenever
+//!   `natural_unroll.min(records)` agrees), deduplicates, and prepares
+//!   each distinct [`PreparedProgram`] exactly once, sharing it across
+//!   all cells that need it ([`SweepReport::plans_prepared`] vs
+//!   [`SweepReport::plan_reuses`] reports the savings). The paper grid
+//!   prepares 58 lowerings for its 78 cells: 20 cells (S-O-D on the ten
+//!   table-free kernels, S-O on fft and lu, M-D on eight kernels) add
+//!   only mechanisms their kernel cannot observe.
+//! * **Run sharing** — pending cells with the same plan, records,
+//!   derived seed, fault plan and watchdog would simulate the same run.
+//!   The first in push order runs; each other one takes its outcome and
+//!   attempt count (with no wall time) as soon as it lands, and is
+//!   persisted under its own key. Such a cell counts in neither
+//!   [`SweepReport::cells_executed`] nor [`SweepReport::store_hits`].
+//!   Under a circuit breaker nothing is shared.
 //! * **Graceful degradation** — a failing cell (panic, watchdog,
 //!   unrecoverable injected fault) is captured as a structured
 //!   [`CellOutcome::Failed`] with the [`DlpError::kind`] taxonomy and
@@ -93,7 +101,7 @@ use trips_sim::MechanismSet;
 
 use crate::runner::{
     default_records, natural_unroll, prepare_kernel, run_prepared_batch_in, run_prepared_in,
-    BatchLane, LaneResult, PreparedProgram, RunScratch, WorkloadCache,
+    visible_mechanisms, BatchLane, LaneResult, PreparedProgram, RunScratch, WorkloadCache,
 };
 use crate::store::{
     self, cacheable, lowering_fingerprint, DeadLetterQueue, Digest, DlqRecord, ManifestEntry,
@@ -341,11 +349,18 @@ impl Sweep {
     /// ([`Sweep::grid_digest`]).
     #[must_use]
     pub fn cell_keys(&self) -> Vec<StoreKey> {
+        self.keys_for(&self.visible_mechs())
+    }
+
+    /// [`Sweep::cell_keys`], given each cell's visible mechanism set.
+    fn keys_for(&self, visible: &[MechanismSet]) -> Vec<StoreKey> {
         // The fingerprint needs each cell's *effective* unroll — the
-        // one prepare_kernel will actually choose.
+        // one prepare_kernel will actually choose. The visible set
+        // lowers with the same unroll as the named one, and the key
+        // keeps the named set, so sharing never moves a key.
         self.cells
             .iter()
-            .zip(self.unroll_caps(true))
+            .zip(self.unroll_caps(visible, true))
             .map(|(cell, unroll)| {
                 let kernel = self.kernels[cell.kernel].as_ref();
                 let lowering = lowering_fingerprint(
@@ -463,16 +478,21 @@ impl Sweep {
 
     /// Runs every cell and collects a [`SweepReport`].
     ///
-    /// Three phases. **Phase 0** computes each cell's [`StoreKey`]
-    /// (only when a store is attached) and resolves cells whose outcome
-    /// is already known — from the resume manifest first, then the
-    /// result store. **Phase 1** deduplicates the remaining cells'
-    /// lowerings (kernel × mechanisms × grid × timing × unroll cap) and
-    /// prepares each distinct one once; a fully-resolved sweep prepares
-    /// nothing, which is what makes a warm re-run O(lookup). **Phase
-    /// 2** executes the pending cells against the shared plans,
-    /// streaming each completion into the store / manifest /
-    /// dead-letter queue as it lands.
+    /// Three phases. **Phase 0** reduces each cell's mechanism set to
+    /// the one its kernel can observe ([`crate::visible_mechanisms`]),
+    /// computes each cell's [`StoreKey`] (only when a store is
+    /// attached; keys keep the named set) and resolves cells whose
+    /// outcome is already known — from the resume manifest first, then
+    /// the result store. **Phase 1** deduplicates the remaining cells'
+    /// lowerings (kernel × visible mechanisms × grid × timing × unroll
+    /// cap) and prepares each distinct one once; a fully-resolved sweep
+    /// prepares nothing, which is what makes a warm re-run O(lookup).
+    /// **Phase 2** gathers pending cells with one run key (plan,
+    /// records, derived seed, fault plan, watchdog) behind the first of
+    /// them, executes the leaders against the shared plans, and streams
+    /// each completion — the leader's, then each follower's with the
+    /// leader's outcome — into the store / manifest / dead-letter queue
+    /// as it lands.
     ///
     /// Cell failures (e.g. incoherent mechanism sets in the
     /// configuration-space sweep) are captured per cell as
@@ -490,14 +510,18 @@ impl Sweep {
             self.result_store.as_ref().map_or((0, 0), |s| (s.hits(), s.misses()));
 
         // ---- Phase 0: plan identity and previously-known outcomes. --
-        // Linear-scan dedup: TimingParams is Eq but not Hash, and sweep
-        // grids are tens-to-hundreds of cells, far below the n² that
-        // would justify hashing around it.
-        let unroll_caps = self.unroll_caps(false);
+        // Plans key on the mechanisms each kernel can observe, so a
+        // configuration that adds only unobservable ones shares the
+        // lowering of the one it reduces to. Linear-scan dedup:
+        // TimingParams is Eq but not Hash, and sweep grids are
+        // tens-to-hundreds of cells, far below the n² that would
+        // justify hashing around it.
+        let visible = self.visible_mechs();
+        let unroll_caps = self.unroll_caps(&visible, false);
         let mut plan_keys: Vec<PlanKey> = Vec::new();
         let mut cell_plan: Vec<usize> = Vec::with_capacity(self.cells.len());
-        for (cell, &cap) in self.cells.iter().zip(&unroll_caps) {
-            let key = PlanKey::of(cell, cap);
+        for ((cell, &mech), &cap) in self.cells.iter().zip(&visible).zip(&unroll_caps) {
+            let key = PlanKey::of(cell, mech, cap);
             let idx = match plan_keys.iter().position(|k| *k == key) {
                 Some(i) => i,
                 None => {
@@ -508,7 +532,8 @@ impl Sweep {
             cell_plan.push(idx);
         }
 
-        let keys: Option<Vec<StoreKey>> = self.result_store.as_ref().map(|_| self.cell_keys());
+        let keys: Option<Vec<StoreKey>> =
+            self.result_store.as_ref().map(|_| self.keys_for(&visible));
 
         let mut resolved: Vec<Option<Resolved>> = vec![None; self.cells.len()];
         let mut resumed_cells = 0usize;
@@ -593,6 +618,29 @@ impl Sweep {
         // through the batched engine (DESIGN.md §10) with bit-identical
         // per-cell results, and singleton chains for everything else.
         let breaker = self.policy.breaker_threshold.filter(|&t| t > 0);
+        // Pending cells with one run key — plan, records, derived seed,
+        // fault plan and watchdog, every input of a run — would simulate
+        // the same run: the first in push order leads and runs, and each
+        // other one follows, taking the leader's outcome when it lands.
+        // Under a breaker every cell stays in its configuration's chain,
+        // so nothing is shared.
+        let mut followers: Vec<Vec<usize>> = vec![Vec::new(); self.cells.len()];
+        let mut is_follower = vec![false; self.cells.len()];
+        if breaker.is_none() {
+            let mut leaders: Vec<(RunKey, usize)> = Vec::new();
+            for i in (0..self.cells.len()).filter(|&i| resolved[i].is_none()) {
+                let cell = &self.cells[i];
+                let seed = self.attempt_params(i, 1).seed;
+                let key = (cell_plan[i], cell.records, seed, cell.params.fault, cell.params.watchdog);
+                match leaders.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, leader)) => {
+                        followers[leader].push(i);
+                        is_follower[i] = true;
+                    }
+                    None => leaders.push((key, i)),
+                }
+            }
+        }
         let mut groups: Vec<DispatchGroup> = match breaker {
             Some(_) => {
                 let mut order: Vec<(String, Vec<usize>)> = Vec::new();
@@ -609,6 +657,9 @@ impl Sweep {
                 let mut groups: Vec<DispatchGroup> = Vec::new();
                 let mut pending: Vec<(BatchKey, Vec<usize>)> = Vec::new();
                 for i in 0..self.cells.len() {
+                    if is_follower[i] {
+                        continue;
+                    }
                     if resolved[i].is_some() {
                         groups.push(DispatchGroup::Chain(vec![i]));
                         continue;
@@ -684,14 +735,14 @@ impl Sweep {
             |scratch, g| match &groups[g] {
                 DispatchGroup::Batch(members) => {
                     let results = self.execute_batch(scratch, members, &plans, &cell_plan);
-                    members
-                        .iter()
-                        .zip(results)
-                        .map(|(&i, (outcome, wall_ms, attempts))| {
-                            self.record_completion(i, &outcome, wall_ms, attempts, &keys);
-                            (i, Resolved { outcome, wall_ms, attempts, origin: Origin::Executed })
-                        })
-                        .collect()
+                    let mut out = Vec::with_capacity(members.len());
+                    for (&i, (outcome, wall_ms, attempts)) in members.iter().zip(results) {
+                        let followers = &followers[i];
+                        let result =
+                            self.land(i, outcome, wall_ms, attempts, followers, &keys, &mut out);
+                        out.push((i, result));
+                    }
+                    out
                 }
                 DispatchGroup::Chain(members) => {
                     let mut out = Vec::with_capacity(members.len());
@@ -714,8 +765,8 @@ impl Sweep {
                         } else {
                             let (outcome, wall_ms, attempts) =
                                 self.execute_cell(scratch, i, &plans, &cell_plan);
-                            self.record_completion(i, &outcome, wall_ms, attempts, &keys);
-                            Resolved { outcome, wall_ms, attempts, origin: Origin::Executed }
+                            let followers = &followers[i];
+                            self.land(i, outcome, wall_ms, attempts, followers, &keys, &mut out)
                         };
                         if matches!(result.outcome, CellOutcome::Failed { .. }) {
                             consecutive += 1;
@@ -871,6 +922,31 @@ impl Sweep {
             .collect()
     }
 
+    /// Lands cell `i`'s run and hands it to the cells that share it:
+    /// streams the leader and then each follower into the store,
+    /// manifest and dead-letter queue under its own key, pushes the
+    /// followers' results (the leader's outcome and attempts, no wall
+    /// time) onto `out`, and returns the leader's own result.
+    #[allow(clippy::too_many_arguments)]
+    fn land(
+        &self,
+        i: usize,
+        outcome: CellOutcome,
+        wall_ms: f64,
+        attempts: u32,
+        followers: &[usize],
+        keys: &Option<Vec<StoreKey>>,
+        out: &mut Vec<(usize, Resolved)>,
+    ) -> Resolved {
+        self.record_completion(i, &outcome, wall_ms, attempts, keys);
+        for &f in followers {
+            self.record_completion(f, &outcome, 0.0, attempts, keys);
+            let outcome = outcome.clone();
+            out.push((f, Resolved { outcome, wall_ms: 0.0, attempts, origin: Origin::Shared }));
+        }
+        Resolved { outcome, wall_ms, attempts, origin: Origin::Executed }
+    }
+
     /// Streams one completed cell into the attached store, manifest,
     /// and dead-letter queue (shared by the scalar and batched paths).
     fn record_completion(
@@ -986,6 +1062,28 @@ impl Sweep {
         }
     }
 
+    /// Each cell's [`visible_mechanisms`], computed once per distinct
+    /// (kernel, set) because [`DlpKernel::ir`] rebuilds the IR on every
+    /// call. A kernel that panics while being inspected keeps its named
+    /// set, so its lowering fails in phase 1 exactly as before.
+    fn visible_mechs(&self) -> Vec<MechanismSet> {
+        let mut known: Vec<((KernelId, MechanismSet), MechanismSet)> = Vec::new();
+        self.cells
+            .iter()
+            .map(|cell| {
+                let key = (cell.kernel, cell.mech);
+                if let Some(&(_, visible)) = known.iter().find(|(k, _)| *k == key) {
+                    return visible;
+                }
+                let kernel = self.kernels[cell.kernel].as_ref();
+                let visible = catch_cell(|| Ok(visible_mechanisms(kernel, cell.mech)))
+                    .unwrap_or(cell.mech);
+                known.push((key, visible));
+                visible
+            })
+            .collect()
+    }
+
     /// Builds the replayable dead-letter record for a failed cell.
     fn dlq_record(&self, i: usize, outcome: &CellOutcome) -> DlqRecord {
         let cell = &self.cells[i];
@@ -1037,13 +1135,15 @@ impl Sweep {
     /// `exact` probes single-count groups too, so every dataflow cap is
     /// the unroll [`prepare_kernel`] will choose — what the store key's
     /// lowering fingerprint needs ([`Sweep::cell_keys`]).
-    fn unroll_caps(&self, exact: bool) -> Vec<usize> {
+    ///
+    /// Groups key on `mechs`, each cell's visible mechanism set.
+    fn unroll_caps(&self, mechs: &[MechanismSet], exact: bool) -> Vec<usize> {
         let mut caps: Vec<usize> = self.cells.iter().map(|c| c.records).collect();
         // Group by a PlanKey with the cap zeroed out (linear scan, same
         // rationale as the phase-1 dedup).
         let mut groups: Vec<(PlanKey, Vec<usize>)> = Vec::new();
-        for (i, cell) in self.cells.iter().enumerate() {
-            let key = PlanKey::of(cell, 0);
+        for (i, (cell, &mech)) in self.cells.iter().zip(mechs).enumerate() {
+            let key = PlanKey::of(cell, mech, 0);
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, members)) => members.push(i),
                 None => groups.push((key, vec![i])),
@@ -1164,6 +1264,8 @@ enum Origin {
     Store,
     /// Served from the resume manifest.
     Resumed,
+    /// Took the outcome of an identical pending cell's run.
+    Shared,
     /// Circuit breaker skipped it.
     Skipped,
 }
@@ -1217,6 +1319,7 @@ fn internal(detail: &str) -> CellOutcome {
 }
 
 /// Cache key for one lowering: the inputs of [`prepare_kernel`], with
+/// the mechanism set reduced to the cell's [`visible_mechanisms`] and
 /// the record count coarsened to the unroll cap [`Sweep::unroll_caps`]
 /// computes (the workload seed deliberately excluded).
 #[derive(Clone, Copy, PartialEq)]
@@ -1228,11 +1331,17 @@ struct PlanKey {
     unroll_cap: usize,
 }
 
+/// Run-sharing key: plan index (kernel, visible mechanisms, grid,
+/// timing, unroll), records, derived workload seed, fault plan and
+/// watchdog — every input of a cell's run. Cells with equal keys would
+/// simulate bit-identical runs.
+type RunKey = (usize, usize, u64, dlp_common::FaultPlan, Option<dlp_common::Tick>);
+
 impl PlanKey {
-    fn of(cell: &CellSpec, unroll_cap: usize) -> Self {
+    fn of(cell: &CellSpec, mech: MechanismSet, unroll_cap: usize) -> Self {
         PlanKey {
             kernel: cell.kernel,
-            mech: cell.mech,
+            mech,
             grid: cell.params.grid,
             timing: cell.params.timing,
             unroll_cap,
@@ -1345,7 +1454,9 @@ pub struct SweepCell {
     /// What happened.
     pub outcome: CellOutcome,
     /// Host wall-clock for this cell, milliseconds (informational; not
-    /// part of the deterministic output).
+    /// part of the deterministic output). 0 for store hits, breaker
+    /// skips and cells that took an identical cell's run; a resumed
+    /// cell keeps the wall time its manifest line recorded.
     pub wall_ms: f64,
     /// The analyzer's sound static lower bound on this cell's simulated
     /// cycles (DESIGN.md §13), when its lowering was prepared during
@@ -1383,7 +1494,10 @@ pub struct SweepReport {
     pub threads: usize,
     /// Distinct lowerings scheduled (schedule-cache misses).
     pub plans_prepared: usize,
-    /// Cells served from an already-prepared lowering (cache hits).
+    /// Cells whose lowering key (kernel, visible mechanisms, grid,
+    /// timing, unroll cap) another cell of the grid already holds:
+    /// cells minus distinct keys, whether or not the cells ran. 20 on
+    /// the paper grid.
     pub plan_reuses: usize,
     /// Total host wall-clock, milliseconds.
     pub wall_ms: f64,
@@ -1407,7 +1521,9 @@ pub struct SweepReport {
     /// corrupt or version-mismatched entries, by design).
     pub store_misses: u64,
     /// Cells actually simulated in this run (the warm-run headline: 0
-    /// against a fully-warm store).
+    /// against a fully-warm store; 58 on the cold paper grid). A cell
+    /// that took an identical pending cell's run is not counted here
+    /// nor in `store_hits`.
     pub cells_executed: usize,
     /// Cells the circuit breaker skipped.
     pub cells_skipped: usize,
@@ -1597,8 +1713,10 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use dlp_common::{FaultPlan, FaultRate};
+    use trips_sim::WATCHDOG_TICKS;
 
     use super::*;
+    use crate::store::tests_support::tmpdir;
 
     fn small_sweep(threads: usize) -> SweepReport {
         let params = ExperimentParams::default();
@@ -1794,11 +1912,18 @@ mod tests {
     #[test]
     fn workload_cache_is_observationally_pure() {
         // A repeated configuration shares its workload through the
-        // cache and batches with its twin.
+        // cache and batches with its twin. The twin carries another
+        // fault salt (inert without fault rates), a run input the
+        // workload key does not hold, so the two do not share a run.
         let params = ExperimentParams::default();
+        let salted = ExperimentParams { fault: params.fault.with_salt(1), ..params };
         let mut sweep = Sweep::with_threads(2);
         let id = sweep.add_kernel_by_name("convert").expect("suite kernel");
-        for config in [MachineConfig::Baseline, MachineConfig::S, MachineConfig::S] {
+        for (config, params) in [
+            (MachineConfig::Baseline, params),
+            (MachineConfig::S, params),
+            (MachineConfig::S, salted),
+        ] {
             sweep.push_config(id, config, 24, &params);
         }
         let cached = sweep.run();
@@ -2014,5 +2139,120 @@ mod tests {
         // Whatever the first cell did, the second must have run — a bad
         // cell never poisons the batch.
         assert!(report.cells[1].outcome.verified());
+    }
+
+    /// convert on S-O and on S-O-D at 24 records: convert has no lookup
+    /// table, so the two cells are one run under two names.
+    fn twin_sweep(params: &ExperimentParams) -> Sweep {
+        let mut sweep = Sweep::with_threads(2);
+        let id = sweep.add_kernel_by_name("convert").expect("suite kernel");
+        for config in [MachineConfig::SO, MachineConfig::SOD] {
+            sweep.push_config(id, config, 24, params);
+        }
+        sweep
+    }
+
+    #[test]
+    fn twins_differing_in_any_run_input_each_run() {
+        let base = ExperimentParams::default();
+        let twins = [
+            ("fault salt", 24, ExperimentParams { fault: base.fault.with_salt(1), ..base }),
+            ("watchdog", 24, ExperimentParams { watchdog: Some(WATCHDOG_TICKS), ..base }),
+            ("records", 16, base),
+            ("base seed", 24, ExperimentParams { seed: base.seed + 1, ..base }),
+        ];
+        for (what, records, params) in twins {
+            let mut sweep = Sweep::with_threads(2);
+            let id = sweep.add_kernel_by_name("convert").expect("suite kernel");
+            sweep.push_config(id, MachineConfig::S, 24, &base);
+            sweep.push_config(id, MachineConfig::S, records, &params);
+            let report = sweep.run();
+            assert_eq!(report.cells_executed, 2, "twins differing in {what} both run");
+            report.ensure_verified().expect("verifies");
+        }
+    }
+
+    #[test]
+    fn identical_twins_run_once_and_persist_under_their_own_keys() {
+        let dir = tmpdir("twins");
+        let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+        let mut sweep = twin_sweep(&ExperimentParams::default());
+        sweep.set_store(Arc::clone(&store));
+        let report = sweep.run();
+        assert_eq!((report.plans_prepared, report.plan_reuses), (1, 1), "one lowering");
+        assert_eq!(report.cells_executed, 1, "one run serves both cells");
+        assert_eq!(report.cells_batched, 0, "the follower does not ride as a lane");
+        report.ensure_verified().expect("verifies");
+        assert_eq!(report.cells[0].outcome, report.cells[1].outcome);
+        assert_eq!(report.cells[1].wall_ms, 0.0, "the follower spent no wall time");
+        let fresh = uncached("convert", MachineConfig::SOD, 24);
+        assert_eq!(report.cells[1].outcome.stats(), Some(&fresh), "shared == run alone");
+
+        let keys = sweep.cell_keys();
+        assert_ne!(keys[0], keys[1], "each cell keeps its named configuration's key");
+        for (key, cell) in keys.iter().zip(&report.cells) {
+            assert_eq!(store.get(key).as_ref(), Some(&cell.outcome), "one entry per cell");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failing_twins_share_the_failure_and_both_dead_letter() {
+        let dir = tmpdir("twin-dlq");
+        let path = dir.join("twins.dlq.jsonl");
+        let params = ExperimentParams { watchdog: Some(2), ..ExperimentParams::default() };
+        let mut sweep = twin_sweep(&params);
+        sweep.set_policy(SweepPolicy::default().with_attempts(2));
+        sweep.set_dlq(Arc::new(DeadLetterQueue::new(&path)));
+        let report = sweep.run();
+        assert_eq!(report.cells_executed, 1);
+        for cell in &report.cells {
+            match &cell.outcome {
+                CellOutcome::Failed { kind, attempts, .. } => {
+                    assert_eq!((kind.as_str(), *attempts), ("watchdog", 2), "{}", cell.config);
+                }
+                other => panic!("a 2-tick watchdog cannot be satisfied: {other:?}"),
+            }
+        }
+        assert_eq!(report.extra_attempts, 1, "only the leader spent attempts");
+        assert_eq!(report.dlq_appended, 2);
+        let configs: Vec<String> = store::load_dlq(&path).into_iter().map(|r| r.config).collect();
+        assert_eq!(configs, ["S-O", "S-O-D"], "each cell is dead-lettered under its own name");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_follower_missing_from_the_manifest_resumes_alone() {
+        let dir = tmpdir("twin-resume");
+        let path = dir.join("twins.manifest.jsonl");
+        let mut sweep = twin_sweep(&ExperimentParams::default());
+        sweep.set_manifest(ManifestWriter::create(&path, &sweep.cell_digests()).expect("create"));
+        let reference = sweep.run();
+
+        // Keep the header and the leader's line: the leader lands first.
+        let text = std::fs::read_to_string(&path).expect("read manifest");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "header + one line per cell");
+        std::fs::write(&path, format!("{}\n{}\n", lines[0], lines[1])).expect("truncate");
+        let manifest = SweepManifest::load(&path).expect("load manifest");
+        assert!(manifest.entries[0].is_some() && manifest.entries[1].is_none());
+
+        let mut resumed = twin_sweep(&ExperimentParams::default());
+        resumed.set_resume(manifest);
+        let report = resumed.run();
+        assert_eq!((report.resumed_cells, report.cells_executed), (1, 1), "the follower runs");
+        assert_eq!(report.canonical_json(), reference.canonical_json());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_breaker_shares_no_run() {
+        let mut sweep = twin_sweep(&ExperimentParams::default());
+        sweep.set_policy(SweepPolicy::default().with_breaker(1));
+        let report = sweep.run();
+        assert_eq!(report.plans_prepared, 1, "the lowering is still shared");
+        assert_eq!(report.cells_executed, 2, "each configuration's chain runs its own cells");
+        let unguarded = twin_sweep(&ExperimentParams::default()).run();
+        assert_eq!(report.canonical_json(), unguarded.canonical_json());
     }
 }
