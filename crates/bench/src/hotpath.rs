@@ -90,12 +90,7 @@ fn prepare_case(case: &HotpathCase, records: usize) -> PreparedCase {
     // `OPERATIONS.md`): a cross-commit tripwire separating "the numbers
     // moved because the lowering changed" from a genuine engine
     // regression.
-    let unroll = if mech.local_pc {
-        0
-    } else {
-        dlp_core::natural_unroll(kernel.as_ref(), mech, &params)
-            .map_or(records, |n| n.min(records))
-    };
+    let unroll = if mech.local_pc { 0 } else { prepared.unroll() };
     let lowering_fp =
         dlp_core::store::lowering_fingerprint(kernel.as_ref(), mech, params.grid, &params.timing, unroll)
             .hex();

@@ -157,11 +157,9 @@ pub fn run_kernel_mech(
 /// For dataflow configurations this holds the scheduled block (the
 /// expensive part: placement, routing, unrolling); for MIMD
 /// configurations the per-node program replicas and the lookup-table
-/// image. A prepared program is independent of the record count it runs
-/// over (the count only caps the dataflow unroll factor at preparation
-/// time), so one plan serves every [`run_prepared`] call whose record
-/// count maps to the same unroll — the sharing [`natural_unroll`]
-/// exposes to the sweep engine's schedule cache.
+/// image. The record count given to [`prepare_kernel`] only caps the
+/// dataflow unroll factor; the sweep engine prepares one plan per record
+/// count and runs every cell of that count against it.
 #[derive(Clone)]
 pub struct PreparedProgram {
     mech: MechanismSet,
@@ -258,9 +256,7 @@ fn dataflow_target(mech: MechanismSet) -> trips_sched::TargetConfig {
 /// it entirely. The result depends on `kernel`, `mech`, `records`,
 /// `params.grid` and `params.timing` — notably *not* on `params.seed`,
 /// which only affects the workload generated at run time. That
-/// independence, plus [`natural_unroll`] to collapse record counts that
-/// choose the same unroll, is what makes the sweep engine's schedule
-/// cache sound.
+/// independence is what makes the sweep engine's schedule cache sound.
 ///
 /// Every artifact is passed through the static verifier
 /// ([`trips_sched::verify`]) exactly once per prepared plan: dataflow
@@ -330,15 +326,12 @@ pub fn prepare_kernel(
 /// The unroll factor [`prepare_kernel`] would pick for `kernel` on `mech`
 /// with an *unbounded* record count — computed without running the
 /// expensive placement and routing passes. Returns 0 for MIMD
-/// configurations (`local_pc`), which never unroll: every record count
-/// shares one plan there.
+/// configurations (`local_pc`), which never unroll.
 ///
 /// For a dataflow configuration the unroll `prepare_kernel` actually
 /// chooses for `records` is `natural_unroll(..).min(records)` (both
-/// sides are ≥ 1 and ≤ 512), and two record counts with the same value
-/// of that expression produce bit-identical [`PreparedProgram`]s. The
-/// sweep engine uses this to coarsen its schedule-cache key so that
-/// large grids varying only the record count reuse one plan.
+/// sides are ≥ 1 and ≤ 512). The sweep engine folds that effective
+/// unroll into each cell's store key without lowering the cell.
 ///
 /// # Errors
 ///
@@ -647,9 +640,9 @@ fn stage_lane(
 
 /// One lane of a batched dispatch: the record count and experiment
 /// parameters of one scalar run of a shared [`PreparedProgram`]. In the
-/// sweep engine a lane is one cell attempt (same lowering, possibly a
-/// different seed, fault salt or record count); in the hot-path harness
-/// it is one distinct-seed run of a case.
+/// sweep engine a lane is one cell attempt (same lowering and record
+/// count, possibly a different seed or fault salt); in the hot-path
+/// harness it is one distinct-seed run of a case.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchLane {
     /// Records to process (excluding unroll padding).
@@ -662,17 +655,17 @@ pub struct BatchLane {
 
 /// Whether `lanes` may be dispatched through
 /// [`run_prepared_batch_in`]'s lockstep path: non-empty, at most
-/// [`trips_sim::batch::MAX_CLASSES`] lanes, with uniform grid shape,
-/// timing model, and watchdog. Seeds, fault plans, *and record counts*
-/// may differ freely — each lane is its own class inside the batch, and
-/// a class whose record tail is exhausted masks off while the rest keep
-/// running (mask-padded tails, DESIGN.md §12).
+/// [`trips_sim::batch::MAX_CLASSES`] lanes, with one record count and
+/// uniform grid shape, timing model, and watchdog. Seeds and fault
+/// plans may differ freely — each lane is its own class inside the
+/// batch.
 #[must_use]
 pub fn batchable(lanes: &[BatchLane]) -> bool {
     let Some(first) = lanes.first() else { return false };
     lanes.len() <= trips_sim::batch::MAX_CLASSES
         && lanes.iter().all(|l| {
-            l.params.grid == first.params.grid
+            l.records == first.records
+                && l.params.grid == first.params.grid
                 && l.params.timing == first.params.timing
                 && l.params.watchdog == first.params.watchdog
         })
@@ -688,8 +681,9 @@ pub fn batchable(lanes: &[BatchLane]) -> bool {
 /// see DESIGN.md §10 — so the returned vector (same order as `lanes`)
 /// can be consumed exactly as N scalar results.
 ///
-/// A single lane, or a batch that is not [`batchable`], runs each lane
-/// through [`run_prepared_in`]. Any error while staging a lane's machine
+/// A single lane, or a batch that is not [`batchable`] (lanes of mixed
+/// record counts among them), runs each lane through
+/// [`run_prepared_in`]. Any error while staging a lane's machine
 /// also falls back to that all-scalar path, which is trivially
 /// identical.
 pub fn run_prepared_batch_in(
@@ -711,10 +705,9 @@ pub fn run_prepared_batch_in(
 
 /// The lockstep core of [`run_prepared_batch_in`]: one machine per
 /// lane, each staged by the same [`stage_lane`] as [`run_prepared_in`],
-/// then one batched engine dispatch with per-lane record counts (lanes
-/// with shorter tails mask off as they finish), then per-lane
-/// verification. Returns `None` if any lane's setup errors (the caller
-/// falls back to scalar).
+/// then one batched engine dispatch over the lanes' shared record
+/// count, then per-lane verification. Returns `None` if any lane's
+/// setup errors (the caller falls back to scalar).
 fn run_lockstep(
     kernel: &dyn DlpKernel,
     prepared: &PreparedProgram,
@@ -724,26 +717,26 @@ fn run_lockstep(
     let ir = kernel.ir();
     let in_words = ir.record_in_words() as usize;
     let out_words = ir.record_out_words() as usize;
+    let records = lanes[0].records;
 
     let workloads = scratch.workloads.as_deref();
     let (mut machines, workloads): (Vec<Machine>, Vec<Arc<Workload>>) = lanes
         .iter()
-        .map(|l| stage_lane(kernel, prepared, l.records, &l.params, in_words, workloads))
+        .map(|l| stage_lane(kernel, prepared, records, &l.params, in_words, workloads))
         .collect::<Result<Vec<_>, _>>()
         .ok()?
         .into_iter()
         .unzip();
 
     let results = match &prepared.variant {
-        PreparedVariant::Mimd { progs, .. } => {
-            let records: Vec<u64> = lanes.iter().map(|l| l.records as u64).collect();
-            trips_sim::batch::run_mimd_batch_in(&mut machines, progs, &records, &mut scratch.arena)
-        }
+        PreparedVariant::Mimd { progs, .. } => trips_sim::batch::run_mimd_batch_in(
+            &mut machines,
+            progs,
+            records as u64,
+            &mut scratch.arena,
+        ),
         PreparedVariant::Dataflow(sched) => {
-            let iterations: Vec<u64> = lanes
-                .iter()
-                .map(|l| (sim_records(prepared, l.records) / sched.unroll) as u64)
-                .collect();
+            let iterations = (sim_records(prepared, records) / sched.unroll) as u64;
             let params = &lanes[0].params;
             scratch.arena.mark_dataflow_block_validated(
                 &sched.block,
@@ -753,20 +746,19 @@ fn run_lockstep(
             trips_sim::batch::run_dataflow_batch_in(
                 &mut machines,
                 &sched.block,
-                &iterations,
+                iterations,
                 &mut scratch.arena,
             )
         }
     };
 
     Some(
-        lanes
-            .iter()
-            .zip(results)
+        results
+            .into_iter()
             .zip(machines.iter().zip(&workloads))
-            .map(|((lane, result), (machine, workload))| {
+            .map(|(result, (machine, workload))| {
                 result.map(|stats| {
-                    (stats, verify_lane(kernel, machine, workload, lane.records, out_words))
+                    (stats, verify_lane(kernel, machine, workload, records, out_words))
                 })
             })
             .collect(),

@@ -241,8 +241,9 @@ impl Hasher {
 /// invalidates its entries), the mechanism set, grid, timing model, the
 /// *effective* unroll (`natural_unroll(..).min(records)`, which is the
 /// unroll the scheduler actually picks — two record counts mapping to
-/// the same effective unroll share a fingerprint exactly as they share
-/// a plan), and for MIMD configurations the assembled per-node program
+/// the same effective unroll share a fingerprint, and the record count
+/// itself is a separate [`StoreKey`] field), and for MIMD
+/// configurations the assembled per-node program
 /// (MIMD lowering bypasses the IR). A failed MIMD assembly digests the
 /// error text instead — still deterministic, and such cells fail at
 /// prepare time anyway.
@@ -1186,22 +1187,24 @@ mod tests {
     #[test]
     fn keys_separate_every_input() {
         let base = sample_key(1);
-        let other_seed = sample_key(2);
-        assert_ne!(base.digest, other_seed.digest);
-        let other_lowering = StoreKey::new(
-            "convert", "S-O", 24, 1, &FaultPlan::none(), None, 1, Digest(7, 10),
-        );
-        assert_ne!(base.digest, other_lowering.digest);
-        let other_watchdog = StoreKey::new(
-            "convert", "S-O", 24, 1, &FaultPlan::none(), Some(100), 1, Digest(7, 9),
-        );
-        assert_ne!(base.digest, other_watchdog.digest);
-        let other_attempts = StoreKey::new(
-            "convert", "S-O", 24, 1, &FaultPlan::none(), None, 3, Digest(7, 9),
-        );
-        assert_ne!(base.digest, other_attempts.digest);
-        // Pure function of its inputs.
-        assert_eq!(base.digest, sample_key(1).digest);
+        let (none, salted) = (FaultPlan::none(), FaultPlan::none().with_salt(1));
+        let key = |kernel: &str, config: &str, records: usize, fault: &FaultPlan| {
+            StoreKey::new(kernel, config, records, 1, fault, None, 1, Digest(7, 9))
+        };
+        let others = [
+            ("seed", sample_key(2)),
+            ("kernel", key("fft", "S-O", 24, &none)),
+            ("config", key("convert", "S-O-D", 24, &none)),
+            ("records", key("convert", "S-O", 16, &none)),
+            ("fault salt", key("convert", "S-O", 24, &salted)),
+            ("lowering", StoreKey::new("convert", "S-O", 24, 1, &none, None, 1, Digest(7, 10))),
+            ("watchdog", StoreKey::new("convert", "S-O", 24, 1, &none, Some(100), 1, Digest(7, 9))),
+            ("attempts", StoreKey::new("convert", "S-O", 24, 1, &none, None, 3, Digest(7, 9))),
+        ];
+        assert_eq!(base.digest, key("convert", "S-O", 24, &none).digest, "same inputs");
+        for (what, other) in others {
+            assert_ne!(base.digest, other.digest, "keys differing only in {what} must differ");
+        }
     }
 
     #[test]

@@ -148,8 +148,8 @@ pub fn schedule_dataflow(
 /// This is the *only* way [`ScheduleOptions::max_unroll`] (and hence a
 /// workload's record count) influences a schedule, so two option sets
 /// that map to the same planned unroll produce identical
-/// [`ScheduledKernel`]s — the property the sweep engine's schedule
-/// cache exploits to share lowerings across record counts.
+/// [`ScheduledKernel`]s — the property the result store's lowering
+/// fingerprint relies on to key a cell without lowering it.
 ///
 /// # Errors
 ///

@@ -42,10 +42,6 @@ pub(crate) struct BatchDataflowScratch {
     /// Register-bank read-port throttles, `[class][bank]`.
     reg_bank_ports: Vec<Throttle>,
     // Per-class run state.
-    /// Requested iteration count per class (cross-record tails).
-    iterations: Vec<u64>,
-    /// In-flight frame count per class (`0` for zero-iteration tails).
-    frames_of: Vec<u32>,
     fetch_done: Vec<Tick>,
     next_iter: Vec<u64>,
     done_iters: Vec<u64>,
@@ -112,6 +108,8 @@ impl Outbox {
 struct DfCtx {
     nc: usize,
     len: usize,
+    /// Iterations every class runs.
+    iterations: u64,
     banks: usize,
     op_revit: bool,
     fetch: sem::Fetch,
@@ -336,7 +334,7 @@ fn df_complete_iteration(
     s.done_iters[c] += 1;
     let t = s.frame_last_tick[frame * nc + c];
     s.final_tick[c] = s.final_tick[c].max(t);
-    if s.next_iter[c] < s.iterations[c] {
+    if s.next_iter[c] < ctx.iterations {
         df_reset_frame(ctx, s, c, frame);
         let start = ctx.fetch.restart(&mut s.stats[c], &mut s.fetch_done[c], t);
         df_seed_iteration(ctx, block, s, m, c, frame, start, s.next_iter[c], false);
@@ -354,55 +352,50 @@ fn df_finalize(s: &mut BatchDataflowScratch, m: &mut Machine, c: usize, block: &
     s.dead |= 1u64 << c;
 }
 
-/// Execute `block` on every machine in `machines` simultaneously, one
-/// lane class per machine with its own `iterations[c]` count, and return
+/// Execute `block` for `iterations` kernel iterations on every machine
+/// in `machines` simultaneously, one lane class per machine, and return
 /// each class's result — bit-identical to running
 /// [`Machine::run_dataflow_in`](crate::Machine::run_dataflow_in) on each
-/// machine alone with its own count.
+/// machine alone.
 ///
 /// All machines must share one grid, timing model, and mechanism set
 /// (they are variants of one prepared lowering: different workload
-/// seeds, fault plans, attempt salts, or record counts). Iteration
-/// counts may differ per class: a class whose tail is exhausted
-/// finalizes and masks off while the survivors keep the shared schedule
-/// (mask-padded tails). The caller guarantees the sharing; grids are
-/// asserted.
+/// seeds, fault plans, or attempt salts). The caller guarantees the
+/// sharing; grids are asserted.
 ///
 /// # Panics
 ///
-/// If `machines` is empty, longer than [`MAX_CLASSES`](super::MAX_CLASSES), a different
-/// length than `iterations`, or the machines disagree on grid shape.
+/// If `machines` is empty, longer than [`MAX_CLASSES`](super::MAX_CLASSES),
+/// or the machines disagree on grid shape.
 #[allow(clippy::too_many_lines)]
 pub fn run_dataflow_batch_in(
     machines: &mut [Machine],
     block: &DataflowBlock,
-    iterations: &[u64],
+    iterations: u64,
     arena: &mut EngineArena,
 ) -> Vec<Result<SimStats, DlpError>> {
-    assert_lanes(machines, iterations.len());
+    assert_lanes(machines);
     let nc = machines.len();
     let s = &mut arena.batch_dataflow;
     if let Err(e) = s.tables.build(block, &machines[0]) {
         return (0..nc).map(|_| Err(e.clone())).collect();
+    }
+    if iterations == 0 {
+        // The scalar early return: setup ticks only.
+        return machines.iter_mut().map(|m| Ok(m.begin_run())).collect();
     }
 
     let mech = machines[0].mechanisms();
     let params = *machines[0].params();
     let uniform_timing = machines.iter().all(|m| *m.params() == params);
     let fetch = sem::Fetch::new(&machines[0], block);
-    // Per-class frame counts: each class keeps exactly the frame window
-    // its scalar run would use for its own iteration count.
-    s.frames_of.clear();
-    s.frames_of.extend(
-        iterations
-            .iter()
-            .map(|&it| if it == 0 { 0 } else { fetch.window(it) as u32 }),
-    );
-    let n_frames = s.frames_of.iter().copied().max().unwrap_or(0).max(1) as usize;
+    // The frame window the scalar run keeps in flight.
+    let n_frames = fetch.window(iterations);
     let len = block.len();
     let ctx = DfCtx {
         nc,
         len,
+        iterations,
         banks: sem::reset_ports(&machines[0], nc, &mut s.node_issue, &mut s.reg_bank_ports),
         op_revit: mech.operand_revitalization,
         fetch,
@@ -428,8 +421,6 @@ pub fn run_dataflow_batch_in(
     s.frame_last_tick.resize(n_frames * nc, 0);
     s.frame_iter.clear();
     s.frame_iter.resize(n_frames * nc, 0);
-    s.iterations.clear();
-    s.iterations.extend_from_slice(iterations);
     s.fetch_done.clear();
     s.fetch_done.resize(nc, 0);
     s.next_iter.clear();
@@ -457,46 +448,35 @@ pub fn run_dataflow_batch_in(
     s.results.resize(nc, None);
     s.dead = 0;
 
-    for (c, m) in machines.iter_mut().enumerate() {
+    for m in machines.iter_mut() {
         let mut base = m.begin_run();
-        base.iterations = iterations[c];
+        base.iterations = iterations;
         s.stats.push(base);
-    }
-    // Zero-iteration tails latch the scalar early return (setup ticks
-    // only) before any seeding can touch their stats.
-    for c in 0..nc {
-        if iterations[c] == 0 {
-            s.results[c] = Some(Ok(s.stats[c]));
-            s.dead |= 1u64 << c;
-        }
     }
 
     let (wd_min, fault_armed) = divergence_guards(machines);
 
     // Seed the initial frames through the (pipelined) fetch engine.
-    // Classes join only the frames inside their own window; seed ticks
-    // may differ per class (staging under faults), which the merge
-    // buffer handles like any divergence.
+    // Seed ticks may differ per class (staging under faults), which the
+    // merge buffer handles like any divergence.
     for c in 0..nc {
         s.fetch_done[c] = fetch.mapped(s.stats[c].ticks);
     }
     for frame in 0..n_frames {
         for c in 0..nc {
-            if (frame as u32) < s.frames_of[c] {
-                let start = fetch.fetch(&mut s.stats[c], &mut s.fetch_done[c]);
-                df_seed_iteration(
-                    ctx,
-                    block,
-                    s,
-                    &mut machines[c],
-                    c,
-                    frame,
-                    start,
-                    frame as u64,
-                    true,
-                );
-                s.next_iter[c] = frame as u64 + 1;
-            }
+            let start = fetch.fetch(&mut s.stats[c], &mut s.fetch_done[c]);
+            df_seed_iteration(
+                ctx,
+                block,
+                s,
+                &mut machines[c],
+                c,
+                frame,
+                start,
+                frame as u64,
+                true,
+            );
+            s.next_iter[c] = frame as u64 + 1;
         }
     }
     for c in 0..nc {
@@ -531,7 +511,7 @@ pub fn run_dataflow_batch_in(
             while bits != 0 {
                 let c = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                match sem::guard(&machines[c], block, tick, s.done_iters[c], s.iterations[c]) {
+                match sem::guard(&machines[c], block, tick, s.done_iters[c], iterations) {
                     Ok(()) => proc |= 1u64 << c,
                     Err(e) => df_kill(s, c, e),
                 }

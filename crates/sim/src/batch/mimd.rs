@@ -156,27 +156,23 @@ fn mimd_finalize(s: &mut BatchMimdScratch, m: &mut Machine, c: usize) {
 /// Run the array in MIMD mode on every machine in `machines`
 /// simultaneously, one lane class per machine, with the standard
 /// register conventions (`r30` = rank, `r31` = participating count,
-/// `r29` = the class's own `records[c]`) — bit-identical per class to
-/// [`Machine::run_mimd_in`](crate::Machine::run_mimd_in) with that
-/// record count.
+/// `r29` = `records`) — bit-identical per class to
+/// [`Machine::run_mimd_in`](crate::Machine::run_mimd_in).
 ///
 /// All machines must share one grid, timing model, and mechanism set.
-/// Record counts may differ per class (cross-record tails): `records`
-/// only feeds `r29`, so a class whose program loops fewer times simply
-/// halts earlier and masks off.
 ///
 /// # Panics
 ///
-/// If `machines` is empty, longer than [`MAX_CLASSES`](super::MAX_CLASSES), a different
-/// length than `records`, or the machines disagree on grid shape.
+/// If `machines` is empty, longer than [`MAX_CLASSES`](super::MAX_CLASSES),
+/// or the machines disagree on grid shape.
 #[allow(clippy::too_many_lines)]
 pub fn run_mimd_batch_in(
     machines: &mut [Machine],
     programs: &[MimdProgram],
-    records: &[u64],
+    records: u64,
     arena: &mut EngineArena,
 ) -> Vec<Result<SimStats, DlpError>> {
-    assert_lanes(machines, records.len());
+    assert_lanes(machines);
     let nc = machines.len();
     if let Err(e) = sem::check_programs(&machines[0], programs) {
         return (0..nc).map(|_| Err(e.clone())).collect();
@@ -199,7 +195,7 @@ pub fn run_mimd_batch_in(
     );
     s.max_drain.clear();
     s.max_drain.extend_from_slice(&s.last_tick);
-    s.nodes.reset(n_ranks, &mut s.stats, |rank, c| (rank as u64, n_active, records[c]));
+    s.nodes.reset(n_ranks, &mut s.stats, |rank| (rank as u64, n_active, records));
 
     s.channels.clear();
     s.channels.resize_with(nc, Channels::default);

@@ -7,8 +7,8 @@
 //! Queue events carry a class **bitmask**: classes whose schedules agree
 //! share one event (one queue entry, one bucket walk, one readiness
 //! check covers all of them), and classes that diverge (faults, early
-//! errors, exhausted record tails) simply mask off rather than fork the
-//! run.
+//! errors) simply mask off rather than fork the run. Every class runs
+//! the same iteration (dataflow) or record (MIMD) count.
 //!
 //! Per-class state is structure-of-arrays with the class index
 //! innermost: operand values are `[frame][inst][port][class]` strides,
@@ -24,13 +24,6 @@
 //! the fast path computes one processing mask per event and only walks
 //! individual classes on the rare tick where a uniform bound is
 //! crossed.
-//!
-//! **Cross-record tails.** Classes need not run the same number of
-//! iterations (dataflow) or records (MIMD): each class carries its own
-//! count, a class whose tail is exhausted completes and masks itself
-//! off (`dead`), and the survivors' shared schedule is untouched —
-//! mask-padded tails instead of up-front exclusion, so lanes with
-//! different record counts can share one dispatch.
 //!
 //! **Determinism.** Per-class results are bit-identical to scalar runs
 //! (`run_dataflow_in` / `run_mimd_in`) because, for every class `c`, the
@@ -148,14 +141,13 @@ impl MergeBuf {
 }
 
 /// The preconditions both batched entry points assert: 1..=[`MAX_CLASSES`]
-/// machines sharing one grid shape, and one count per machine.
-fn assert_lanes(machines: &[Machine], counts: usize) {
+/// machines sharing one grid shape.
+fn assert_lanes(machines: &[Machine]) {
     let nc = machines.len();
     assert!(
         (1..=MAX_CLASSES).contains(&nc),
         "batched dispatch takes 1..={MAX_CLASSES} lane classes, got {nc}"
     );
-    assert_eq!(counts, nc, "one iteration or record count per lane class");
     assert!(
         machines.iter().all(|m| m.grid() == machines[0].grid()),
         "batched lane classes must share one grid shape"

@@ -141,7 +141,7 @@ impl Machine {
         }
         let n_ranks = s.map.len();
         let start = sem::broadcast(self, &mut stats, programs);
-        s.nodes.reset(n_ranks, std::slice::from_mut(&mut stats), |rank, _| conventions(rank));
+        s.nodes.reset(n_ranks, std::slice::from_mut(&mut stats), conventions);
         s.channels.reset(n_ranks);
         // A failed previous run may have left entries queued.
         s.queue.clear();

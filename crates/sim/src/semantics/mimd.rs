@@ -76,14 +76,14 @@ pub(crate) struct NodeFile {
 
 impl NodeFile {
     /// Reset for `n_ranks` ranks and `stats.len()` classes, preloading
-    /// the register conventions `conventions(rank, class)` = (`r30` node
-    /// rank, `r31` node count, `r29` records) and raising each class's
-    /// `iterations` to its largest record count.
+    /// every class with the register conventions `conventions(rank)` =
+    /// (`r30` node rank, `r31` node count, `r29` records) and raising
+    /// each class's `iterations` to the largest rank's record count.
     pub(crate) fn reset(
         &mut self,
         n_ranks: usize,
         stats: &mut [SimStats],
-        conventions: impl Fn(usize, usize) -> (u64, u64, u64),
+        conventions: impl Fn(usize) -> (u64, u64, u64),
     ) {
         let nc = stats.len();
         self.nc = nc;
@@ -96,8 +96,8 @@ impl NodeFile {
         self.blocked.clear();
         self.blocked.resize(n_ranks * nc, NOT_BLOCKED);
         for rank in 0..n_ranks {
+            let (node_id, node_count, recs) = conventions(rank);
             for (c, st) in stats.iter_mut().enumerate() {
-                let (node_id, node_count, recs) = conventions(rank, c);
                 for (r, v) in
                     [(REG_NODE_ID, node_id), (REG_NODE_COUNT, node_count), (REG_RECORDS, recs)]
                 {

@@ -10,9 +10,11 @@ use trips_isa::{
 use trips_sim::batch::{run_dataflow_batch_in, run_mimd_batch_in};
 use trips_sim::{EngineArena, Machine, MechanismSet};
 
-/// Per-class record (MIMD) or iteration (dataflow) counts: distinct, so
-/// the classes are genuinely different lanes.
-const COUNTS: [u64; 3] = [1, 4, 9];
+/// Lane classes per batched dispatch.
+const CLASSES: usize = 3;
+
+/// The record (MIMD) or iteration (dataflow) count every class runs.
+const COUNT: u64 = 4;
 
 fn machine(mech: MechanismSet) -> Machine {
     Machine::new(GridShape::new(4, 4), TimingParams::default(), mech)
@@ -27,12 +29,11 @@ fn mimd_program(body: impl FnOnce(&mut MimdAsm)) -> Vec<MimdProgram> {
 
 /// Every class of a batched MIMD dispatch fails exactly as the scalar run.
 fn assert_mimd_parity(mech: MechanismSet, programs: &[MimdProgram]) -> DlpError {
-    let scalar: Vec<Result<SimStats, DlpError>> = COUNTS
-        .iter()
-        .map(|&records| machine(mech).run_mimd_in(programs, records, &mut EngineArena::new()))
+    let scalar: Vec<Result<SimStats, DlpError>> = (0..CLASSES)
+        .map(|_| machine(mech).run_mimd_in(programs, COUNT, &mut EngineArena::new()))
         .collect();
-    let mut machines: Vec<Machine> = COUNTS.iter().map(|_| machine(mech)).collect();
-    let batch = run_mimd_batch_in(&mut machines, programs, &COUNTS, &mut EngineArena::new());
+    let mut machines: Vec<Machine> = (0..CLASSES).map(|_| machine(mech)).collect();
+    let batch = run_mimd_batch_in(&mut machines, programs, COUNT, &mut EngineArena::new());
     assert_eq!(batch, scalar, "batched MIMD classes must fail exactly as scalar runs");
     scalar[0].clone().expect_err("the scalar engine rejects this program")
 }
@@ -40,12 +41,11 @@ fn assert_mimd_parity(mech: MechanismSet, programs: &[MimdProgram]) -> DlpError 
 /// Every class of a batched dataflow dispatch fails exactly as the
 /// scalar run.
 fn assert_dataflow_parity(mech: MechanismSet, block: &DataflowBlock) -> DlpError {
-    let scalar: Vec<Result<SimStats, DlpError>> = COUNTS
-        .iter()
-        .map(|&iterations| machine(mech).run_dataflow_in(block, iterations, &mut EngineArena::new()))
+    let scalar: Vec<Result<SimStats, DlpError>> = (0..CLASSES)
+        .map(|_| machine(mech).run_dataflow_in(block, COUNT, &mut EngineArena::new()))
         .collect();
-    let mut machines: Vec<Machine> = COUNTS.iter().map(|_| machine(mech)).collect();
-    let batch = run_dataflow_batch_in(&mut machines, block, &COUNTS, &mut EngineArena::new());
+    let mut machines: Vec<Machine> = (0..CLASSES).map(|_| machine(mech)).collect();
+    let batch = run_dataflow_batch_in(&mut machines, block, COUNT, &mut EngineArena::new());
     assert_eq!(batch, scalar, "batched dataflow classes must fail exactly as scalar runs");
     scalar[0].clone().expect_err("the scalar engine rejects this block")
 }
