@@ -1,13 +1,15 @@
-//! The paper artifacts from one run of the paper grid (every
-//! performance-suite kernel on the baseline and the five DLP
-//! configurations): prints Table 4, Figure 5 and Table 6 as markdown and
-//! writes Figure 5 and Table 6 to `report.json`, the artifact
-//! EXPERIMENTS.md is refreshed from.
+//! The paper artifacts and every study from one sweep: the paper grid
+//! (every performance-suite kernel on the baseline and the five DLP
+//! configurations) followed by the cells of the A1–A3, X1 and X5
+//! [`studies`]. Prints Table 4, Figure 5 and Table 6, then each study,
+//! as markdown, and writes Figure 5 and Table 6 to `report.json`, the
+//! artifact EXPERIMENTS.md is refreshed from. Each table is a projection
+//! of its own range of the one report.
 //!
 //! Pass `--quick` for smoke-scale workloads (24 records per kernel);
 //! pass `--out <path>` to choose the JSON destination.
 
-use dlp_bench::Args;
+use dlp_bench::{studies, Args};
 use dlp_common::json::ToJson;
 use dlp_core::specialized::{table6, Table6Row};
 use dlp_core::{ExperimentParams, Figure5, MachineConfig, Sweep};
@@ -44,10 +46,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_path = args.value("--out").unwrap_or_else(|| "report.json".to_string());
     args.finish()?;
 
+    let scale = usize::from(!quick);
     let mut sweep = Sweep::new();
     let ids = sweep.add_perf_suite();
-    sweep.push_paper_grid(&ids, &ExperimentParams::default(), usize::from(!quick));
-    let grid = sweep.run();
+    let grid = sweep.push_paper_grid(&ids, &ExperimentParams::default(), scale);
+    let ablation = studies::push_ablation(&mut sweep, scale);
+    let configspace = studies::push_configspace(&mut sweep, scale);
+    let scaling = studies::push_scaling(&mut sweep, scale);
+    let report = sweep.run();
+    let grid = report.view(grid);
     let figure5 = Figure5::from_report(&grid)?;
     let t6 = table6(&grid)?;
     let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.1}"));
@@ -100,11 +107,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.units.label()
         );
     }
+    println!();
+    studies::print_ablation(&report.view(ablation))?;
+    studies::print_configspace(&report.view(configspace));
+    studies::print_scaling(&report.view(scaling))?;
+    studies::print_energy(&grid)?;
 
     // JSON artifact, via the workspace's shared JSON writer
     // (`dlp_common::json`).
-    let report = Report { figure5, table6: t6 };
-    std::fs::write(&out_path, dlp_common::json::to_string(&report))?;
-    eprintln!("\nwrote {out_path}");
+    let artifact = Report { figure5, table6: t6 };
+    std::fs::write(&out_path, dlp_common::json::to_string(&artifact))?;
+    eprintln!(
+        "{} cells, {} runs, {} lowerings prepared on {} workers in {:.0} ms; wrote {out_path}",
+        report.cells.len(),
+        report.cells_executed,
+        report.plans_prepared,
+        report.threads,
+        report.wall_ms
+    );
     Ok(())
 }

@@ -261,21 +261,10 @@ fn replay_dlq(path: &Path, threads: Option<usize>) -> Result<(), Box<dyn std::er
     // The faults bin's diagnosis policy: two re-salted retries before a
     // failure is accepted as real.
     sweep.set_policy(SweepPolicy::default().with_attempts(3));
-    let mut ids: Vec<(String, KernelId)> = Vec::new();
     let mut replayable: Vec<usize> = Vec::new();
     let mut remaining: Vec<DlqRecord> = Vec::new();
     for (ri, record) in records.iter().enumerate() {
-        let id = match ids.iter().find(|(name, _)| *name == record.kernel) {
-            Some((_, id)) => Some(*id),
-            None => {
-                let id = sweep.add_kernel_by_name(&record.kernel);
-                if let Some(id) = id {
-                    ids.push((record.kernel.clone(), id));
-                }
-                id
-            }
-        };
-        match id {
+        match sweep.add_kernel_by_name(&record.kernel) {
             Some(id) => {
                 sweep.push_cell(CellSpec {
                     kernel: id,

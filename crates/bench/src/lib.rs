@@ -1,7 +1,8 @@
 //! # dlp-bench
 //!
 //! The experiment harness. Each binary regenerates one of the paper's
-//! tables or figures (see DESIGN.md's per-experiment index):
+//! tables or figures, or runs one of the harnesses around them (see
+//! DESIGN.md's per-experiment index):
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -9,16 +10,18 @@
 //! | `table2` | Table 2 — kernel attributes from the IR |
 //! | `table3` | Table 3 — attribute → mechanism map |
 //! | `table5` | Table 5 — machine configurations |
-//! | `report` | Table 4, Figure 5 and Table 6 — one run of the paper grid, printed as markdown and written to `report.json` |
 //! | `section3` | §3 — classic-architecture survey |
+//! | `report` | Table 4, Figure 5, Table 6 and the [`studies`] (A1–A3, X1, X5, X6) — one sweep, printed as markdown; Figure 5 and Table 6 are written to `report.json` |
 //! | `sweep` | the full kernel × configuration grid in one parallel batch → `BENCH_sweep.json` |
+//! | `faults` | fault-injection sweep → `BENCH_faults.json` |
+//! | `stats` | per-run statistics of one kernel on one configuration |
 //! | `hotpath` | engine hot-path throughput (simulation only, scheduling excluded) → `BENCH_hotpath.json` |
-//! | `ablation` | experiments A1–A3 — mechanism knob sweeps in simulated cycles |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hotpath;
+pub mod studies;
 
 use std::fmt::Display;
 use std::str::FromStr;

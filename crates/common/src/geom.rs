@@ -41,7 +41,7 @@ impl fmt::Display for Coord {
 ///
 /// The paper's baseline is an 8×8 mesh ([`GridShape::trips_baseline`]), but
 /// the mechanisms are array-size agnostic and the simulator accepts any
-/// shape, which the `scaling` binary exploits.
+/// shape, which the X5 array-scaling study (`dlp_bench::studies`) exploits.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, ToJson)]
 pub struct GridShape {
     rows: u8,

@@ -124,8 +124,8 @@ impl Default for NetParams {
 /// Complete machine timing description.
 ///
 /// This is deliberately a plain, fully public parameter struct (a passive
-/// configuration record); the structured knobs let the `ablation` binary
-/// sweep individual mechanisms without touching simulator code.
+/// configuration record); the structured knobs let the A1–A3 ablation
+/// study sweep individual mechanisms without touching simulator code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson, Default)]
 pub struct TimingParams {
     /// Functional-unit latencies.

@@ -917,8 +917,8 @@ mod tests {
                 differ += usize::from(assert_visible_set_is_unobservable(k.as_ref(), mech));
             }
         }
-        // Of the 64 kernel × set pairs `configspace` sweeps, 18 reduce
-        // to another pair's set: 46 distinct lowerings.
+        // Of the 64 kernel × set pairs the X1 configuration-space study
+        // sweeps, 18 reduce to another pair's set: 46 distinct lowerings.
         assert_eq!(differ, 18);
     }
 

@@ -63,8 +63,11 @@
 //! wall-clock, and the harmonic-mean aggregation Figure 5 and the
 //! sweep summary share. [`Sweep::push_paper_grid`] builds the paper's
 //! kernel × configuration grid; Figure 5, Table 4 and Table 6 are
-//! projections of its report ([`crate::Figure5::from_report`],
-//! [`crate::specialized::table6`]).
+//! projections of its range of the report ([`SweepReport::view`],
+//! [`crate::Figure5::from_report`], [`crate::specialized::table6`]).
+//! Further studies push their cells into the same sweep. Kernels are
+//! registered once per name, so a study cell equal to a grid cell
+//! shares its plan and run.
 //!
 //! # Example
 //!
@@ -89,6 +92,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -400,20 +404,28 @@ impl Sweep {
         self.kernels.len() - 1
     }
 
-    /// Registers the named kernel from the benchmark suite.
+    /// Registers the named kernel from the benchmark suite. A name
+    /// already registered returns its existing handle, so cells pushed
+    /// by separate studies of one sweep share plans and runs.
     pub fn add_kernel_by_name(&mut self, name: &str) -> Option<KernelId> {
-        let kernel = suite().into_iter().find(|k| k.name() == name)?;
-        Some(self.add_kernel(kernel))
+        self.kernel_id(name)
+            .or_else(|| suite().into_iter().find(|k| k.name() == name).map(|k| self.add_kernel(k)))
     }
 
     /// Registers every performance-suite kernel, returning handles in
-    /// suite order.
+    /// suite order; as with [`Sweep::add_kernel_by_name`], a kernel
+    /// already registered keeps its handle.
     pub fn add_perf_suite(&mut self) -> Vec<KernelId> {
         suite()
             .into_iter()
             .filter(|k| k.in_perf_suite())
-            .map(|k| self.add_kernel(k))
+            .map(|k| self.kernel_id(k.name()).unwrap_or_else(|| self.add_kernel(k)))
             .collect()
+    }
+
+    /// The handle of the registered kernel called `name`.
+    fn kernel_id(&self, name: &str) -> Option<KernelId> {
+        self.kernels.iter().position(|k| k.name() == name)
     }
 
     /// The registered kernel behind a handle.
@@ -449,9 +461,16 @@ impl Sweep {
     /// Adds the paper grid for `ids`: each kernel's baseline cell, then
     /// one cell per [`MachineConfig::DLP`] configuration, in `ids` order,
     /// at [`default_records`]`(name, scale)` records (scale 0 is the
-    /// 24-record smoke size). Figure 5, Table 4 and Table 6 are
-    /// projections of this grid's report.
-    pub fn push_paper_grid(&mut self, ids: &[KernelId], params: &ExperimentParams, scale: usize) {
+    /// 24-record smoke size), and returns the range of cells pushed.
+    /// Figure 5, Table 4 and Table 6 are projections of that range of
+    /// the report ([`SweepReport::view`]).
+    pub fn push_paper_grid(
+        &mut self,
+        ids: &[KernelId],
+        params: &ExperimentParams,
+        scale: usize,
+    ) -> Range<usize> {
+        let start = self.len();
         for &id in ids {
             let records = default_records(self.kernel(id).name(), scale);
             self.push_config(id, MachineConfig::Baseline, records, params);
@@ -459,6 +478,7 @@ impl Sweep {
                 self.push_config(id, config, records, params);
             }
         }
+        start..self.len()
     }
 
     /// Number of cells queued.
@@ -1530,6 +1550,14 @@ impl SweepReport {
         self.cell(kernel, config).and_then(|c| c.outcome.stats())
     }
 
+    /// The report restricted to the cells in `range` of push order: the
+    /// view one study of a shared sweep projects. The run-wide counters
+    /// are kept as they are.
+    #[must_use]
+    pub fn view(&self, range: Range<usize>) -> SweepReport {
+        SweepReport { cells: self.cells[range].to_vec(), ..self.clone() }
+    }
+
     /// Statistics and record count of `kernel`'s cell on `config`: the
     /// lookup the paper-artifact projections make.
     ///
@@ -1537,7 +1565,7 @@ impl SweepReport {
     ///
     /// [`DlpError::Internal`] naming the kernel and configuration when
     /// the report holds no such cell that ran.
-    pub(crate) fn ran_cell(
+    pub fn ran_cell(
         &self,
         kernel: &str,
         config: MachineConfig,
@@ -1730,6 +1758,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_kernel_name_registers_once() {
+        let mut sweep = Sweep::new();
+        let convert = sweep.add_kernel_by_name("convert").expect("suite kernel");
+        assert_eq!(sweep.add_kernel_by_name("convert"), Some(convert));
+        let ids = sweep.add_perf_suite();
+        assert!(ids.contains(&convert));
+        assert_eq!(sweep.add_kernel_by_name("blowfish").map(|id| ids.contains(&id)), Some(true));
+        assert_eq!(sweep.add_perf_suite(), ids);
+        assert_eq!(sweep.kernels.len(), ids.len());
+        assert_eq!(sweep.add_kernel_by_name("no-such-kernel"), None);
+        assert_eq!(sweep.kernels.len(), ids.len());
     }
 
     #[test]
