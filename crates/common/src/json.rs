@@ -29,16 +29,52 @@
 //! an `f64` intermediate. The parser accepts anything [`to_string`]
 //! emits plus standard JSON written by hand (whitespace, all escape
 //! forms including `\uXXXX`), nested at most [`MAX_DEPTH`] deep.
+//!
+//! Records decode through their types: [`FromJson`], derived with
+//! `#[derive(FromJson)]` beside `ToJson`, reads back a named struct, a
+//! newtype, or an enum of struct variants exactly as `ToJson` wrote it,
+//! so a persisted record has one schema, its type. Decoding is strict: a
+//! missing field, a value of the wrong JSON type, or an integer out of
+//! its field's range fails the whole value ([`from_str`] returns
+//! `None`), and the store reads such a record as a miss.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-pub use dlp_json_derive::ToJson;
+pub use dlp_json_derive::{FromJson, ToJson};
 
 /// A value that writes itself as compact JSON.
 pub trait ToJson {
     /// Append `self`'s JSON text to `out`.
     fn write_json(&self, out: &mut String);
+}
+
+/// A value that reads itself back from the JSON its [`ToJson`] wrote.
+///
+/// # Examples
+///
+/// ```
+/// use dlp_common::json::{from_str, FromJson, ToJson};
+///
+/// #[derive(Debug, PartialEq, ToJson, FromJson)]
+/// struct Cell {
+///     cycles: u64,
+///     speedup: Option<f64>,
+/// }
+///
+/// let cell = Cell { cycles: 1024, speedup: None };
+/// assert_eq!(from_str(&dlp_common::json::to_string(&cell)), Some(cell));
+/// assert_eq!(from_str::<Cell>(r#"{"speedup":1.5}"#), None, "every field is required");
+/// ```
+pub trait FromJson: Sized {
+    /// Decode `v`, or `None` if it is not a value of this type.
+    fn from_json(v: &JsonValue) -> Option<Self>;
+}
+
+/// Parse `text` and decode it as a `T`; `None` if either step fails.
+#[must_use]
+pub fn from_str<T: FromJson>(text: &str) -> Option<T> {
+    T::from_json(&parse(text).ok()?)
 }
 
 /// Serialize `value` to a compact JSON string.
@@ -91,6 +127,46 @@ macro_rules! display_impl {
 }
 
 display_impl!(bool, u8, u16, u32, u64, usize, i32, i64);
+
+// A number decodes only from its exact text: `1.0` is not a `u64`, and
+// `4294967296` is not a `u32`. `null` is not an `f64`; a float that may be
+// non-finite is persisted as an `Option<f64>`.
+macro_rules! number_from_json {
+    ($($ty:ty),*) => {$(
+        impl FromJson for $ty {
+            fn from_json(v: &JsonValue) -> Option<Self> {
+                match v {
+                    JsonValue::Num(s) => s.parse().ok(),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+number_from_json!(u8, u32, u64, usize, f64);
+
+impl FromJson for bool {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        v.as_bool()
+    }
+}
+
+impl FromJson for String {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+/// `null` is `None`; anything else must decode as a `T`.
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        match v {
+            JsonValue::Null => Some(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
 
 impl ToJson for f64 {
     fn write_json(&self, out: &mut String) {
@@ -256,24 +332,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as an `i64`, when it is a number that parses as one.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a `usize`, when it is a number that parses as one.
-    #[must_use]
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            JsonValue::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The value as an `f64` (`null` reads as `None`, matching the
     /// serializer's non-finite-float convention).
     #[must_use]
@@ -309,12 +367,6 @@ impl JsonValue {
             JsonValue::Arr(items) => Some(items),
             _ => None,
         }
-    }
-
-    /// Whether the value is `null`.
-    #[must_use]
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
     }
 }
 
@@ -531,7 +583,7 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse, to_string, JsonValue, ToJson};
+    use super::{from_str, parse, to_string, FromJson, JsonValue, ToJson};
     use std::collections::BTreeMap;
 
     #[derive(ToJson)]
@@ -566,6 +618,74 @@ mod tests {
         // Struct variants are unwrapped by workspace convention (see the
         // module docs): fields only, no variant-name layer.
         assert_eq!(to_string(&Tag::Fields { x: -1 }), r#"{"x":-1}"#);
+    }
+
+    #[derive(Debug, PartialEq, ToJson, FromJson)]
+    struct Record {
+        count: u32,
+        ratio: Option<f64>,
+        name: String,
+        done: bool,
+    }
+
+    #[test]
+    fn from_json_reads_named_structs_and_requires_every_field() {
+        let record = Record { count: 3, ratio: None, name: "a\"b".into(), done: true };
+        let json = to_string(&record);
+        assert_eq!(from_str(&json), Some(record));
+        let with_ratio = Record { count: 0, ratio: Some(-2.5), name: String::new(), done: false };
+        assert_eq!(from_str(&to_string(&with_ratio)), Some(with_ratio));
+        for field in ["count", "ratio", "name", "done"] {
+            let JsonValue::Obj(mut pairs) = parse(&json).unwrap() else { panic!("object") };
+            pairs.retain(|(k, _)| k != field);
+            assert_eq!(Record::from_json(&JsonValue::Obj(pairs)), None, "without {field}");
+        }
+        let extra = r#"{"count":1,"ratio":0.5,"name":"","done":false,"more":[]}"#;
+        assert_eq!(from_str::<Record>(extra).map(|r| r.count), Some(1), "extra members ignored");
+        for bad in [
+            r#"{"count":4294967296,"ratio":null,"name":"","done":true}"#,
+            r#"{"count":1.0,"ratio":null,"name":"","done":true}"#,
+            r#"{"count":-1,"ratio":null,"name":"","done":true}"#,
+            r#"{"count":"1","ratio":null,"name":"","done":true}"#,
+            r#"{"count":1,"ratio":null,"name":null,"done":true}"#,
+            r#"{"count":1,"ratio":null,"name":"","done":1}"#,
+            r#"[1,null,"",true]"#,
+        ] {
+            assert_eq!(from_str::<Record>(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn from_json_reads_newtypes_as_their_inner_value() {
+        #[derive(Debug, PartialEq, ToJson, FromJson)]
+        struct Rate(u32);
+        assert_eq!(from_str(&to_string(&Rate(u32::MAX))), Some(Rate(u32::MAX)));
+        assert_eq!(from_str::<Rate>("4294967296"), None);
+        assert_eq!(from_str::<Rate>(r#"{"0":1}"#), None);
+    }
+
+    #[test]
+    fn from_json_selects_struct_variants_by_their_first_field() {
+        #[derive(Debug, PartialEq, ToJson, FromJson)]
+        enum Outcome {
+            Ran { cycles: u64, mismatch: Option<usize> },
+            Failed { error: String },
+        }
+        for outcome in [
+            Outcome::Ran { cycles: 9, mismatch: Some(2) },
+            Outcome::Ran { cycles: 0, mismatch: None },
+            Outcome::Failed { error: "e".into() },
+        ] {
+            assert_eq!(from_str(&to_string(&outcome)), Some(outcome));
+        }
+        assert_eq!(from_str::<Outcome>(r#"{"cycles":1}"#), None, "missing field");
+        assert_eq!(
+            from_str::<Outcome>(r#"{"cycles":"x","mismatch":null,"error":"e"}"#),
+            None,
+            "a chosen variant that fails to decode does not fall through"
+        );
+        assert_eq!(from_str::<Outcome>("{}"), None);
+        assert_eq!(from_str::<Outcome>(r#""Ran""#), None);
     }
 
     #[test]
@@ -621,9 +741,9 @@ mod tests {
         .unwrap();
         let arr = v.get("outer").and_then(JsonValue::as_array).unwrap();
         assert_eq!(arr[0].as_u64(), Some(1));
-        assert!(arr[1].get("k").unwrap().is_null());
+        assert_eq!(arr[1].get("k"), Some(&JsonValue::Null));
         assert_eq!(arr[2].as_str(), Some("A\t"));
-        assert_eq!(v.get("neg").and_then(JsonValue::as_i64), Some(-17));
+        assert_eq!(v.get("neg"), Some(&JsonValue::Num("-17".into())));
     }
 
     #[test]

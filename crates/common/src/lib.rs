@@ -23,8 +23,8 @@
 //!   crash-consistency testing.
 //! * [`json`] — compact JSON writing through one [`json::ToJson`] trait
 //!   and its derive (the experiment harness writes its artifacts with
-//!   [`json::to_string`]), plus the parser the store reads them back
-//!   with.
+//!   [`json::to_string`]), plus the parser and the derived
+//!   [`json::FromJson`] decoders the store reads them back with.
 //!
 //! # Example
 //!
@@ -42,8 +42,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// `#[derive(ToJson)]` names the trait by its absolute path; this lets the
-// derives inside this crate resolve it too.
+// `#[derive(ToJson)]` and `#[derive(FromJson)]` name their traits by
+// absolute path; this lets the derives inside this crate resolve them too.
 extern crate self as dlp_common;
 
 pub mod crashpoint;

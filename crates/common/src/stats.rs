@@ -1,9 +1,8 @@
 //! Simulation statistics and the derived metrics the paper reports.
 
 use std::fmt;
-use std::ops::AddAssign;
 
-use crate::json::ToJson;
+use crate::json::{FromJson, ToJson};
 
 use crate::{ticks_to_cycles, Tick};
 
@@ -13,7 +12,7 @@ use crate::{ticks_to_cycles, Tick};
 /// sustained per cycle*, explicitly **excluding** overhead instructions such
 /// as address computation, loads and stores — so the counters distinguish
 /// useful ops from overhead ops.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, ToJson)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, ToJson, FromJson)]
 pub struct SimStats {
     /// Total elapsed simulated time, in ticks (half-cycles).
     pub ticks: Tick,
@@ -122,33 +121,6 @@ impl SimStats {
     }
 }
 
-impl AddAssign for SimStats {
-    fn add_assign(&mut self, rhs: SimStats) {
-        self.ticks += rhs.ticks;
-        self.useful_ops += rhs.useful_ops;
-        self.overhead_ops += rhs.overhead_ops;
-        self.loads += rhs.loads;
-        self.stores += rhs.stores;
-        self.lmw_words += rhs.lmw_words;
-        self.l1_accesses += rhs.l1_accesses;
-        self.l1_misses += rhs.l1_misses;
-        self.smc_accesses += rhs.smc_accesses;
-        self.l0_accesses += rhs.l0_accesses;
-        self.reg_reads += rhs.reg_reads;
-        self.reg_writes += rhs.reg_writes;
-        self.net_msgs += rhs.net_msgs;
-        self.net_hops += rhs.net_hops;
-        self.blocks_fetched += rhs.blocks_fetched;
-        self.revitalizations += rhs.revitalizations;
-        self.iterations += rhs.iterations;
-        self.mimd_fetches += rhs.mimd_fetches;
-        self.mem_stall_node_cycles += rhs.mem_stall_node_cycles;
-        self.faults_injected += rhs.faults_injected;
-        self.fault_retries += rhs.fault_retries;
-        self.fault_stall_ticks += rhs.fault_stall_ticks;
-    }
-}
-
 /// Useful operations sustained per cycle (Table 4 metric).
 #[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
 pub struct OpsPerCycle(pub f64);
@@ -195,16 +167,6 @@ mod tests {
         let base = SimStats { ticks: 200, ..SimStats::default() };
         let fast = SimStats { ticks: 50, ..SimStats::default() };
         assert!((fast.speedup_over(&base) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn add_assign_accumulates() {
-        let mut a = SimStats { ticks: 10, useful_ops: 1, loads: 2, ..SimStats::default() };
-        let b = SimStats { ticks: 5, useful_ops: 3, loads: 4, ..SimStats::default() };
-        a += b;
-        assert_eq!(a.ticks, 15);
-        assert_eq!(a.useful_ops, 4);
-        assert_eq!(a.loads, 6);
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl MachineConfig {
         }
     }
 
-    /// Whether this configuration executes in MIMD mode (local PCs).
-    #[must_use]
-    pub fn is_mimd(self) -> bool {
-        self.mechanisms().local_pc
-    }
-
     /// The paper's architecture-model description (Table 5, last column).
     #[must_use]
     pub fn architecture_model(self) -> &'static str {

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 
 use dlp_common::crashpoint::{self, CrashSites};
 
-use super::iofault::{self, Class};
+use super::iofault;
 use super::{Digest, Hasher};
 
 /// Prefix `payload` with the 32-hex content digest of its bytes,
@@ -71,15 +71,10 @@ fn sync_dir(path: &Path) {
 ///
 /// I/O errors from any step, including faults injected by the
 /// [`iofault`] shim.
-pub fn atomic_write_file(
-    path: &Path,
-    bytes: &[u8],
-    sites: CrashSites,
-    class: Class,
-) -> io::Result<()> {
+pub fn atomic_write_file(path: &Path, bytes: &[u8], sites: CrashSites) -> io::Result<()> {
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
     let tmp = path.with_file_name(format!(".tmp-{}-{name}", std::process::id()));
-    let filtered = iofault::filter(class, bytes)?;
+    let filtered = iofault::filter(bytes)?;
     let data = filtered.as_deref().unwrap_or(bytes);
     {
         let mut file = std::fs::File::create(&tmp)?;
@@ -113,7 +108,6 @@ pub struct AppendSites {
 pub struct AppendWriter {
     file: Mutex<std::fs::File>,
     sites: AppendSites,
-    class: Class,
 }
 
 impl AppendWriter {
@@ -122,12 +116,12 @@ impl AppendWriter {
     /// # Errors
     ///
     /// I/O errors creating the directories or the file.
-    pub fn create(path: &Path, sites: AppendSites, class: Class) -> io::Result<AppendWriter> {
+    pub fn create(path: &Path, sites: AppendSites) -> io::Result<AppendWriter> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent)?;
         }
         let file = std::fs::File::create(path)?;
-        Ok(AppendWriter { file: Mutex::new(file), sites, class })
+        Ok(AppendWriter { file: Mutex::new(file), sites })
     }
 
     /// Open `path` for appending, creating it (and parent directories)
@@ -136,12 +130,12 @@ impl AppendWriter {
     /// # Errors
     ///
     /// I/O errors creating the directories or opening the file.
-    pub fn append_to(path: &Path, sites: AppendSites, class: Class) -> io::Result<AppendWriter> {
+    pub fn append_to(path: &Path, sites: AppendSites) -> io::Result<AppendWriter> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent)?;
         }
         let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(AppendWriter { file: Mutex::new(file), sites, class })
+        Ok(AppendWriter { file: Mutex::new(file), sites })
     }
 
     /// Seal and append one payload line (thread-safe, synced).
@@ -162,7 +156,7 @@ impl AppendWriter {
     /// I/O errors from the write or sync, including injected faults.
     pub fn append_line_at(&self, payload: &str, sites: AppendSites) -> io::Result<()> {
         let line = format!("{}\n", seal_line(payload));
-        let filtered = iofault::filter(self.class, line.as_bytes())?;
+        let filtered = iofault::filter(line.as_bytes())?;
         let bytes = filtered.as_deref().unwrap_or(line.as_bytes());
         let file = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         (&*file).write_all(bytes)?;
@@ -211,9 +205,9 @@ mod tests {
     fn atomic_write_replaces_and_leaves_no_tmp() {
         let dir = tmpdir("atomic");
         let path = dir.join("stamp.json");
-        atomic_write_file(&path, b"v1\n", SITES, Class::Stamp).expect("write");
+        atomic_write_file(&path, b"v1\n", SITES).expect("write");
         assert_eq!(std::fs::read(&path).expect("read"), b"v1\n");
-        atomic_write_file(&path, b"v2\n", SITES, Class::Stamp).expect("rewrite");
+        atomic_write_file(&path, b"v2\n", SITES).expect("rewrite");
         assert_eq!(std::fs::read(&path).expect("read"), b"v2\n");
         let stray: Vec<_> = std::fs::read_dir(&dir)
             .expect("readdir")
@@ -229,7 +223,7 @@ mod tests {
         let dir = tmpdir("append");
         let path = dir.join("log.jsonl");
         let sites = AppendSites { appended: "test.append", synced: "test.synced" };
-        let w = AppendWriter::create(&path, sites, Class::Manifest).expect("create");
+        let w = AppendWriter::create(&path, sites).expect("create");
         w.append_line("{\"a\":1}").expect("append");
         w.append_line("{\"b\":2}").expect("append");
         drop(w);
@@ -238,7 +232,7 @@ mod tests {
         assert_eq!(payloads, vec!["{\"a\":1}", "{\"b\":2}"]);
 
         // Reopening for append preserves existing lines.
-        let w = AppendWriter::append_to(&path, sites, Class::Manifest).expect("reopen");
+        let w = AppendWriter::append_to(&path, sites).expect("reopen");
         w.append_line("{\"c\":3}").expect("append");
         drop(w);
         let text = std::fs::read_to_string(&path).expect("read");

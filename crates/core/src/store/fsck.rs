@@ -7,8 +7,8 @@
 //! a kill inside the atomic writer leaves `.tmp-*` droppings. `fsck`
 //! makes the degradation visible and bounded:
 //!
-//! * every entry file is read back through the same validation the
-//!   store's `get` applies (seal, JSON, version, digest-vs-filename);
+//! * every entry file is read back through the one entry reader the
+//!   store's `get` uses (seal, decode, version, digest-vs-filename);
 //!   failures move to `quarantine/` for post-mortem instead of being
 //!   deleted;
 //! * files that don't belong in the layout (stray names, wrong shard)
@@ -23,11 +23,10 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use dlp_common::json::{self, ToJson};
+use dlp_common::json::ToJson;
 
-use super::atomic::unseal_line;
 use super::lock::StoreLock;
-use super::{outcome_from_json, Digest, STORE_VERSION};
+use super::{read_entry, Digest};
 
 /// What one [`fsck`] pass found and did. Serializable for
 /// `BENCH_chaos.json` and the `--fsck` CLI output.
@@ -48,20 +47,6 @@ pub struct FsckReport {
     /// Whether the `STORE_INFO.json` stamp was missing or stale and got
     /// rewritten.
     pub restamped: bool,
-}
-
-/// Does this entry file read back exactly as `get` would trust it?
-fn entry_is_valid(path: &Path, digest_hex: &str) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else { return false };
-    let Some(payload) = unseal_line(text.trim_end_matches('\n')) else { return false };
-    let Ok(v) = json::parse(payload) else { return false };
-    if v.get("store_version").and_then(json::JsonValue::as_u64) != Some(u64::from(STORE_VERSION)) {
-        return false;
-    }
-    if v.get("digest").and_then(json::JsonValue::as_str) != Some(digest_hex) {
-        return false;
-    }
-    v.get("outcome").and_then(outcome_from_json).is_some()
 }
 
 /// Move a file into `quarantine/`, creating the directory lazily.
@@ -149,7 +134,7 @@ pub fn fsck(root: &Path) -> io::Result<FsckReport> {
                 continue;
             };
             report.scanned += 1;
-            if entry_is_valid(&file, &digest_hex) {
+            if read_entry(&file, &digest_hex).is_some() {
                 report.valid += 1;
             } else {
                 quarantine(root, &file)?;

@@ -14,7 +14,7 @@
 //! shim is one mutex acquire and a `None` check. Armed — via
 //! [`arm`] or the `DLP_STORE_IOFAULT=seed:error:short:torn:flip`
 //! environment variable (ppm fields) — each write rolls each fault
-//! class independently.
+//! kind independently.
 //!
 //! The contract the chaos tests pin: **every injected fault degrades to
 //! a miss or a recompute, never a wrong result and never a panic.**
@@ -28,34 +28,9 @@ use std::sync::Mutex;
 
 use dlp_common::SplitMix64;
 
-/// Which durable artifact a write targets. Used for per-class injection
-/// accounting ([`injected_by_class`]); all classes share one plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Class {
-    /// Content-addressed result entries.
-    Entry,
-    /// The `STORE_INFO.json` stamp.
-    Stamp,
-    /// Sweep checkpoint manifests.
-    Manifest,
-    /// Dead-letter queue files.
-    Dlq,
-}
-
-impl Class {
-    fn index(self) -> usize {
-        match self {
-            Class::Entry => 0,
-            Class::Stamp => 1,
-            Class::Manifest => 2,
-            Class::Dlq => 3,
-        }
-    }
-}
-
 /// Per-write fault probabilities, in parts per million, plus the RNG
-/// seed the rolls are drawn from. `1_000_000` makes a class certain —
-/// what the tier-1 chaos tests use to exercise each class exhaustively.
+/// seed the rolls are drawn from. `1_000_000` makes a kind certain —
+/// what the tier-1 chaos tests use to exercise each kind exhaustively.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IoFaultPlan {
     /// Seed for the shared roll stream.
@@ -100,8 +75,6 @@ struct State {
     rng: SplitMix64,
     /// Injections by fault kind: `[errors, short writes, torn tails, bit flips]`.
     by_fault: [u64; 4],
-    /// Injections by target [`Class`] index.
-    by_class: [u64; 4],
 }
 
 static STATE: Mutex<Option<State>> = Mutex::new(None);
@@ -114,12 +87,7 @@ fn lock() -> std::sync::MutexGuard<'static, Option<State>> {
 /// Arm the shim process-wide with `plan`, resetting the roll stream and
 /// the injection counters.
 pub fn arm(plan: IoFaultPlan) {
-    *lock() = Some(State {
-        plan,
-        rng: SplitMix64::new(plan.seed),
-        by_fault: [0; 4],
-        by_class: [0; 4],
-    });
+    *lock() = Some(State { plan, rng: SplitMix64::new(plan.seed), by_fault: [0; 4] });
 }
 
 /// Disarm the shim; subsequent writes pass through untouched.
@@ -134,29 +102,17 @@ pub fn injected() -> [u64; 4] {
     lock().as_ref().map_or([0; 4], |s| s.by_fault)
 }
 
-/// Injection counts since the last [`arm`], by target class in
-/// [`Class`] declaration order: `[entry, stamp, manifest, dlq]`.
-#[must_use]
-pub fn injected_by_class() -> [u64; 4] {
-    lock().as_ref().map_or([0; 4], |s| s.by_class)
-}
-
 /// Roll the armed plan against one outgoing write. Returns `Ok(None)`
 /// to pass the bytes through untouched, `Ok(Some(mutated))` to write
 /// corrupted bytes instead, or an injected `io::Error`.
-pub(crate) fn filter(class: Class, bytes: &[u8]) -> io::Result<Option<Vec<u8>>> {
+pub(crate) fn filter(bytes: &[u8]) -> io::Result<Option<Vec<u8>>> {
     let mut guard = lock();
     if guard.is_none() {
         let env = ENV.get_or_init(|| {
             std::env::var("DLP_STORE_IOFAULT").ok().as_deref().and_then(IoFaultPlan::parse)
         });
         if let Some(plan) = *env {
-            *guard = Some(State {
-                plan,
-                rng: SplitMix64::new(plan.seed),
-                by_fault: [0; 4],
-                by_class: [0; 4],
-            });
+            *guard = Some(State { plan, rng: SplitMix64::new(plan.seed), by_fault: [0; 4] });
         }
     }
     let Some(state) = guard.as_mut() else { return Ok(None) };
@@ -166,7 +122,6 @@ pub(crate) fn filter(class: Class, bytes: &[u8]) -> io::Result<Option<Vec<u8>>> 
     if roll(&mut state.rng, state.plan.error_ppm) {
         let which = state.by_fault[0];
         state.by_fault[0] += 1;
-        state.by_class[class.index()] += 1;
         return Err(if which.is_multiple_of(2) {
             io::Error::new(io::ErrorKind::StorageFull, "injected ENOSPC")
         } else {
@@ -178,18 +133,15 @@ pub(crate) fn filter(class: Class, bytes: &[u8]) -> io::Result<Option<Vec<u8>>> 
     }
     if roll(&mut state.rng, state.plan.short_ppm) {
         state.by_fault[1] += 1;
-        state.by_class[class.index()] += 1;
         return Ok(Some(bytes[..bytes.len() / 2].to_vec()));
     }
     if roll(&mut state.rng, state.plan.torn_ppm) {
         state.by_fault[2] += 1;
-        state.by_class[class.index()] += 1;
         let cut = 1 + state.rng.below(bytes.len().min(16) as u64) as usize;
         return Ok(Some(bytes[..bytes.len() - cut.min(bytes.len())].to_vec()));
     }
     if roll(&mut state.rng, state.plan.flip_ppm) {
         state.by_fault[3] += 1;
-        state.by_class[class.index()] += 1;
         let bit = state.rng.below(bytes.len() as u64 * 8);
         let mut out = bytes.to_vec();
         out[(bit / 8) as usize] ^= 1 << (bit % 8);

@@ -47,6 +47,15 @@
 //! entries. See `OPERATIONS.md` for the operator-facing invalidation
 //! rules and runbooks.
 //!
+//! Every record decodes through its type: entries, manifest lines and
+//! dead-letter records derive `FromJson` beside `ToJson`
+//! (`dlp_common::json`), so each has one schema and a field added to a
+//! type is read and written alike. Decoding is strict — a record missing
+//! any field, such as one written before a `SimStats` counter existed,
+//! reads as corrupt (a miss, a skipped or torn line): recomputing beats
+//! resurrecting a half-zeroed record. The only checks written here by
+//! hand are the format versions and digests.
+//!
 //! # Crash consistency
 //!
 //! As of format version 2 every durable write funnels through
@@ -71,11 +80,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use dlp_common::crashpoint::CrashSites;
-use dlp_common::json::{self, JsonValue, ToJson};
-use dlp_common::{
-    CoreParams, DlpError, FaultPlan, FaultRate, FetchParams, GridShape, MemParams, NetParams,
-    OpClassLatency, SimStats, Tick, TimingParams,
-};
+use dlp_common::json::{self, FromJson, ToJson};
+use dlp_common::{DlpError, FaultPlan, GridShape, Tick, TimingParams};
 use dlp_kernels::{DlpKernel, MimdTarget};
 use trips_sim::MechanismSet;
 
@@ -91,8 +97,6 @@ pub use atomic::{atomic_write_file, seal_line, unseal_line, AppendSites, AppendW
 pub use fsck::{fsck, FsckReport};
 pub use iofault::IoFaultPlan;
 pub use lock::StoreLock;
-
-use iofault::Class;
 
 /// On-disk entry format version. Bump when the entry layout, the key
 /// schema, or the meaning of any digested field changes; every older
@@ -356,178 +360,10 @@ pub fn cacheable(outcome: &CellOutcome) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Outcome encode/decode
-// ---------------------------------------------------------------------------
-
-/// Decode a [`CellOutcome`] from its `dlp_common::json` rendering
-/// (struct variants emit bare field objects, so the shape is
-/// distinguished by field presence: `stats` → ran, `error` → failed,
-/// `reason` → skipped).
-#[must_use]
-pub fn outcome_from_json(v: &JsonValue) -> Option<CellOutcome> {
-    if let Some(stats) = v.get("stats") {
-        let mismatch = match v.get("mismatch")? {
-            JsonValue::Null => None,
-            m => Some(m.as_usize()?),
-        };
-        return Some(CellOutcome::Ran { stats: stats_from_json(stats)?, mismatch });
-    }
-    if v.get("error").is_some() {
-        return Some(CellOutcome::Failed {
-            error: v.get("error")?.as_str()?.to_string(),
-            kind: v.get("kind")?.as_str()?.to_string(),
-            attempts: u32::try_from(v.get("attempts")?.as_u64()?).ok()?,
-            timed_out: v.get("timed_out")?.as_bool()?,
-        });
-    }
-    if v.get("reason").is_some() {
-        return Some(CellOutcome::Skipped {
-            reason: v.get("reason")?.as_str()?.to_string(),
-            failures: u32::try_from(v.get("failures")?.as_u64()?).ok()?,
-        });
-    }
-    None
-}
-
-/// Strict field-by-field [`SimStats`] decoder: every counter must be
-/// present (an entry written before a counter existed reads as corrupt,
-/// i.e. a miss — recomputing beats resurrecting a half-zeroed record).
-fn stats_from_json(v: &JsonValue) -> Option<SimStats> {
-    let f = |k: &str| v.get(k).and_then(JsonValue::as_u64);
-    Some(SimStats {
-        ticks: f("ticks")?,
-        useful_ops: f("useful_ops")?,
-        overhead_ops: f("overhead_ops")?,
-        loads: f("loads")?,
-        stores: f("stores")?,
-        lmw_words: f("lmw_words")?,
-        l1_accesses: f("l1_accesses")?,
-        l1_misses: f("l1_misses")?,
-        smc_accesses: f("smc_accesses")?,
-        l0_accesses: f("l0_accesses")?,
-        reg_reads: f("reg_reads")?,
-        reg_writes: f("reg_writes")?,
-        net_msgs: f("net_msgs")?,
-        net_hops: f("net_hops")?,
-        blocks_fetched: f("blocks_fetched")?,
-        revitalizations: f("revitalizations")?,
-        iterations: f("iterations")?,
-        mimd_fetches: f("mimd_fetches")?,
-        mem_stall_node_cycles: f("mem_stall_node_cycles")?,
-        faults_injected: f("faults_injected")?,
-        fault_retries: f("fault_retries")?,
-        fault_stall_ticks: f("fault_stall_ticks")?,
-    })
-}
-
-fn mech_from_json(v: &JsonValue) -> Option<MechanismSet> {
-    let b = |k: &str| v.get(k).and_then(JsonValue::as_bool);
-    Some(MechanismSet {
-        smc: b("smc")?,
-        inst_revitalization: b("inst_revitalization")?,
-        operand_revitalization: b("operand_revitalization")?,
-        l0_data_store: b("l0_data_store")?,
-        local_pc: b("local_pc")?,
-    })
-}
-
-fn grid_from_json(v: &JsonValue) -> Option<GridShape> {
-    let rows = u8::try_from(v.get("rows")?.as_u64()?).ok()?;
-    let cols = u8::try_from(v.get("cols")?.as_u64()?).ok()?;
-    if rows == 0 || cols == 0 {
-        return None;
-    }
-    Some(GridShape::new(rows, cols))
-}
-
-fn timing_from_json(v: &JsonValue) -> Option<TimingParams> {
-    let ops = v.get("ops")?;
-    let o = |k: &str| ops.get(k).and_then(JsonValue::as_u64);
-    let mem = v.get("mem")?;
-    let m = |k: &str| mem.get(k).and_then(JsonValue::as_u64);
-    let mu = |k: &str| mem.get(k).and_then(JsonValue::as_usize);
-    let m32 = |k: &str| mem.get(k).and_then(JsonValue::as_u64).and_then(|x| u32::try_from(x).ok());
-    let net = v.get("net")?;
-    let fetch = v.get("fetch")?;
-    let fe32 =
-        |k: &str| fetch.get(k).and_then(JsonValue::as_u64).and_then(|x| u32::try_from(x).ok());
-    let core = v.get("core")?;
-    let cu = |k: &str| core.get(k).and_then(JsonValue::as_usize);
-    let c32 = |k: &str| core.get(k).and_then(JsonValue::as_u64).and_then(|x| u32::try_from(x).ok());
-    Some(TimingParams {
-        ops: OpClassLatency {
-            int_alu: o("int_alu")?,
-            int_mul: o("int_mul")?,
-            int_div: o("int_div")?,
-            fp_add: o("fp_add")?,
-            fp_mul: o("fp_mul")?,
-            fp_div: o("fp_div")?,
-            fp_sqrt: o("fp_sqrt")?,
-            mov: o("mov")?,
-        },
-        mem: MemParams {
-            l0_latency: m("l0_latency")?,
-            l0_data_bytes: mu("l0_data_bytes")?,
-            l1_hit_latency: m("l1_hit_latency")?,
-            l1_miss_penalty: m("l1_miss_penalty")?,
-            l1_bytes: mu("l1_bytes")?,
-            l1_line_bytes: mu("l1_line_bytes")?,
-            l1_accesses_per_cycle: m32("l1_accesses_per_cycle")?,
-            smc_latency: m("smc_latency")?,
-            smc_bank_bytes: mu("smc_bank_bytes")?,
-            smc_channel_words_per_cycle: m32("smc_channel_words_per_cycle")?,
-            lmw_max_words: m32("lmw_max_words")?,
-            store_buffer_entries: mu("store_buffer_entries")?,
-            store_drains_per_cycle: m32("store_drains_per_cycle")?,
-            dram_latency: m("dram_latency")?,
-        },
-        net: NetParams {
-            hop_ticks: net.get("hop_ticks")?.as_u64()?,
-            link_msgs_per_tick: u32::try_from(net.get("link_msgs_per_tick")?.as_u64()?).ok()?,
-        },
-        fetch: FetchParams {
-            insts_per_cycle: fe32("insts_per_cycle")?,
-            map_overhead: fetch.get("map_overhead")?.as_u64()?,
-            revitalize_delay: fetch.get("revitalize_delay")?.as_u64()?,
-            baseline_frames: fe32("baseline_frames")?,
-        },
-        core: CoreParams {
-            rs_slots_per_node: cu("rs_slots_per_node")?,
-            baseline_slots_per_node: cu("baseline_slots_per_node")?,
-            reg_banks: c32("reg_banks")?,
-            reg_reads_per_bank_per_cycle: c32("reg_reads_per_bank_per_cycle")?,
-            l0_inst_capacity: cu("l0_inst_capacity")?,
-            mimd_regs: cu("mimd_regs")?,
-        },
-    })
-}
-
-fn fault_from_json(v: &JsonValue) -> Option<FaultPlan> {
-    let rate = |k: &str| {
-        v.get(k).and_then(JsonValue::as_u64).and_then(|x| u32::try_from(x).ok()).map(FaultRate)
-    };
-    let t = |k: &str| v.get(k).and_then(JsonValue::as_u64);
-    Some(FaultPlan {
-        noc_drop: rate("noc_drop")?,
-        noc_corrupt: rate("noc_corrupt")?,
-        dma_stall: rate("dma_stall")?,
-        smc_stall: rate("smc_stall")?,
-        l1_fill_delay: rate("l1_fill_delay")?,
-        operand_flip: rate("operand_flip")?,
-        max_retries: u32::try_from(t("max_retries")?).ok()?,
-        backoff_ticks: t("backoff_ticks")?,
-        backoff_cap: t("backoff_cap")?,
-        stall_ticks: t("stall_ticks")?,
-        fill_delay_ticks: t("fill_delay_ticks")?,
-        salt: t("salt")?,
-    })
-}
-
-// ---------------------------------------------------------------------------
 // The result store
 // ---------------------------------------------------------------------------
 
-/// One store entry as written to disk (the `key` block is for audit —
+/// One store entry as written to disk (the key fields are for audit —
 /// lookups trust only the digest, and a digest/filename disagreement
 /// reads as corrupt).
 #[derive(ToJson)]
@@ -540,6 +376,26 @@ struct StoredEntry {
     lowering: String,
     digest: String,
     outcome: CellOutcome,
+}
+
+/// The fields of a [`StoredEntry`] a read checks; the audit fields are
+/// not read.
+#[derive(FromJson)]
+struct EntryHead {
+    store_version: u32,
+    digest: String,
+    outcome: CellOutcome,
+}
+
+/// Read the entry file at `path` as the store trusts it: sealed, of the
+/// current [`STORE_VERSION`], filed under its own digest `digest_hex`,
+/// and decoding in full. Every failure is `None`. Shared by
+/// [`ResultStore::get`] and [`fsck`].
+pub(crate) fn read_entry(path: &Path, digest_hex: &str) -> Option<CellOutcome> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let payload = unseal_line(text.trim_end_matches('\n'))?;
+    let entry: EntryHead = json::from_str(payload)?;
+    (entry.store_version == STORE_VERSION && entry.digest == digest_hex).then_some(entry.outcome)
 }
 
 /// A content-addressed on-disk cache of sweep-cell outcomes.
@@ -589,7 +445,7 @@ pub(crate) fn write_stamp(root: &Path) -> io::Result<bool> {
     if std::fs::read_to_string(&info).ok().as_deref() == Some(stamp.as_str()) {
         return Ok(false);
     }
-    atomic_write_file(&info, stamp.as_bytes(), STAMP_SITES, Class::Stamp)?;
+    atomic_write_file(&info, stamp.as_bytes(), STAMP_SITES)?;
     Ok(true)
 }
 
@@ -644,25 +500,12 @@ impl ResultStore {
     /// miss.
     #[must_use]
     pub fn get(&self, key: &StoreKey) -> Option<CellOutcome> {
-        let outcome = self.read_entry(key);
+        let outcome = read_entry(&self.path_of(key), &key.digest.hex());
         match outcome {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         outcome
-    }
-
-    fn read_entry(&self, key: &StoreKey) -> Option<CellOutcome> {
-        let text = std::fs::read_to_string(self.path_of(key)).ok()?;
-        let payload = unseal_line(text.trim_end_matches('\n'))?;
-        let v = json::parse(payload).ok()?;
-        if v.get("store_version")?.as_u64()? != u64::from(STORE_VERSION) {
-            return None;
-        }
-        if v.get("digest")?.as_str()? != key.digest.hex() {
-            return None;
-        }
-        outcome_from_json(v.get("outcome")?)
     }
 
     /// Insert an outcome, if [`cacheable`]. Returns whether an entry
@@ -694,7 +537,7 @@ impl ResultStore {
             outcome: outcome.clone(),
         };
         let line = format!("{}\n", seal_line(&json::to_string(&entry)));
-        atomic_write_file(&path, line.as_bytes(), ENTRY_SITES, Class::Entry)?;
+        atomic_write_file(&path, line.as_bytes(), ENTRY_SITES)?;
         Ok(true)
     }
 }
@@ -712,6 +555,24 @@ pub struct ManifestEntry {
     pub wall_ms: f64,
     /// Attempts spent.
     pub attempts: u32,
+}
+
+/// A manifest's first line: the grid identity a resume must match.
+#[derive(ToJson, FromJson)]
+struct ManifestHeader {
+    manifest_version: u32,
+    grid_digest: String,
+    cells: usize,
+}
+
+/// One completed cell as a manifest line. `wall_ms` is written as `null`
+/// when it is not finite, and reads back as 0.
+#[derive(ToJson, FromJson)]
+struct ManifestLine {
+    cell: usize,
+    attempts: u32,
+    wall_ms: Option<f64>,
+    outcome: CellOutcome,
 }
 
 /// A parsed sweep checkpoint: the grid identity plus every cell
@@ -756,41 +617,28 @@ impl SweepManifest {
             .ok_or_else(|| bad(format!("manifest {}: empty file", path.display())))?;
         let header = unseal_line(header_line)
             .ok_or_else(|| bad(format!("manifest {}: broken header seal", path.display())))?;
-        let h = json::parse(header)
-            .map_err(|e| bad(format!("manifest header: {e}")))?;
-        let version = h.get("manifest_version").and_then(JsonValue::as_u64);
-        if version != Some(u64::from(MANIFEST_VERSION)) {
+        let h: ManifestHeader = json::from_str(header)
+            .ok_or_else(|| bad(format!("manifest {}: malformed header", path.display())))?;
+        if h.manifest_version != MANIFEST_VERSION {
             return Err(bad(format!(
-                "manifest version {version:?} (this build reads {MANIFEST_VERSION})"
+                "manifest version {} (this build reads {MANIFEST_VERSION})",
+                h.manifest_version
             )));
         }
-        let grid_digest = h
-            .get("grid_digest")
-            .and_then(JsonValue::as_str)
-            .and_then(Digest::from_hex)
+        let grid_digest = Digest::from_hex(&h.grid_digest)
             .ok_or_else(|| bad("manifest header: bad grid_digest".into()))?;
-        let cells = h
-            .get("cells")
-            .and_then(JsonValue::as_usize)
-            .ok_or_else(|| bad("manifest header: bad cell count".into()))?;
+        let cells = h.cells;
         let mut entries: Vec<Option<ManifestEntry>> = vec![None; cells];
         while let Some((lineno, line)) = lines.next() {
             if line.trim().is_empty() {
                 continue;
             }
-            let parsed = unseal_line(line).and_then(|p| json::parse(p).ok()).and_then(|v| {
-                let cell = v.get("cell")?.as_usize()?;
-                let outcome = outcome_from_json(v.get("outcome")?)?;
-                let wall_ms = match v.get("wall_ms")? {
-                    JsonValue::Null => 0.0,
-                    n => n.as_f64()?,
-                };
-                let attempts = u32::try_from(v.get("attempts")?.as_u64()?).ok()?;
-                Some((cell, ManifestEntry { outcome, wall_ms, attempts }))
-            });
-            match parsed {
-                Some((cell, entry)) if cell < cells => entries[cell] = Some(entry),
-                Some((cell, _)) => {
+            match unseal_line(line).and_then(json::from_str::<ManifestLine>) {
+                Some(ManifestLine { cell, attempts, wall_ms, outcome }) if cell < cells => {
+                    let wall_ms = wall_ms.unwrap_or(0.0);
+                    entries[cell] = Some(ManifestEntry { outcome, wall_ms, attempts });
+                }
+                Some(ManifestLine { cell, .. }) => {
                     return Err(bad(format!(
                         "manifest line {}: cell {cell} out of range (grid has {cells})",
                         lineno + 1
@@ -823,13 +671,13 @@ impl ManifestWriter {
     ///
     /// I/O errors creating the file or writing the header.
     pub fn create(path: &Path, cell_digests: &[Digest]) -> io::Result<ManifestWriter> {
-        let file = AppendWriter::create(path, MANIFEST_SITES, Class::Manifest)?;
-        let header = format!(
-            "{{\"manifest_version\":{MANIFEST_VERSION},\"grid_digest\":\"{}\",\"cells\":{}}}",
-            grid_digest(cell_digests).hex(),
-            cell_digests.len(),
-        );
-        file.append_line_at(&header, MANIFEST_HEADER_SITES)?;
+        let file = AppendWriter::create(path, MANIFEST_SITES)?;
+        let header = ManifestHeader {
+            manifest_version: MANIFEST_VERSION,
+            grid_digest: grid_digest(cell_digests).hex(),
+            cells: cell_digests.len(),
+        };
+        file.append_line_at(&json::to_string(&header), MANIFEST_HEADER_SITES)?;
         Ok(ManifestWriter { file })
     }
 
@@ -843,24 +691,17 @@ impl ManifestWriter {
     /// I/O errors opening or repairing the file.
     pub fn append_to(path: &Path) -> io::Result<ManifestWriter> {
         truncate_torn_tail(path)?;
-        let file = AppendWriter::append_to(path, MANIFEST_SITES, Class::Manifest)?;
+        let file = AppendWriter::append_to(path, MANIFEST_SITES)?;
         Ok(ManifestWriter { file })
     }
 
     /// Append a completed cell (thread-safe; sealed and synced before
     /// returning).
     pub fn append(&self, cell: usize, entry: &ManifestEntry) {
-        #[derive(ToJson)]
-        struct Line {
-            cell: usize,
-            attempts: u32,
-            wall_ms: f64,
-            outcome: CellOutcome,
-        }
-        let line = json::to_string(&Line {
+        let line = json::to_string(&ManifestLine {
             cell,
             attempts: entry.attempts,
-            wall_ms: entry.wall_ms,
+            wall_ms: Some(entry.wall_ms),
             outcome: entry.outcome.clone(),
         });
         // Checkpointing is best-effort by design: an unwritable
@@ -890,7 +731,7 @@ pub fn grid_digest(cell_digests: &[Digest]) -> Digest {
 /// failure. Everything needed to reconstruct the cell is inline —
 /// mechanism set, grid, timing, fault plan, base seed — so a later
 /// `sweep --replay-dlq` needs only the suite kernel by name.
-#[derive(Clone, Debug, PartialEq, ToJson)]
+#[derive(Clone, Debug, PartialEq, ToJson, FromJson)]
 pub struct DlqRecord {
     /// Record format version.
     pub dlq_version: u32,
@@ -927,34 +768,6 @@ pub struct DlqRecord {
 }
 
 impl DlqRecord {
-    /// Decode one JSONL line.
-    #[must_use]
-    pub fn from_json(v: &JsonValue) -> Option<DlqRecord> {
-        if v.get("dlq_version")?.as_u64()? != u64::from(DLQ_VERSION) {
-            return None;
-        }
-        Some(DlqRecord {
-            dlq_version: DLQ_VERSION,
-            kernel: v.get("kernel")?.as_str()?.to_string(),
-            config: v.get("config")?.as_str()?.to_string(),
-            label: v.get("label")?.as_str()?.to_string(),
-            mech: mech_from_json(v.get("mech")?)?,
-            grid: grid_from_json(v.get("grid")?)?,
-            timing: timing_from_json(v.get("timing")?)?,
-            fault: fault_from_json(v.get("fault")?)?,
-            base_seed: v.get("base_seed")?.as_u64()?,
-            watchdog: match v.get("watchdog")? {
-                JsonValue::Null => None,
-                t => Some(t.as_u64()?),
-            },
-            records: v.get("records")?.as_usize()?,
-            error: v.get("error")?.as_str()?.to_string(),
-            kind: v.get("kind")?.as_str()?.to_string(),
-            attempts: u32::try_from(v.get("attempts")?.as_u64()?).ok()?,
-            timed_out: v.get("timed_out")?.as_bool()?,
-        })
-    }
-
     /// The [`ExperimentParams`] to replay this record under.
     #[must_use]
     pub fn params(&self) -> ExperimentParams {
@@ -1042,7 +855,7 @@ impl DeadLetterQueue {
             state.prior_len = truncate_torn_tail(&self.path)
                 .or_else(|_| std::fs::metadata(&self.path).map(|m| m.len()))
                 .unwrap_or(0);
-            state.file = AppendWriter::append_to(&self.path, DLQ_SITES, Class::Dlq).ok();
+            state.file = AppendWriter::append_to(&self.path, DLQ_SITES).ok();
         }
         if let Some(file) = state.file.as_ref() {
             if file.append_line(&line).is_ok() {
@@ -1087,14 +900,14 @@ impl DeadLetterQueue {
             out.extend_from_slice(line.as_bytes());
             out.push(b'\n');
         }
-        atomic_write_file(&self.path, &out, DLQ_REWRITE_SITES, Class::Dlq)
+        atomic_write_file(&self.path, &out, DLQ_REWRITE_SITES)
     }
 }
 
 /// Load every valid record from a dead-letter queue file. Lines that
-/// fail to [`unseal_line`] or parse are skipped (a torn final line is
-/// the normal kill signature; a flipped bit breaks the seal); a missing
-/// file is an empty queue.
+/// fail to [`unseal_line`] or decode, or carry another [`DLQ_VERSION`],
+/// are skipped (a torn final line is the normal kill signature; a
+/// flipped bit breaks the seal); a missing file is an empty queue.
 #[must_use]
 pub fn load_dlq(path: &Path) -> Vec<DlqRecord> {
     let Ok(file) = std::fs::File::open(path) else {
@@ -1104,10 +917,8 @@ pub fn load_dlq(path: &Path) -> Vec<DlqRecord> {
         .lines()
         .map_while(Result::ok)
         .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| {
-            let payload = unseal_line(&l)?;
-            json::parse(payload).ok().and_then(|v| DlqRecord::from_json(&v))
-        })
+        .filter_map(|l| unseal_line(&l).and_then(json::from_str::<DlqRecord>))
+        .filter(|r| r.dlq_version == DLQ_VERSION)
         .collect()
 }
 
@@ -1132,7 +943,7 @@ pub fn rewrite_dlq(path: &Path, records: &[DlqRecord]) -> io::Result<()> {
             out.push_str(&seal_line(&json::to_string(r)));
             out.push('\n');
         }
-        atomic_write_file(path, out.as_bytes(), DLQ_REWRITE_SITES, Class::Dlq)
+        atomic_write_file(path, out.as_bytes(), DLQ_REWRITE_SITES)
     }
 }
 
@@ -1140,6 +951,7 @@ pub fn rewrite_dlq(path: &Path, records: &[DlqRecord]) -> io::Result<()> {
 pub(crate) mod tests_support {
     //! Shared fixtures for the store submodules' unit tests.
     use super::*;
+    pub(crate) use dlp_common::SimStats;
 
     pub(crate) fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -1172,7 +984,7 @@ pub(crate) mod tests_support {
 
 #[cfg(test)]
 mod tests {
-    use super::tests_support::{ran_outcome, sample_key, tmpdir};
+    use super::tests_support::{ran_outcome, sample_key, tmpdir, SimStats};
     use super::*;
     use crate::MachineConfig;
 
@@ -1321,8 +1133,7 @@ mod tests {
             CellOutcome::Skipped { reason: "breaker open on S-O".into(), failures: 4 },
         ];
         for outcome in outcomes {
-            let v = json::parse(&json::to_string(&outcome)).expect("parses");
-            assert_eq!(outcome_from_json(&v), Some(outcome));
+            assert_eq!(json::from_str(&json::to_string(&outcome)), Some(outcome));
         }
     }
 
@@ -1345,8 +1156,7 @@ mod tests {
             attempts: 3,
             timed_out: false,
         };
-        let v = json::parse(&json::to_string(&record)).expect("parses");
-        let back = DlqRecord::from_json(&v).expect("decodes");
+        let back: DlqRecord = json::from_str(&json::to_string(&record)).expect("decodes");
         assert_eq!(back, record);
         let params = back.params();
         assert_eq!(params.seed, 0xD1_2003);

@@ -97,7 +97,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use dlp_common::json::ToJson;
+use dlp_common::json::{FromJson, ToJson};
 use dlp_common::{harmonic_mean, DlpError, SimStats};
 use dlp_kernels::{suite, DlpKernel};
 use trips_sim::MechanismSet;
@@ -1356,7 +1356,7 @@ pub fn derive_seed(base: u64, kernel_name: &str) -> u64 {
 }
 
 /// Result of one cell's simulation.
-#[derive(Clone, Debug, PartialEq, ToJson)]
+#[derive(Clone, Debug, PartialEq, ToJson, FromJson)]
 pub enum CellOutcome {
     /// The cell simulated to completion (it may still have computed
     /// wrong answers — check `mismatch`).

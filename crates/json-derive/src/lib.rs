@@ -1,16 +1,28 @@
-//! `#[derive(ToJson)]` for `dlp_common::json::ToJson`.
+//! `#[derive(ToJson)]` and `#[derive(FromJson)]` for
+//! `dlp_common::json`'s `ToJson` and `FromJson`.
 //!
-//! Supports the item shapes this workspace serializes: **non-generic**
-//! structs (unit, tuple, named) and enums (unit, tuple/newtype, struct
-//! variants). Parsing walks the raw `proc_macro::TokenStream` (the
-//! offline dependency set has no `syn`/`quote`), and the generated impl
-//! is plain source text that writes compact JSON with `out.push_str`:
+//! `ToJson` supports the item shapes this workspace serializes:
+//! **non-generic** structs (unit, tuple, named) and enums (unit,
+//! tuple/newtype, struct variants). Parsing walks the raw
+//! `proc_macro::TokenStream` (the offline dependency set has no
+//! `syn`/`quote`), and the generated impl is plain source text that
+//! writes compact JSON with `out.push_str`:
 //!
 //! * a named struct is an object, a tuple struct an array, a newtype
 //!   struct its inner value and a unit struct `null`;
 //! * a unit variant is `"Name"`, a newtype variant `{"Name":value}`, a
 //!   tuple variant an array, and a struct variant a bare object with no
 //!   variant-name wrapper.
+//!
+//! `FromJson` reads back the shapes persisted records use, and rejects
+//! the rest at compile time:
+//!
+//! * a named struct, every field required (extra members are ignored);
+//! * a newtype struct, from its inner value;
+//! * an enum whose variants all have named fields. The variant is the
+//!   first one whose *first* field is present, so first fields must
+//!   differ; once chosen, a variant that does not decode fails the whole
+//!   value rather than falling through to the next.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -39,6 +51,16 @@ pub fn derive_to_json(input: TokenStream) -> TokenStream {
     }
 }
 
+/// Derive `dlp_common::json::FromJson` for a non-generic named struct,
+/// newtype struct, or enum of struct variants.
+#[proc_macro_derive(FromJson)]
+pub fn derive_from_json(input: TokenStream) -> TokenStream {
+    match parse_item(input).and_then(|item| render_from_json(&item)) {
+        Ok(src) => src.parse().expect("generated impl parses"),
+        Err(msg) => compile_error(&msg),
+    }
+}
+
 fn compile_error(msg: &str) -> TokenStream {
     format!("compile_error!({msg:?});").parse().expect("error token parses")
 }
@@ -61,7 +83,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     };
     if matches!(toks.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
         return Err(format!(
-            "ToJson derive: generic type `{name}` is unsupported; \
+            "JSON derive: generic type `{name}` is unsupported; \
              write the impl by hand"
         ));
     }
@@ -87,7 +109,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             };
             Ok(Item::Enum { name, variants: parse_variants(body)? })
         }
-        other => Err(format!("ToJson derive: `{other}` items are unsupported")),
+        other => Err(format!("JSON derive: `{other}` items are unsupported")),
     }
 }
 
@@ -292,4 +314,65 @@ fn object(fields: &[String], values: &[String]) -> String {
         s += &format!("out.push_str({key:?});\n{WRITE}({v}, out);\n");
     }
     s + "out.push('}');"
+}
+
+// ---------------------------------------------------------------------------
+// Decoding
+// ---------------------------------------------------------------------------
+
+/// The trait method every field is read through.
+const READ: &str = "::dlp_common::json::FromJson::from_json";
+
+fn render_from_json(item: &Item) -> Result<String, String> {
+    let (name, body) = match item {
+        Item::Struct { name, shape: Shape::Named(fields) } => {
+            (name, format!("::std::option::Option::Some({})", construct(name, fields)))
+        }
+        Item::Struct { name, shape: Shape::Tuple(1) } => {
+            (name, format!("::std::option::Option::Some({name}({READ}(v)?))"))
+        }
+        Item::Struct { name, .. } => {
+            return Err(format!("FromJson derive: `{name}` must be a named or newtype struct"))
+        }
+        Item::Enum { name, variants } => (name, render_variant_dispatch(name, variants)?),
+    };
+    Ok(format!(
+        "impl ::dlp_common::json::FromJson for {name} {{\n\
+             fn from_json(v: &::dlp_common::json::JsonValue) -> ::std::option::Option<Self> {{\n\
+                 {body}\n\
+             }}\n\
+         }}"
+    ))
+}
+
+/// `path { field: read(v.get("field")?)?, .. }`: every field required.
+fn construct(path: &str, fields: &[String]) -> String {
+    let inits: Vec<String> =
+        fields.iter().map(|f| format!("{f}: {READ}(v.get({f:?})?)?")).collect();
+    format!("{path} {{ {} }}", inits.join(", "))
+}
+
+/// Pick the first variant whose first field is present, and decode it.
+fn render_variant_dispatch(name: &str, variants: &[(String, Shape)]) -> Result<String, String> {
+    let mut s = String::new();
+    let mut firsts: Vec<&String> = Vec::new();
+    for (vname, shape) in variants {
+        let Shape::Named(fields) = shape else {
+            return Err(format!("FromJson derive: `{name}::{vname}` must have named fields"));
+        };
+        let Some(first) = fields.first() else {
+            return Err(format!("FromJson derive: `{name}::{vname}` has no field to select it by"));
+        };
+        if firsts.contains(&first) {
+            return Err(format!(
+                "FromJson derive: two variants of `{name}` start with field `{first}`"
+            ));
+        }
+        firsts.push(first);
+        s += &format!(
+            "if v.get({first:?}).is_some() {{\nreturn ::std::option::Option::Some({});\n}}\n",
+            construct(&format!("{name}::{vname}"), fields)
+        );
+    }
+    Ok(s + "::std::option::Option::None")
 }

@@ -86,13 +86,6 @@ impl Machine {
         self.fault = plan.injector(run_seed);
     }
 
-    /// The fault counters accumulated since the plan was installed
-    /// (staging faults included — they are charged to setup time).
-    #[must_use]
-    pub fn fault_stats(&self) -> dlp_common::FaultStats {
-        self.fault.stats()
-    }
-
     /// The array shape.
     #[must_use]
     pub fn grid(&self) -> GridShape {

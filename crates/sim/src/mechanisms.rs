@@ -2,14 +2,14 @@
 
 use std::fmt;
 
-use dlp_common::json::ToJson;
+use dlp_common::json::{FromJson, ToJson};
 
 /// Which of the paper's universal mechanisms are enabled on the machine.
 ///
 /// The paper's Table 5 configurations are specific combinations of these
 /// flags (constructed by `dlp-core`); up to 20 combinations are meaningful,
 /// and the flags here can express all of them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, ToJson)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, ToJson, FromJson)]
 pub struct MechanismSet {
     /// Software-managed streamed memory: SMC banks, DMA staging, row
     /// streaming channels and wide LMW loads (§4.2). When off, all memory
