@@ -69,7 +69,7 @@ struct FaultRow {
 /// The `BENCH_faults.json` artifact.
 #[derive(Clone, Debug, ToJson)]
 struct FaultReport {
-    /// Retry/timeout policy the sweep ran under.
+    /// Retry policy the sweep ran under.
     policy: SweepPolicy,
     /// Worker threads used (informational; results are thread-count
     /// independent).

@@ -12,9 +12,9 @@
 //! `--dlq`/`--replay-dlq` capture and re-diagnose cells that exhausted
 //! their retries. See `OPERATIONS.md` for the runbooks.
 //!
-//! Exit status: non-zero when any cell remains failed, mis-verified, or
-//! breaker-skipped after retries (the artifact is still written), so CI
-//! and operators can gate on it.
+//! Exit status: non-zero when any cell remains failed or mis-verified
+//! after retries (the artifact is still written), so CI and operators
+//! can gate on it.
 //!
 //! Flags:
 //!
@@ -39,8 +39,6 @@
 //! * `--dlq PATH` — append retry-exhausted cells to a dead-letter queue.
 //! * `--replay-dlq PATH` — re-run the queue's records with
 //!   `faults`-style diagnosis, dropping the ones that now succeed.
-//! * `--breaker N` — skip a configuration's remaining cells after N
-//!   consecutive failures.
 //! * `--watchdog TICKS` — per-cell simulated-tick watchdog override.
 //! * `--kernels a,b,c` — restrict the suite to the named kernels (the
 //!   chaos harness uses this to build small deterministic grids).
@@ -73,7 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_path = args.value("--out").unwrap_or_else(|| "BENCH_sweep.json".to_string());
     let scale: usize = args.parsed("--scale")?.unwrap_or(1);
     let watchdog: Option<u64> = args.parsed("--watchdog")?;
-    let breaker: Option<u32> = args.parsed("--breaker")?;
     let kernels = args.value("--kernels");
     let store_dir = args.value("--store");
     let resume_path = args.value("--resume");
@@ -102,11 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ExperimentParams::default()
     };
     let mut sweep = threads.map_or_else(Sweep::new, Sweep::with_threads);
-    let mut policy = SweepPolicy::default();
-    if let Some(n) = breaker {
-        policy = policy.with_breaker(n);
-    }
-    sweep.set_policy(policy);
     let kernel_filter: Option<Vec<&str>> =
         kernels.as_deref().map(|s| s.split(',').map(str::trim).collect());
     let ids: Vec<KernelId> = sweep
@@ -172,13 +164,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "schedule cache: {} lowerings prepared, {} cells served from cache",
         report.plans_prepared, report.plan_reuses
     );
-    // Every cell is executed, store-served, resumed, skipped, or took
-    // the run of an identical pending cell.
+    // Every cell is executed, store-served, resumed, or took the run of
+    // an identical pending cell.
     let shared = total
         .saturating_sub(report.cells_executed)
         .saturating_sub(report.store_hits as usize)
-        .saturating_sub(report.resumed_cells)
-        .saturating_sub(report.cells_skipped);
+        .saturating_sub(report.resumed_cells);
     println!(
         "run sharing: {} cells executed, {shared} took an identical cell's run",
         report.cells_executed
@@ -328,11 +319,8 @@ fn replay_dlq(path: &Path, threads: Option<usize>) -> Result<(), Box<dyn std::er
                 updated.timed_out = *timed_out;
                 remaining.push(updated);
             }
-            CellOutcome::Skipped { .. } => {
-                // No breaker is armed during replay; keep the record
-                // untouched if this ever changes.
-                remaining.push(record.clone());
-            }
+            // Never produced; keep the record untouched.
+            CellOutcome::Skipped { .. } => remaining.push(record.clone()),
         }
     }
 

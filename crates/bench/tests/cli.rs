@@ -56,6 +56,20 @@ fn sweep_rejects_a_value_flag_without_its_value() {
     assert_rejects(env!("CARGO_BIN_EXE_sweep"), "sweep-out", &["--quick", "--out"], "--out");
 }
 
+/// The sweep has no circuit breaker: its old flag is an unknown argument
+/// and `--help` does not offer it.
+#[test]
+fn sweep_has_no_breaker_flag() {
+    let bin = env!("CARGO_BIN_EXE_sweep");
+    let args = ["--quick", "--kernels", "convert", "--breaker", "2"];
+    assert_rejects(bin, "sweep-breaker", &args, "--breaker");
+    let dir = scratch_dir("sweep-help-breaker");
+    let out = run(bin, &dir, &["--help"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success() && !stdout.contains("--breaker"), "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn faults_help_lists_flags_and_writes_nothing() {
     assert_help_runs_nothing(env!("CARGO_BIN_EXE_faults"), "faults-help", "--dlq");

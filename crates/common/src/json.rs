@@ -383,18 +383,22 @@ pub const MAX_DEPTH: usize = 128;
 /// garbage, or nesting deeper than [`MAX_DEPTH`] — the store layer
 /// treats any parse failure as a cache miss.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { text, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(JsonError(format!("trailing data at byte {}", p.pos)));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset of the next unread byte. It only steps over ASCII
+    /// bytes, whole `\u` escapes and string runs that stop before an
+    /// ASCII byte (an unknown escape fails at once), so slicing `text`
+    /// here never splits a char.
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
@@ -406,7 +410,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -425,7 +429,7 @@ impl Parser<'_> {
     }
 
     fn lit(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -535,9 +539,8 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
@@ -551,14 +554,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash at
+                    // once. Both are ASCII, so the run ends on a char
+                    // boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.bytes().position(|b| b == b'"' || b == b'\\');
+                    let run = run.unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -572,8 +575,7 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if text.is_empty() || text == "-" || text.parse::<f64>().is_err() {
             return Err(self.err("invalid number"));
         }

@@ -79,12 +79,6 @@ pub fn ticks_to_cycles(ticks: Tick) -> u64 {
     ticks.div_ceil(2)
 }
 
-/// Convert whole cycles to ticks (half-cycles).
-#[must_use]
-pub fn cycles_to_ticks(cycles: u64) -> Tick {
-    cycles * 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,7 +89,5 @@ mod tests {
         assert_eq!(ticks_to_cycles(1), 1);
         assert_eq!(ticks_to_cycles(2), 1);
         assert_eq!(ticks_to_cycles(3), 2);
-        assert_eq!(cycles_to_ticks(5), 10);
-        assert_eq!(ticks_to_cycles(cycles_to_ticks(7)), 7);
     }
 }

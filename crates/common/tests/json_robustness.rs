@@ -104,3 +104,15 @@ fn nesting_at_the_bound_parses() {
     let too_deep = format!("[{arrays}]");
     assert!(json::parse(&too_deep).is_err());
 }
+
+/// A long string of multi-byte characters with every kind of escape
+/// mixed in (quote, backslash, short escapes, `\u` for control bytes)
+/// round-trips exactly.
+#[test]
+fn long_multibyte_strings_round_trip() {
+    let piece = "héllo → 世界 🦀 \"quoted\" back\\slash\ttab\nline\u{1}";
+    let text = piece.repeat(4096);
+    let doc = json::to_string(&text);
+    assert!(doc.contains("\\u0001") && doc.len() > 200_000);
+    assert_eq!(json::parse(&doc).expect("parses").as_str(), Some(text.as_str()));
+}

@@ -339,7 +339,7 @@ impl StoreKey {
 /// Whether an outcome is a pure function of its [`StoreKey`] and may
 /// enter the result store. See the module docs for the taxonomy split;
 /// the complement of this predicate is exactly the dead-letter set
-/// (plus breaker skips, which never ran at all).
+/// (plus [`CellOutcome::Skipped`], which the sweep never produces).
 #[must_use]
 pub fn cacheable(outcome: &CellOutcome) -> bool {
     match outcome {
@@ -1130,7 +1130,7 @@ mod tests {
                 attempts: 3,
                 timed_out: true,
             },
-            CellOutcome::Skipped { reason: "breaker open on S-O".into(), failures: 4 },
+            CellOutcome::Skipped { reason: "skipped on S-O".into(), failures: 4 },
         ];
         for outcome in outcomes {
             assert_eq!(json::from_str(&json::to_string(&outcome)), Some(outcome));

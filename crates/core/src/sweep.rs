@@ -28,7 +28,6 @@
 //!   attempt count (with no wall time) as soon as it lands, and is
 //!   persisted under its own key. Such a cell counts in neither
 //!   [`SweepReport::cells_executed`] nor [`SweepReport::store_hits`].
-//!   Under a circuit breaker nothing is shared.
 //! * **Graceful degradation** — a failing cell (panic, watchdog,
 //!   unrecoverable injected fault) is captured as a structured
 //!   [`CellOutcome::Failed`] with the [`DlpError::kind`] taxonomy and
@@ -50,13 +49,6 @@
 //!   observationally pure: the canonical report
 //!   ([`SweepReport::canonical`]) of a warm-store run is bit-identical
 //!   to a cold one, at any worker count (the `store_sweep` test).
-//! * **Circuit breakers (opt-in)** — with
-//!   [`SweepPolicy::with_breaker`], a configuration that fails `n`
-//!   consecutive cells has its remaining *unknown* cells skipped as
-//!   [`CellOutcome::Skipped`] instead of executed. Determinism is
-//!   preserved by dispatching each configuration's cells as one
-//!   sequential chain in push order, so "consecutive" never depends on
-//!   worker interleaving.
 //!
 //! The output is a serializable [`SweepReport`] — the artifact behind
 //! `BENCH_sweep.json` — with per-cell statistics, verification results,
@@ -167,12 +159,11 @@ pub struct Sweep {
 }
 
 /// Degradation policy for failing cells: how hard a sweep tries before
-/// accepting a [`CellOutcome::Failed`], and whether a configuration's
-/// failures stop its remaining cells.
+/// accepting a [`CellOutcome::Failed`].
 ///
-/// The default (`max_attempts: 1`, no breaker) is exactly the historical
-/// behavior. Wall-clock never enters either decision, so every policy
-/// keeps sweeps bit-deterministic.
+/// The default (`max_attempts: 1`) runs each cell once. Wall-clock
+/// never enters the decision, so every policy keeps sweeps
+/// bit-deterministic.
 #[derive(Clone, Copy, Debug, PartialEq, ToJson)]
 pub struct SweepPolicy {
     /// Execution attempts granted per cell (clamped to ≥ 1). Each retry
@@ -182,19 +173,11 @@ pub struct SweepPolicy {
     /// (malformed programs, genuine deadlocks) fail every attempt and
     /// report the final error with the attempt count.
     pub max_attempts: u32,
-    /// Per-configuration circuit breaker: after this many *consecutive*
-    /// failed cells of one configuration, its remaining unknown cells
-    /// are skipped ([`CellOutcome::Skipped`]) instead of executed.
-    /// Cells whose outcome is already known (store or resume hits) are
-    /// served regardless and feed the failure counter; a success resets
-    /// it. `None` (the default) disables the breaker and keeps each
-    /// cell an independent work-stealing unit.
-    pub breaker_threshold: Option<u32>,
 }
 
 impl Default for SweepPolicy {
     fn default() -> Self {
-        SweepPolicy { max_attempts: 1, breaker_threshold: None }
+        SweepPolicy { max_attempts: 1 }
     }
 }
 
@@ -203,14 +186,6 @@ impl SweepPolicy {
     #[must_use]
     pub fn with_attempts(mut self, n: u32) -> Self {
         self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Opens each configuration's circuit breaker after `n` consecutive
-    /// failures (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_breaker(mut self, n: u32) -> Self {
-        self.breaker_threshold = Some(n.max(1));
         self
     }
 }
@@ -302,10 +277,10 @@ impl Sweep {
         self.result_store.as_ref()
     }
 
-    /// Attaches a checkpoint writer: every completed cell (executed or
-    /// store-served, but not breaker-skipped — a resumed run should
-    /// re-evaluate those) is appended as one flushed JSONL line, so a
-    /// killed sweep loses only its in-flight cells.
+    /// Attaches a checkpoint writer: every completed cell (executed,
+    /// store-served, or sharing an identical cell's run) is appended as
+    /// one flushed JSONL line, so a killed sweep loses only its
+    /// in-flight cells.
     pub fn set_manifest(&mut self, writer: ManifestWriter) {
         self.manifest = Some(Arc::new(writer));
     }
@@ -623,98 +598,45 @@ impl Sweep {
         // engine arena makes repeat cells allocation-free, and one
         // workload cache is shared across all workers.
         //
-        // The work-stealing unit is a *group* of cells. Two shapes:
-        // with the circuit breaker armed, one sequential chain per
-        // configuration (so "consecutive failures" is well-defined
-        // regardless of worker interleaving, and nothing batches);
-        // otherwise lane-*batched* groups of pending cells sharing one
-        // lowering (hence one record count) and watchdog, packed
-        // greedily into maximal-occupancy batches and dispatched in
-        // lockstep through the batched engine (DESIGN.md §10) with
-        // bit-identical per-cell results, and singleton chains for
-        // everything else.
-        let breaker = self.policy.breaker_threshold.filter(|&t| t > 0);
         // Pending cells with one run key — plan (records included),
         // derived seed, fault plan and watchdog, every input of a run —
         // would simulate the same run: the first in push order leads
         // and runs, and each other one follows, taking the leader's
-        // outcome when it lands.
-        // Under a breaker every cell stays in its configuration's chain,
-        // so nothing is shared.
+        // outcome when it lands. Leaders sharing one lowering (hence
+        // one record count) and watchdog form one batch key.
         let mut followers: Vec<Vec<usize>> = vec![Vec::new(); self.cells.len()];
-        let mut is_follower = vec![false; self.cells.len()];
-        if breaker.is_none() {
-            let mut leaders: Vec<(RunKey, usize)> = Vec::new();
-            for i in (0..self.cells.len()).filter(|&i| resolved[i].is_none()) {
-                let cell = &self.cells[i];
-                let seed = self.attempt_params(i, 1).seed;
-                let key = (cell_plan[i], seed, cell.params.fault, cell.params.watchdog);
-                match leaders.iter().find(|(k, _)| *k == key) {
-                    Some(&(_, leader)) => {
-                        followers[leader].push(i);
-                        is_follower[i] = true;
-                    }
-                    None => leaders.push((key, i)),
-                }
+        let mut leaders: Vec<(RunKey, usize)> = Vec::new();
+        let mut pending: Vec<(BatchKey, Vec<usize>)> = Vec::new();
+        for i in (0..self.cells.len()).filter(|&i| resolved[i].is_none()) {
+            let cell = &self.cells[i];
+            let seed = self.attempt_params(i, 1).seed;
+            let key = (cell_plan[i], seed, cell.params.fault, cell.params.watchdog);
+            if let Some(&(_, leader)) = leaders.iter().find(|(k, _)| *k == key) {
+                followers[leader].push(i);
+                continue;
+            }
+            leaders.push((key, i));
+            let key = (cell_plan[i], cell.params.watchdog);
+            match pending.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, members)) => members.push(i),
+                None => pending.push((key, vec![i])),
             }
         }
-        let mut groups: Vec<DispatchGroup> = match breaker {
-            Some(_) => {
-                let mut order: Vec<(String, Vec<usize>)> = Vec::new();
-                for (i, cell) in self.cells.iter().enumerate() {
-                    let config = cell.config_name();
-                    match order.iter_mut().find(|(c, _)| *c == config) {
-                        Some((_, members)) => members.push(i),
-                        None => order.push((config, vec![i])),
-                    }
-                }
-                order.into_iter().map(|(_, members)| DispatchGroup::Chain(members)).collect()
-            }
-            None => {
-                let mut groups: Vec<DispatchGroup> = Vec::new();
-                let mut pending: Vec<(BatchKey, Vec<usize>)> = Vec::new();
-                for i in 0..self.cells.len() {
-                    if is_follower[i] {
-                        continue;
-                    }
-                    if resolved[i].is_some() {
-                        groups.push(DispatchGroup::Chain(vec![i]));
-                        continue;
-                    }
-                    let key = (cell_plan[i], self.cells[i].params.watchdog);
-                    match pending.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, members)) => members.push(i),
-                        None => pending.push((key, vec![i])),
-                    }
-                }
-                // Greedy packer: each key's members (push order) fill
-                // batches to the lane-word limit before opening the
-                // next — the maximal-occupancy packing, since lanes
-                // can never cross lowerings. A leftover singleton runs
-                // as a scalar chain.
-                for (_, members) in pending {
-                    for chunk in members.chunks(trips_sim::batch::MAX_CLASSES) {
-                        if chunk.len() >= 2 {
-                            groups.push(DispatchGroup::Batch(chunk.to_vec()));
-                        } else {
-                            groups.push(DispatchGroup::Chain(chunk.to_vec()));
-                        }
-                    }
-                }
-                groups
-            }
-        };
-        // Static dispatch accounting: a pure function of the grid, the
-        // policy, and the resolve phase — never of worker interleaving.
-        let cells_batched = groups
+        // The work-stealing unit is a chunk of one key's leaders (push
+        // order), filled to the lane-word limit before the next opens —
+        // the maximal-occupancy packing, since lanes can never cross
+        // lowerings. A chunk of two or more runs in lockstep through
+        // the batched engine (DESIGN.md §10) with bit-identical
+        // per-cell results; a single cell runs on the scalar path.
+        let mut groups: Vec<&[usize]> = pending
             .iter()
-            .map(|g| match g {
-                DispatchGroup::Batch(members) => members.len(),
-                DispatchGroup::Chain(_) => 0,
-            })
-            .sum();
-        let batch_dispatches =
-            groups.iter().filter(|g| matches!(g, DispatchGroup::Batch(_))).count();
+            .flat_map(|(_, members)| members.chunks(trips_sim::batch::MAX_CLASSES))
+            .collect();
+        // Static dispatch accounting: a pure function of the grid and
+        // the resolve phase — never of worker interleaving.
+        let batches = || groups.iter().filter(|g| g.len() >= 2);
+        let cells_batched = batches().map(|g| g.len()).sum();
+        let batch_dispatches = batches().count();
         let batch_occupancy = if batch_dispatches == 0 {
             0.0
         } else {
@@ -722,84 +644,43 @@ impl Sweep {
                 / (batch_dispatches * trips_sim::batch::MAX_CLASSES) as f64
         };
         // ---- Longest-predicted-first (LPT) dispatch order. Weight
-        // each group by the largest static cycle estimate among its
-        // pending members (the analyzer's sound bound extrapolated
-        // per record — DESIGN.md §13) and hand the heaviest groups to
+        // each group by its static cycle estimate (the analyzer's sound
+        // bound extrapolated per record — DESIGN.md §13; a group shares
+        // one plan and record count) and hand the heaviest groups to
         // the work-stealing drain first, so a giant cell can't start
         // last and strand one worker past the others' finish line.
-        // Already-resolved cells and failed lowerings weigh nothing.
-        // The sort is stable (ties keep push order) and per-cell
-        // results are keyed by index, so the report and every
-        // determinism contract over it are order-invariant; only
-        // wall-clock moves.
-        let weight = |members: &[usize]| -> u64 {
-            members
-                .iter()
-                .map(|&i| match (&resolved[i], &plans[cell_plan[i]]) {
-                    (None, Some(Ok(p))) => p.estimate_ticks(self.cells[i].records),
-                    _ => 0,
-                })
-                .max()
-                .unwrap_or(0)
-        };
-        groups.sort_by_cached_key(|g| match g {
-            DispatchGroup::Batch(m) | DispatchGroup::Chain(m) => std::cmp::Reverse(weight(m)),
+        // Failed lowerings weigh nothing. The sort is stable (ties
+        // keep push order) and per-cell results are keyed by index, so
+        // the report and every determinism contract over it are
+        // order-invariant; only wall-clock moves.
+        groups.sort_by_cached_key(|g| {
+            std::cmp::Reverse(match &plans[cell_plan[g[0]]] {
+                Some(Ok(p)) => p.estimate_ticks(self.cells[g[0]].records),
+                _ => 0,
+            })
         });
         let workload_cache = Arc::new(WorkloadCache::new());
         let group_results: Vec<Vec<(usize, Resolved)>> = self.parallel_map_with(
             groups.len(),
             || RunScratch::with_workload_cache(Arc::clone(&workload_cache)),
-            |scratch, g| match &groups[g] {
-                DispatchGroup::Batch(members) => {
-                    let results = self.execute_batch(scratch, members, &plans, &cell_plan);
-                    let mut out = Vec::with_capacity(members.len());
-                    for (&i, (outcome, wall_ms, attempts)) in members.iter().zip(results) {
-                        let followers = &followers[i];
-                        let result =
-                            self.land(i, outcome, wall_ms, attempts, followers, &keys, &mut out);
-                        out.push((i, result));
-                    }
-                    out
+            |scratch, g| {
+                let members = groups[g];
+                let runs = if members.len() >= 2 {
+                    self.execute_batch(scratch, members, &plans, &cell_plan)
+                } else {
+                    vec![self.execute_cell(scratch, members[0], &plans, &cell_plan)]
+                };
+                let mut out = Vec::with_capacity(members.len());
+                for (&i, (outcome, wall_ms, attempts)) in members.iter().zip(runs) {
+                    let result =
+                        self.land(i, outcome, wall_ms, attempts, &followers[i], &keys, &mut out);
+                    out.push((i, result));
                 }
-                DispatchGroup::Chain(members) => {
-                    let mut out = Vec::with_capacity(members.len());
-                    let mut consecutive = 0u32;
-                    let mut open = false;
-                    for &i in members {
-                        let result = if let Some(known) = resolved[i].clone() {
-                            // A known outcome is always served — the
-                            // breaker only guards *unknown* work.
-                            known
-                        } else if open {
-                            let outcome = CellOutcome::Skipped {
-                                reason: format!(
-                                    "circuit breaker open for {}: {consecutive} consecutive failures",
-                                    self.cells[i].config_name()
-                                ),
-                                failures: consecutive,
-                            };
-                            Resolved { outcome, wall_ms: 0.0, attempts: 0, origin: Origin::Skipped }
-                        } else {
-                            let (outcome, wall_ms, attempts) =
-                                self.execute_cell(scratch, i, &plans, &cell_plan);
-                            let followers = &followers[i];
-                            self.land(i, outcome, wall_ms, attempts, followers, &keys, &mut out)
-                        };
-                        if matches!(result.outcome, CellOutcome::Failed { .. }) {
-                            consecutive += 1;
-                        } else if matches!(result.outcome, CellOutcome::Ran { .. }) {
-                            consecutive = 0;
-                        }
-                        if breaker.is_some_and(|t| consecutive >= t) {
-                            open = true;
-                        }
-                        out.push((i, result));
-                    }
-                    out
-                }
+                out
             },
         );
-        let mut cell_results: Vec<Option<Resolved>> = vec![None; self.cells.len()];
+        // Cells resolved in phase 0 are already in place.
+        let mut cell_results = resolved;
         for group in group_results {
             for (i, result) in group {
                 cell_results[i] = Some(result);
@@ -809,8 +690,9 @@ impl Sweep {
             .into_iter()
             .map(|r| {
                 r.unwrap_or_else(|| Resolved {
-                    // Unreachable by construction (every cell is in
-                    // exactly one group); degrade, don't panic.
+                    // Unreachable by construction (every cell resolves
+                    // in phase 0 or lands from exactly one group, as a
+                    // leader or a follower); degrade, don't panic.
                     outcome: internal("cell missing from dispatch groups"),
                     wall_ms: 0.0,
                     attempts: 0,
@@ -830,8 +712,6 @@ impl Sweep {
             .sum();
         let cells_executed =
             cell_results.iter().filter(|r| r.origin == Origin::Executed).count();
-        let cells_skipped =
-            cell_results.iter().filter(|r| r.origin == Origin::Skipped).count();
         let dlq_appended = self.dlq.as_ref().map_or(0, |d| {
             // Best-effort like the appends: the streamed lines stay valid
             // (in completion order) if the rewrite fails.
@@ -877,7 +757,7 @@ impl Sweep {
             store_hits,
             store_misses,
             cells_executed,
-            cells_skipped,
+            cells_skipped: 0,
             resumed_cells,
             dlq_appended,
             cells_batched,
@@ -1223,16 +1103,6 @@ impl Sweep {
     }
 }
 
-/// One phase-2 work-stealing unit.
-enum DispatchGroup {
-    /// Cells processed sequentially in push order by the scalar path
-    /// (per-configuration chains under a breaker, singletons otherwise).
-    Chain(Vec<usize>),
-    /// Pending cells sharing one lowering (hence one record count) and
-    /// watchdog, dispatched in lockstep through the lane-batched engine.
-    Batch(Vec<usize>),
-}
-
 /// Batch-eligibility key: plan index (which already pins kernel,
 /// mechanisms, grid, timing, and record count) and watchdog — exactly
 /// the uniformity [`crate::runner::batchable`] requires. Seeds and fault
@@ -1250,8 +1120,6 @@ enum Origin {
     Resumed,
     /// Took the outcome of an identical pending cell's run.
     Shared,
-    /// Circuit breaker skipped it.
-    Skipped,
 }
 
 /// One cell's outcome plus run provenance, as phase 2 produces it.
@@ -1383,15 +1251,14 @@ pub enum CellOutcome {
         /// and dead-letter records keep their format.
         timed_out: bool,
     },
-    /// The cell never executed: its configuration's circuit breaker
-    /// opened ([`SweepPolicy::with_breaker`]) after consecutive
-    /// failures. Skips are never cached or dead-lettered — a later run
-    /// re-evaluates them.
+    /// Never produced: the sweep skips no cell since its circuit
+    /// breaker was removed. Kept so the benchmark harness, which
+    /// matches every variant, builds unchanged; never cached or
+    /// dead-lettered.
     Skipped {
-        /// Human-readable reason (which configuration, how many
-        /// failures).
+        /// Human-readable reason.
         reason: String,
-        /// Consecutive failures observed when the breaker opened.
+        /// Failures counted before the skip.
         failures: u32,
     },
 }
@@ -1437,9 +1304,9 @@ pub struct SweepCell {
     /// What happened.
     pub outcome: CellOutcome,
     /// Host wall-clock for this cell, milliseconds (informational; not
-    /// part of the deterministic output). 0 for store hits, breaker
-    /// skips and cells that took an identical cell's run; a resumed
-    /// cell keeps the wall time its manifest line recorded.
+    /// part of the deterministic output). 0 for store hits and cells
+    /// that took an identical cell's run; a resumed cell keeps the wall
+    /// time its manifest line recorded.
     pub wall_ms: f64,
     /// The analyzer's sound static lower bound on this cell's simulated
     /// cycles (DESIGN.md §13), when its lowering was prepared during
@@ -1471,7 +1338,7 @@ pub struct SweepCell {
 /// let json = dlp_common::json::to_string(&report);
 /// assert!(json.contains("\"kernel\":\"fft\""));
 /// ```
-#[derive(Clone, Debug, ToJson)]
+#[derive(Clone, Debug, Default, ToJson)]
 pub struct SweepReport {
     /// Worker threads used.
     pub threads: usize,
@@ -1508,7 +1375,8 @@ pub struct SweepReport {
     /// that took an identical pending cell's run is not counted here
     /// nor in `store_hits`.
     pub cells_executed: usize,
-    /// Cells the circuit breaker skipped.
+    /// Always 0: no cell is ever skipped ([`CellOutcome::Skipped`] is
+    /// never produced). Kept so the canonical report keeps its bytes.
     pub cells_skipped: usize,
     /// Cells served from the resume manifest.
     pub resumed_cells: usize,
@@ -1516,10 +1384,9 @@ pub struct SweepReport {
     pub dlq_appended: u64,
     /// Pending cells dispatched through the lane-batched engine
     /// (DESIGN.md §10) rather than one-at-a-time. A pure function of
-    /// the grid, the policy, and the resolve phase — never of worker
-    /// count — and observationally inert: batched cells report
-    /// bit-identical outcomes. 0 under a breaker (which forces the
-    /// scalar path) and on fully-resolved warm runs.
+    /// the grid and the resolve phase — never of worker count — and
+    /// observationally inert: batched cells report bit-identical
+    /// outcomes. 0 on fully-resolved warm runs.
     pub cells_batched: usize,
     /// Lockstep dispatches those batched cells were grouped into.
     pub batch_dispatches: usize,
@@ -1527,7 +1394,7 @@ pub struct SweepReport {
     /// (batch_dispatches * MAX_CLASSES)`, in `(0, 1]` — how full the
     /// 64-lane words the greedy packer built were. 0.0 when nothing
     /// batched. Like the dispatch counters it is a pure function of
-    /// the grid, the policy, and the resolve phase.
+    /// the grid and the resolve phase.
     pub batch_occupancy: f64,
     /// Total analyzer warnings (`W*` codes, DESIGN.md §13) across the
     /// lowerings prepared during this run. Provenance, like the cache
@@ -1585,12 +1452,6 @@ impl SweepReport {
         self.cells.iter().filter(|c| matches!(c.outcome, CellOutcome::Failed { .. })).collect()
     }
 
-    /// Every breaker-skipped cell, in push order.
-    #[must_use]
-    pub fn skipped(&self) -> Vec<&SweepCell> {
-        self.cells.iter().filter(|c| matches!(c.outcome, CellOutcome::Skipped { .. })).collect()
-    }
-
     /// The report reduced to its *science payload*: per-cell kernel,
     /// configuration, label, record count, and outcome — with every
     /// provenance field zeroed (worker count, wall-clocks, cache and
@@ -1604,28 +1465,12 @@ impl SweepReport {
     #[must_use]
     pub fn canonical(&self) -> SweepReport {
         SweepReport {
-            threads: 0,
-            plans_prepared: 0,
-            plan_reuses: 0,
-            wall_ms: 0.0,
-            extra_attempts: 0,
-            workload_cache_hits: 0,
-            workload_cache_misses: 0,
-            store_hits: 0,
-            store_misses: 0,
-            cells_executed: 0,
-            cells_skipped: 0,
-            resumed_cells: 0,
-            dlq_appended: 0,
-            cells_batched: 0,
-            batch_dispatches: 0,
-            batch_occupancy: 0.0,
-            analysis_warnings: 0,
             cells: self
                 .cells
                 .iter()
                 .map(|c| SweepCell { wall_ms: 0.0, predicted_cycles: None, ..c.clone() })
                 .collect(),
+            ..SweepReport::default()
         }
     }
 
@@ -1948,7 +1793,7 @@ mod tests {
     }
 
     /// Asserts each cell of `batched` ended as the same cell run alone:
-    /// a singleton chain, on the scalar path from its first attempt.
+    /// a single-cell group, on the scalar path from its first attempt.
     fn assert_matches_scalar(batched: &SweepReport, cells: &[ExperimentParams]) {
         for (cell, params) in batched.cells.iter().zip(cells) {
             let alone = two_attempt_sweep(std::slice::from_ref(params));
@@ -2015,71 +1860,6 @@ mod tests {
         assert_eq!(c.cells.len(), one.cells.len());
     }
 
-    /// A mechanism set that fails deterministically at lowering time
-    /// (operand revitalization with nothing to revitalize into).
-    fn incoherent_mech() -> MechanismSet {
-        MechanismSet {
-            smc: false,
-            inst_revitalization: false,
-            operand_revitalization: true,
-            l0_data_store: false,
-            local_pc: false,
-        }
-    }
-
-    #[test]
-    fn breaker_skips_a_config_after_consecutive_failures() {
-        let params = ExperimentParams::default();
-        let mut sweep = Sweep::with_threads(4);
-        sweep.set_policy(SweepPolicy::default().with_breaker(2));
-        let id = sweep.add_kernel_by_name("convert").expect("suite kernel");
-        // Four cells of one (failing) raw config, then a healthy config.
-        for n in 0..4 {
-            sweep.push_cell(CellSpec {
-                kernel: id,
-                config: None,
-                mech: incoherent_mech(),
-                records: 24,
-                params,
-                label: format!("bad{n}"),
-            });
-        }
-        sweep.push_config(id, MachineConfig::S, 24, &params);
-        let report = sweep.run();
-        assert!(matches!(report.cells[0].outcome, CellOutcome::Failed { .. }));
-        assert!(matches!(report.cells[1].outcome, CellOutcome::Failed { .. }));
-        for i in [2, 3] {
-            match &report.cells[i].outcome {
-                CellOutcome::Skipped { failures, .. } => assert_eq!(*failures, 2),
-                other => panic!("cell {i} should be skipped, got {other:?}"),
-            }
-        }
-        assert!(report.cells[4].outcome.verified(), "other configs unaffected");
-        assert_eq!(report.cells_skipped, 2);
-        assert_eq!(report.skipped().len(), 2);
-        assert!(report.ensure_verified().is_err(), "skips are not verified results");
-
-        // Same grid, breaker off: every cell is evaluated.
-        let mut plain = Sweep::with_threads(4);
-        let id = plain.add_kernel_by_name("convert").expect("suite kernel");
-        for n in 0..4 {
-            plain.push_cell(CellSpec {
-                kernel: id,
-                config: None,
-                mech: incoherent_mech(),
-                records: 24,
-                params,
-                label: format!("bad{n}"),
-            });
-        }
-        plain.push_config(id, MachineConfig::S, 24, &params);
-        let plain = plain.run();
-        assert_eq!(plain.cells_skipped, 0);
-        assert!(plain.cells[..4]
-            .iter()
-            .all(|c| matches!(c.outcome, CellOutcome::Failed { .. })));
-    }
-
     #[test]
     fn derived_seeds_differ_by_kernel_but_not_config() {
         let a = derive_seed(7, "convert");
@@ -2113,9 +1893,10 @@ mod tests {
         });
         sweep.push_config(id, MachineConfig::S, 24, &params);
         let report = sweep.run();
-        // Whatever the first cell did, the second must have run — a bad
-        // cell never poisons the batch.
+        assert!(matches!(report.cells[0].outcome, CellOutcome::Failed { .. }));
+        // The second must have run — a bad cell never poisons the batch.
         assert!(report.cells[1].outcome.verified());
+        assert_eq!(report.cells_skipped, 0);
     }
 
     /// convert on S-O and on S-O-D at 24 records: convert has no lookup
@@ -2220,16 +2001,5 @@ mod tests {
         assert_eq!((report.resumed_cells, report.cells_executed), (1, 1), "the follower runs");
         assert_eq!(report.canonical_json(), reference.canonical_json());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_breaker_shares_no_run() {
-        let mut sweep = twin_sweep(&ExperimentParams::default());
-        sweep.set_policy(SweepPolicy::default().with_breaker(1));
-        let report = sweep.run();
-        assert_eq!(report.plans_prepared, 1, "the lowering is still shared");
-        assert_eq!(report.cells_executed, 2, "each configuration's chain runs its own cells");
-        let unguarded = twin_sweep(&ExperimentParams::default()).run();
-        assert_eq!(report.canonical_json(), unguarded.canonical_json());
     }
 }

@@ -239,12 +239,6 @@ impl DataflowBlock {
         self.insts.is_empty()
     }
 
-    /// Number of store instructions (part of the completion condition).
-    #[must_use]
-    pub fn store_count(&self) -> usize {
-        self.insts.iter().filter(|i| matches!(i.op, Opcode::Store(_))).count()
-    }
-
     /// Check structural well-formedness against a machine shape.
     ///
     /// Verifies that every slot is on the grid and within the slot budget,
@@ -495,7 +489,6 @@ mod tests {
         let blk = DataflowBlock::new("t", vec![a, b], vec![]);
         assert!(blk.validate(GridShape::new(8, 8), 64).is_ok());
         assert_eq!(blk.len(), 2);
-        assert_eq!(blk.store_count(), 0);
     }
 
     #[test]

@@ -56,10 +56,8 @@
 mod dataflow;
 pub mod exec;
 mod mimd;
-mod mimd_text;
 mod opcode;
 
 pub use dataflow::{DataflowBlock, PlacedInst, Port, PortSet, RegRead, Slot, Target};
 pub use mimd::{MimdAsm, MimdInst, MimdOp, MimdProgram, REG_NODE_COUNT, REG_NODE_ID, REG_RECORDS};
-pub use mimd_text::parse_mimd;
 pub use opcode::{MemSpace, OpClass, OpRole, Opcode};

@@ -105,9 +105,10 @@ pub struct MimdProgram {
 }
 
 impl MimdProgram {
-    /// Build a program directly from resolved instructions (used by the
-    /// text parser; prefer [`MimdAsm`] when writing programs in code —
-    /// it resolves labels and validates registers).
+    /// Build a program directly from resolved instructions, unvalidated
+    /// (how tests build programs the verifier must reject; prefer
+    /// [`MimdAsm`] when writing programs in code — it resolves labels
+    /// and validates registers).
     #[must_use]
     pub fn from_insts(insts: Vec<MimdInst>) -> Self {
         MimdProgram { insts }

@@ -33,8 +33,6 @@ const PAGE_WORDS: usize = 1 << 14;
 #[derive(Clone, Debug, Default)]
 pub struct MainMemory {
     pages: Vec<Option<Box<[Value]>>>,
-    /// Highest written word address plus one.
-    footprint: usize,
 }
 
 impl MainMemory {
@@ -73,7 +71,6 @@ impl MainMemory {
         let page = self.pages[pi]
             .get_or_insert_with(|| vec![Value::ZERO; PAGE_WORDS].into_boxed_slice());
         page[idx % PAGE_WORDS] = value;
-        self.footprint = self.footprint.max(idx + 1);
     }
 
     /// Write a slice of words starting at `base`.
@@ -88,12 +85,6 @@ impl MainMemory {
     pub fn read_words(&self, base: u64, n: usize) -> Vec<Value> {
         (0..n).map(|i| self.read(base + i as u64)).collect()
     }
-
-    /// Highest written word address plus one (the memory footprint).
-    #[must_use]
-    pub fn footprint_words(&self) -> usize {
-        self.footprint
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +98,6 @@ mod tests {
         let vals: Vec<Value> = (0..16).map(Value::from_u64).collect();
         mem.write_words(1000, &vals);
         assert_eq!(mem.read_words(1000, 16), vals);
-        assert_eq!(mem.footprint_words(), 1016);
     }
 
     #[test]

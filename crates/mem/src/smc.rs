@@ -31,7 +31,6 @@ pub struct SmcBank {
     lmw_max_words: u32,
     issue: Throttle,
     accesses: u64,
-    dram_fallbacks: u64,
 }
 
 impl SmcBank {
@@ -47,7 +46,6 @@ impl SmcBank {
             lmw_max_words: params.lmw_max_words.max(1),
             issue: Throttle::new(1),
             accesses: 0,
-            dram_fallbacks: 0,
         }
     }
 
@@ -102,7 +100,6 @@ impl SmcBank {
         let lat = if self.covered(addr) {
             self.latency
         } else {
-            self.dram_fallbacks += 1;
             self.latency + self.dram_latency
         };
         start + lat
@@ -122,7 +119,6 @@ impl SmcBank {
         let base = if all_resident {
             self.latency
         } else {
-            self.dram_fallbacks += 1;
             self.latency + self.dram_latency
         };
         // The channel streams `channel_words_per_cycle` words per cycle
@@ -188,18 +184,11 @@ impl SmcBank {
         self.accesses
     }
 
-    /// Accesses that fell outside the resident window.
-    #[must_use]
-    pub fn dram_fallbacks(&self) -> u64 {
-        self.dram_fallbacks
-    }
-
     /// Clear throughput state and counters (between kernels); residency is
     /// kept, since it is software state.
     pub fn reset_timing(&mut self) {
         self.issue.reset();
         self.accesses = 0;
-        self.dram_fallbacks = 0;
     }
 
     /// One new transaction per cycle.
@@ -224,7 +213,6 @@ mod tests {
         let mut b = bank();
         let t = b.access(100, 0);
         assert_eq!(t, MemParams::default().smc_latency);
-        assert_eq!(b.dram_fallbacks(), 0);
     }
 
     #[test]
@@ -233,7 +221,6 @@ mod tests {
         let p = MemParams::default();
         let t = b.access(100_000, 0);
         assert_eq!(t, p.smc_latency + p.dram_latency);
-        assert_eq!(b.dram_fallbacks(), 1);
     }
 
     #[test]

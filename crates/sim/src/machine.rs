@@ -170,15 +170,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Charge the DMA cost of writing `words` of results back from the SMC
-    /// (typically called after a run when the experiment accounts for
-    /// write-back explicitly).
-    pub fn charge_smc_writeback(&mut self, words: u64) {
-        let dma = DmaEngine::new(&self.params.mem);
-        let share = words.div_ceil(self.smc.len() as u64);
-        self.setup_ticks += dma.transfer_done_faulty(share, 0, &mut self.fault);
-    }
-
     /// Load (replacing) the L0 data-store contents broadcast to every node,
     /// charging the broadcast to setup time.
     ///
@@ -291,17 +282,6 @@ mod tests {
         let mut m = machine(MechanismSet::baseline());
         m.set_reg(7, Value::from_u64(99));
         assert_eq!(m.reg(7).as_u64(), 99);
-    }
-
-    #[test]
-    fn writeback_charge_accumulates_setup() {
-        let mut m = machine(MechanismSet::simd());
-        m.charge_smc_writeback(10_000);
-        let with_writeback = m.begin_run().ticks;
-        assert!(with_writeback > 0, "write-back DMA must cost time");
-        let mut m2 = machine(MechanismSet::simd());
-        m2.charge_smc_writeback(100);
-        assert!(m2.begin_run().ticks < with_writeback, "cost scales with words");
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn watchdog_cell_fails_cleanly_without_poisoning_siblings() {
             assert!(!timed_out, "no soft timeout was configured");
         }
         CellOutcome::Ran { .. } => panic!("a 2-tick watchdog cannot be satisfied"),
-        CellOutcome::Skipped { reason, .. } => panic!("no breaker is armed: {reason}"),
+        CellOutcome::Skipped { reason, .. } => panic!("the sweep skips no cell: {reason}"),
     }
     assert!(report.cells[1].outcome.verified(), "sibling cell is unaffected");
     assert_eq!(report.failures().len(), 1);
@@ -87,7 +87,7 @@ fn lowering_failures_report_zero_attempts() {
             assert_eq!(*attempts, 0, "lowering failures are never retried");
         }
         CellOutcome::Ran { .. } => panic!("dct cannot place on a 1x1 grid"),
-        CellOutcome::Skipped { reason, .. } => panic!("no breaker is armed: {reason}"),
+        CellOutcome::Skipped { reason, .. } => panic!("the sweep skips no cell: {reason}"),
     }
     assert_eq!(report.extra_attempts, 0);
 }
@@ -141,7 +141,7 @@ fn verifier_rejections_report_zero_attempts() {
             assert_eq!(*attempts, 0, "verifier rejections are never retried");
         }
         CellOutcome::Ran { .. } => panic!("an unanswered recv cannot pass the verifier"),
-        CellOutcome::Skipped { reason, .. } => panic!("no breaker is armed: {reason}"),
+        CellOutcome::Skipped { reason, .. } => panic!("the sweep skips no cell: {reason}"),
     }
     assert_eq!(report.extra_attempts, 0);
 }
