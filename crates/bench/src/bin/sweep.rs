@@ -44,16 +44,18 @@
 //!   chaos harness uses this to build small deterministic grids).
 //! * `--fsck DIR` — scan the store at DIR, quarantining corrupt or
 //!   orphaned entries and removing stale temp files, then exit.
-//! * `--crashpoint NAME[:N]` — abort the process at the Nth hit of the
-//!   named store crashpoint (crash-consistency testing; equivalent to
-//!   setting `DLP_CRASHPOINT`).
 //! * `--help` — list the flags and exit. Any other argument is an error.
+//!
+//! Environment: `DLP_CRASHPOINT=NAME[:N]` aborts the process at the Nth
+//! hit of the named store crashpoint (crash-consistency testing; see
+//! [`dlp_core::store::CRASHPOINTS`]). The sweep refuses to start when the
+//! variable is set but arms none of them.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use dlp_bench::Args;
-use dlp_core::store::{fsck, load_dlq, rewrite_dlq};
+use dlp_core::store::{fsck, load_dlq, rewrite_dlq, CRASHPOINTS};
 use dlp_core::sweep::KernelId;
 use dlp_core::{
     CellOutcome, CellSpec, DeadLetterQueue, DlqRecord, ExperimentParams, MachineConfig,
@@ -65,7 +67,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = args.switch("--quick");
     let canonical = args.switch("--canonical");
     let threads: Option<usize> = args.parsed("--threads")?;
-    let crashpoint = args.value("--crashpoint");
     let fsck_dir = args.value("--fsck");
     let replay_path = args.value("--replay-dlq");
     let out_path = args.value("--out").unwrap_or_else(|| "BENCH_sweep.json".to_string());
@@ -78,9 +79,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dlq_path = args.value("--dlq");
     args.finish()?;
 
-    if let Some(spec) = crashpoint {
-        if !dlp_common::crashpoint::arm(&spec) {
-            return Err(format!("--crashpoint {spec}: bad spec (want NAME[:N])").into());
+    // A crash test that arms nothing would run to completion unnoticed.
+    if let Some(spec) = std::env::var_os("DLP_CRASHPOINT") {
+        let spec = spec.to_string_lossy();
+        let armed = dlp_common::crashpoint::parse_spec(&spec);
+        if !armed.is_some_and(|a| CRASHPOINTS.contains(&a.name.as_str())) {
+            return Err(format!(
+                "DLP_CRASHPOINT={spec} arms no store crashpoint (want NAME[:N], NAME one of {})",
+                CRASHPOINTS.join(", ")
+            )
+            .into());
         }
     }
 

@@ -1,17 +1,12 @@
 //! # dlp-bench
 //!
-//! The experiment harness. Each binary regenerates one of the paper's
-//! tables or figures, or runs one of the harnesses around them (see
-//! DESIGN.md's per-experiment index):
+//! The experiment harness. `report` regenerates every one of the paper's
+//! tables and figures; the other binaries run the harnesses around them
+//! (see DESIGN.md's per-experiment index):
 //!
 //! | binary | regenerates |
 //! |---|---|
-//! | `table1` | Table 1 — benchmark descriptions |
-//! | `table2` | Table 2 — kernel attributes from the IR |
-//! | `table3` | Table 3 — attribute → mechanism map |
-//! | `table5` | Table 5 — machine configurations |
-//! | `section3` | §3 — classic-architecture survey |
-//! | `report` | Table 4, Figure 5, Table 6 and the [`studies`] (A1–A3, X1, X5, X6) — one sweep, printed as markdown; Figure 5 and Table 6 are written to `report.json` |
+//! | `report` | Tables 1, 2, 3 and 5 and the §3 classic-architecture survey (static), then Table 4, Figure 5, Table 6 and the [`studies`] (A1–A3, X1, X5, X6) from one sweep — printed as markdown; Figure 5 and Table 6 are written to `report.json` |
 //! | `sweep` | the full kernel × configuration grid in one parallel batch → `BENCH_sweep.json` |
 //! | `faults` | fault-injection sweep → `BENCH_faults.json` |
 //! | `stats` | per-run statistics of one kernel on one configuration |

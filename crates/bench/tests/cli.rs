@@ -70,6 +70,31 @@ fn sweep_has_no_breaker_flag() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `DLP_CRASHPOINT` is the one way to arm a crashpoint: the old flag is
+/// an unknown argument.
+#[test]
+fn sweep_has_no_crashpoint_flag() {
+    let args = ["--quick", "--kernels", "convert", "--crashpoint", "entry.tmp"];
+    assert_rejects(env!("CARGO_BIN_EXE_sweep"), "sweep-crashpoint", &args, "--crashpoint");
+}
+
+/// A misspelt crashpoint would arm nothing and let a crash test run to
+/// completion; the sweep refuses to start instead.
+#[test]
+fn sweep_rejects_a_crashpoint_that_arms_nothing() {
+    let dir = scratch_dir("sweep-crashpoint-env");
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["--quick", "--kernels", "convert"])
+        .env("DLP_CRASHPOINT", "entry.rename")
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "DLP_CRASHPOINT=entry.rename exited 0");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("DLP_CRASHPOINT"), "stderr does not name DLP_CRASHPOINT:\n{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn faults_help_lists_flags_and_writes_nothing() {
     assert_help_runs_nothing(env!("CARGO_BIN_EXE_faults"), "faults-help", "--dlq");

@@ -6,9 +6,10 @@
 //! `dlp_core::store::CRASHPOINTS` for the full list). In normal
 //! operation every site is a no-op costing one atomic load. When a site
 //! is **armed** — via the `DLP_CRASHPOINT=<name>[:N]` environment
-//! variable or [`arm`] (the `sweep --crashpoint` CLI path) — the Nth
-//! pass through that site aborts the process on the spot, exactly where
-//! a power loss or `kill -9` could have landed.
+//! variable — the Nth pass through that site aborts the process on the
+//! spot, exactly where a power loss or `kill -9` could have landed. A
+//! spec that does not parse arms nothing; the `sweep` binary refuses to
+//! start on one, or on a name that is no store crashpoint.
 //!
 //! This is the host-I/O twin of `dlp_common::fault`: PR 3 injects
 //! seeded transient faults into the *simulated* hardware; this module
@@ -53,17 +54,6 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 
 fn armed() -> &'static Option<ArmedCrashpoint> {
     ARMED.get_or_init(|| std::env::var("DLP_CRASHPOINT").ok().as_deref().and_then(parse_spec))
-}
-
-/// Arm a crashpoint from code (the CLI path), pre-empting the
-/// environment variable. Arming is once-per-process: returns `false`
-/// if a spec (from a prior [`arm`] call or an already-consulted
-/// environment variable) is in force, or if `spec` does not parse.
-pub fn arm(spec: &str) -> bool {
-    match parse_spec(spec) {
-        Some(parsed) => ARMED.set(Some(parsed)).is_ok(),
-        None => false,
-    }
 }
 
 /// Record one pass through the named site, aborting the process if this

@@ -542,8 +542,11 @@ impl Parser<'_> {
                                 .text
                                 .get(self.pos..self.pos + 4)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // `from_str_radix` alone would take a sign.
+                            let code = Some(hex)
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             self.pos += 4;
                             // Surrogate pairs are not emitted by our
                             // serializer; map them to the replacement

@@ -116,3 +116,14 @@ fn long_multibyte_strings_round_trip() {
     assert!(doc.contains("\\u0001") && doc.len() > 200_000);
     assert_eq!(json::parse(&doc).expect("parses").as_str(), Some(text.as_str()));
 }
+
+/// A `\u` escape takes exactly four hex digits: a sign, which integer
+/// parsing would accept, is a bad escape.
+#[test]
+fn signed_unicode_escapes_are_rejected() {
+    for doc in [r#""\u+041""#, r#""\u-041""#] {
+        let err = json::parse(doc).expect_err(doc);
+        assert!(err.to_string().contains("bad \\u escape"), "{doc}: {err}");
+    }
+    assert_eq!(json::parse(r#""\u0041""#).expect("parses").as_str(), Some("A"));
+}

@@ -122,8 +122,9 @@ pub const DLQ_VERSION: u32 = 2;
 
 /// Every named crashpoint threaded through the store's write paths, in
 /// write-path order — the kill matrix `cargo xtask chaos` enumerates.
-/// Arm one via `DLP_CRASHPOINT=<name>[:N]` (or `sweep --crashpoint`)
-/// to abort the process at its Nth hit.
+/// Arm one via `DLP_CRASHPOINT=<name>[:N]` to abort the process at its
+/// Nth hit; `sweep` refuses to start when the variable names none of
+/// these.
 pub const CRASHPOINTS: &[&str] = &[
     "stamp.tmp",
     "stamp.renamed",

@@ -154,10 +154,12 @@ fn mimd_finalize(s: &mut BatchMimdScratch, m: &mut Machine, c: usize) {
 }
 
 /// Run the array in MIMD mode on every machine in `machines`
-/// simultaneously, one lane class per machine, with the standard
+/// simultaneously, one lane class per machine, with the same fixed
 /// register conventions (`r30` = rank, `r31` = participating count,
 /// `r29` = `records`) — bit-identical per class to
-/// [`Machine::run_mimd_in`](crate::Machine::run_mimd_in).
+/// [`Machine::run_mimd_in`](crate::Machine::run_mimd_in), including its
+/// errors: every class fails as the scalar run does on a slice longer
+/// than the grid.
 ///
 /// All machines must share one grid, timing model, and mechanism set.
 ///
@@ -186,7 +188,6 @@ pub fn run_mimd_batch_in(
         return s.stats.iter().map(|&st| Ok(st)).collect();
     }
     let n_ranks = s.map.len();
-    let n_active = programs.iter().filter(|p| !p.is_empty()).count() as u64;
 
     // The setup broadcast; every class's nodes start at its own tick.
     s.last_tick.clear();
@@ -195,7 +196,7 @@ pub fn run_mimd_batch_in(
     );
     s.max_drain.clear();
     s.max_drain.extend_from_slice(&s.last_tick);
-    s.nodes.reset(n_ranks, &mut s.stats, |rank| (rank as u64, n_active, records));
+    s.nodes.reset(n_ranks, &mut s.stats, records);
 
     s.channels.clear();
     s.channels.resize_with(nc, Channels::default);

@@ -25,7 +25,9 @@
 //! * [`Machine::run_dataflow`] — block-atomic SPDI execution for the
 //!   baseline and the S / S-O / S-O-D configurations;
 //! * [`Machine::run_mimd`] — per-node local-PC execution for the M / M-D
-//!   configurations.
+//!   configurations: one program per array node (at most
+//!   `grid.nodes()`), with fixed rank, rank-count and record-count
+//!   registers.
 //!
 //! The lane-batched engines in [`batch`] run many variants of one program
 //! in lockstep. All four engines execute instructions through one shared
@@ -72,13 +74,11 @@ pub mod equeue;
 mod machine;
 mod mechanisms;
 mod mimd;
-mod partition;
 mod semantics;
 
 pub use arena::EngineArena;
 pub use machine::Machine;
 pub use mechanisms::MechanismSet;
-pub use partition::Partition;
 
 /// Default watchdog limit: a run exceeding this many simulated ticks fails
 /// with [`dlp_common::DlpError::Watchdog`]. Lower it per machine with

@@ -33,7 +33,8 @@ pub(crate) struct MimdScratch {
 
 impl Machine {
     /// Run the array in MIMD mode: node `i` (row-major) executes
-    /// `programs[i]`; nodes beyond the slice or with empty programs idle.
+    /// `programs[i]`; nodes beyond a short slice or with empty programs
+    /// idle. The slice may not be longer than the grid.
     ///
     /// Register conventions are preloaded per participating node before
     /// start: `r30` = node rank, `r31` = participating node count, `r29` =
@@ -67,8 +68,8 @@ impl Machine {
     ///
     /// * [`DlpError::Unsupported`] — machine lacks local PCs, or a program
     ///   uses the L0 data store / SMC without those mechanisms.
-    /// * [`DlpError::CapacityExceeded`] — a program exceeds the L0
-    ///   instruction store.
+    /// * [`DlpError::CapacityExceeded`] — more programs than array nodes,
+    ///   or a program exceeds the L0 instruction store.
     /// * [`DlpError::Watchdog`] — runaway execution (livelock).
     /// * [`DlpError::MalformedProgram`] — deadlock (a `Recv` that can never
     ///   be satisfied) or a node that never halts.
@@ -83,7 +84,8 @@ impl Machine {
 
     /// As [`Machine::run_mimd`], reusing `arena`'s scratch storage —
     /// bit-identical statistics, but a caller running many programs (a
-    /// sweep worker) allocates nothing once the arena has warmed up.
+    /// sweep worker) allocates nothing once the arena has warmed up. This
+    /// is the one body of the scalar MIMD engine.
     ///
     /// # Errors
     ///
@@ -92,43 +94,6 @@ impl Machine {
         &mut self,
         programs: &[MimdProgram],
         records: u64,
-        arena: &mut EngineArena,
-    ) -> Result<SimStats, DlpError> {
-        let n_active = programs.iter().filter(|p| !p.is_empty()).count() as u64;
-        self.run_mimd_with_conventions_in(
-            programs,
-            &|rank| (rank as u64, n_active, records),
-            arena,
-        )
-    }
-
-    /// [`Machine::run_mimd`] with caller-supplied register conventions:
-    /// `conventions(global_rank)` returns `(r30, r31, r29)` for that node —
-    /// the hook partitioned execution uses to give each partition local
-    /// ranks and its own record count.
-    ///
-    /// # Errors
-    ///
-    /// As [`Machine::run_mimd`].
-    pub fn run_mimd_with_conventions(
-        &mut self,
-        programs: &[MimdProgram],
-        conventions: &dyn Fn(usize) -> (u64, u64, u64),
-    ) -> Result<SimStats, DlpError> {
-        let mut arena = EngineArena::new();
-        self.run_mimd_with_conventions_in(programs, conventions, &mut arena)
-    }
-
-    /// As [`Machine::run_mimd_with_conventions`], reusing `arena`'s
-    /// scratch storage.
-    ///
-    /// # Errors
-    ///
-    /// As [`Machine::run_mimd`].
-    pub fn run_mimd_with_conventions_in(
-        &mut self,
-        programs: &[MimdProgram],
-        conventions: &dyn Fn(usize) -> (u64, u64, u64),
         arena: &mut EngineArena,
     ) -> Result<SimStats, DlpError> {
         sem::check_programs(self, programs)?;
@@ -141,7 +106,7 @@ impl Machine {
         }
         let n_ranks = s.map.len();
         let start = sem::broadcast(self, &mut stats, programs);
-        s.nodes.reset(n_ranks, std::slice::from_mut(&mut stats), conventions);
+        s.nodes.reset(n_ranks, std::slice::from_mut(&mut stats), records);
         s.channels.reset(n_ranks);
         // A failed previous run may have left entries queued.
         s.queue.clear();

@@ -76,15 +76,10 @@ pub(crate) struct NodeFile {
 
 impl NodeFile {
     /// Reset for `n_ranks` ranks and `stats.len()` classes, preloading
-    /// every class with the register conventions `conventions(rank)` =
-    /// (`r30` node rank, `r31` node count, `r29` records) and raising
-    /// each class's `iterations` to the largest rank's record count.
-    pub(crate) fn reset(
-        &mut self,
-        n_ranks: usize,
-        stats: &mut [SimStats],
-        conventions: impl Fn(usize) -> (u64, u64, u64),
-    ) {
+    /// every class with the register conventions (`r30` node rank, `r31`
+    /// `n_ranks`, `r29` `records`) and raising each class's `iterations`
+    /// to `records`.
+    pub(crate) fn reset(&mut self, n_ranks: usize, stats: &mut [SimStats], records: u64) {
         let nc = stats.len();
         self.nc = nc;
         self.regs.clear();
@@ -96,16 +91,17 @@ impl NodeFile {
         self.blocked.clear();
         self.blocked.resize(n_ranks * nc, NOT_BLOCKED);
         for rank in 0..n_ranks {
-            let (node_id, node_count, recs) = conventions(rank);
-            for (c, st) in stats.iter_mut().enumerate() {
-                for (r, v) in
-                    [(REG_NODE_ID, node_id), (REG_NODE_COUNT, node_count), (REG_RECORDS, recs)]
-                {
-                    let i = self.row(rank, r) + c;
-                    self.regs[i] = Value::from_u64(v);
-                }
-                st.iterations = st.iterations.max(recs);
+            for (r, v) in [
+                (REG_NODE_ID, rank as u64),
+                (REG_NODE_COUNT, n_ranks as u64),
+                (REG_RECORDS, records),
+            ] {
+                let i = self.row(rank, r);
+                self.regs[i..i + nc].fill(Value::from_u64(v));
             }
+        }
+        for st in stats {
+            st.iterations = st.iterations.max(records);
         }
     }
 
@@ -131,17 +127,18 @@ pub(crate) struct RankMap {
 impl RankMap {
     /// Rebuild for `programs` on `grid`: node `i` (row-major) runs
     /// `programs[i]`; nodes beyond the slice or with empty programs idle.
+    /// [`check_programs`] has already rejected a slice longer than the
+    /// grid.
     pub(crate) fn build(&mut self, grid: GridShape, programs: &[MimdProgram]) {
-        let n = programs.len().min(grid.nodes());
         self.ranks.clear();
-        self.ranks.extend((0..n).filter(|&i| !programs[i].is_empty()));
+        self.ranks.extend((0..programs.len()).filter(|&i| !programs[i].is_empty()));
         self.coords.clear();
         self.coords.extend(self.ranks.iter().map(|&i| grid.coord(i)));
         // Ranks are assigned in row-major grid order over participating
         // nodes; with every node participating (the common case) rank ==
         // linear index.
         self.send_coords.clear();
-        self.send_coords.extend((0..self.ranks.len()).map(|d| grid.coord(d.min(grid.nodes() - 1))));
+        self.send_coords.extend((0..self.ranks.len()).map(|d| grid.coord(d)));
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -150,13 +147,21 @@ impl RankMap {
 }
 
 /// The static checks a MIMD run makes before touching machine state:
-/// local PCs, L0 instruction-store capacity, and the mechanisms each
-/// instruction needs.
+/// local PCs, no more programs than array nodes, L0 instruction-store
+/// capacity, and the mechanisms each instruction needs.
 pub(crate) fn check_programs(m: &Machine, programs: &[MimdProgram]) -> Result<(), DlpError> {
     let mech = m.mechanisms();
     if !mech.local_pc {
         return Err(DlpError::Unsupported {
             what: "MIMD execution without local program counters".into(),
+        });
+    }
+    let nodes = m.grid().nodes();
+    if programs.len() > nodes {
+        return Err(DlpError::CapacityExceeded {
+            resource: "array nodes",
+            needed: programs.len(),
+            available: nodes,
         });
     }
     let cap = m.params().core.l0_inst_capacity;

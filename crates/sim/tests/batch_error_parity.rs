@@ -16,23 +16,41 @@ const CLASSES: usize = 3;
 /// The record (MIMD) or iteration (dataflow) count every class runs.
 const COUNT: u64 = 4;
 
-fn machine(mech: MechanismSet) -> Machine {
-    Machine::new(GridShape::new(4, 4), TimingParams::default(), mech)
+/// The grid every parity check runs on unless it names its own.
+fn grid() -> GridShape {
+    GridShape::new(4, 4)
 }
 
-fn mimd_program(body: impl FnOnce(&mut MimdAsm)) -> Vec<MimdProgram> {
+fn machine(grid: GridShape, mech: MechanismSet) -> Machine {
+    Machine::new(grid, TimingParams::default(), mech)
+}
+
+fn mimd_programs(n: usize, body: impl FnOnce(&mut MimdAsm)) -> Vec<MimdProgram> {
     let mut asm = MimdAsm::new();
     body(&mut asm);
     asm.halt();
-    vec![asm.assemble().expect("assembles"); 4]
+    vec![asm.assemble().expect("assembles"); n]
+}
+
+fn mimd_program(body: impl FnOnce(&mut MimdAsm)) -> Vec<MimdProgram> {
+    mimd_programs(4, body)
 }
 
 /// Every class of a batched MIMD dispatch fails exactly as the scalar run.
 fn assert_mimd_parity(mech: MechanismSet, programs: &[MimdProgram]) -> DlpError {
+    assert_mimd_parity_on(grid(), mech, programs)
+}
+
+/// [`assert_mimd_parity`] on `grid`.
+fn assert_mimd_parity_on(
+    grid: GridShape,
+    mech: MechanismSet,
+    programs: &[MimdProgram],
+) -> DlpError {
     let scalar: Vec<Result<SimStats, DlpError>> = (0..CLASSES)
-        .map(|_| machine(mech).run_mimd_in(programs, COUNT, &mut EngineArena::new()))
+        .map(|_| machine(grid, mech).run_mimd_in(programs, COUNT, &mut EngineArena::new()))
         .collect();
-    let mut machines: Vec<Machine> = (0..CLASSES).map(|_| machine(mech)).collect();
+    let mut machines: Vec<Machine> = (0..CLASSES).map(|_| machine(grid, mech)).collect();
     let batch = run_mimd_batch_in(&mut machines, programs, COUNT, &mut EngineArena::new());
     assert_eq!(batch, scalar, "batched MIMD classes must fail exactly as scalar runs");
     scalar[0].clone().expect_err("the scalar engine rejects this program")
@@ -42,9 +60,9 @@ fn assert_mimd_parity(mech: MechanismSet, programs: &[MimdProgram]) -> DlpError 
 /// scalar run.
 fn assert_dataflow_parity(mech: MechanismSet, block: &DataflowBlock) -> DlpError {
     let scalar: Vec<Result<SimStats, DlpError>> = (0..CLASSES)
-        .map(|_| machine(mech).run_dataflow_in(block, COUNT, &mut EngineArena::new()))
+        .map(|_| machine(grid(), mech).run_dataflow_in(block, COUNT, &mut EngineArena::new()))
         .collect();
-    let mut machines: Vec<Machine> = (0..CLASSES).map(|_| machine(mech)).collect();
+    let mut machines: Vec<Machine> = (0..CLASSES).map(|_| machine(grid(), mech)).collect();
     let batch = run_dataflow_batch_in(&mut machines, block, COUNT, &mut EngineArena::new());
     assert_eq!(batch, scalar, "batched dataflow classes must fail exactly as scalar runs");
     scalar[0].clone().expect_err("the scalar engine rejects this block")
@@ -78,6 +96,20 @@ fn mimd_program_longer_than_the_l0_instruction_store() {
     });
     let err = assert_mimd_parity(MechanismSet::mimd(), &progs);
     assert!(matches!(err, DlpError::CapacityExceeded { .. }), "{err:?}");
+}
+
+#[test]
+fn mimd_more_programs_than_array_nodes() {
+    // Five programs on four nodes: the fifth has no node to run on, so
+    // no run may count it as a rank (`r31`).
+    let progs = mimd_programs(5, |asm| {
+        asm.li(1, 0);
+    });
+    let err = assert_mimd_parity_on(GridShape::new(2, 2), MechanismSet::mimd(), &progs);
+    assert_eq!(
+        err,
+        DlpError::CapacityExceeded { resource: "array nodes", needed: 5, available: 4 }
+    );
 }
 
 #[test]

@@ -1,17 +1,14 @@
-//! The shared grid-walking harness behind `verify-grid` and
-//! `analyze-grid`: both commands lower every suite kernel for every
-//! published machine configuration through `prepare_kernel`, so the
-//! walk — kernel × configuration order, record count, per-lowering
-//! wall-clock — lives here once and the two commands differ only in
-//! what they do with each prepared plan.
+//! `analyze-grid`: lowers every suite kernel for every published
+//! machine configuration through `prepare_kernel` and asks two things of
+//! each lowering:
 //!
-//! * `verify-grid` asks the legality question: did the static verifier
-//!   accept every lowering?
-//! * `analyze-grid` asks the semantic ones: what `W*` warnings did the
-//!   analyzer attach (DESIGN.md §13), what is the sound cycle bound,
-//!   and how long did analysis take per kernel? `--deny-warnings`
-//!   makes any warning fatal, `--budget N` pins a ceiling, and
-//!   `--json <path>` writes the machine-readable artifact CI uploads.
+//! * legality — did the static verifier accept it? Any rejected
+//!   lowering is counted in `failures` and fails the command;
+//! * semantics — what `W*` warnings did the analyzer attach (DESIGN.md
+//!   §13), what is the sound cycle bound, and how long did analysis take
+//!   per kernel? `--deny-warnings` makes any warning fatal, `--budget N`
+//!   pins a ceiling, and `--json <path>` writes the machine-readable
+//!   artifact CI uploads.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -22,20 +19,20 @@ use dlp_common::json::ToJson;
 const RECORDS: usize = 64;
 
 /// One lowering of the kernel × configuration grid.
-pub struct GridCell {
+struct GridCell {
     /// Kernel name.
-    pub kernel: &'static str,
+    kernel: &'static str,
     /// Configuration display name.
-    pub config: String,
+    config: String,
     /// The prepared plan, or the verifier/scheduler rejection.
-    pub result: Result<dlp_core::PreparedProgram, dlp_common::DlpError>,
+    result: Result<dlp_core::PreparedProgram, dlp_common::DlpError>,
     /// Host wall-clock spent lowering + analyzing this cell, in
     /// milliseconds.
-    pub prepare_ms: f64,
+    prepare_ms: f64,
 }
 
 /// Lower the full grid, timing each `prepare_kernel` call.
-pub fn walk_grid() -> Vec<GridCell> {
+fn walk_grid() -> Vec<GridCell> {
     let params = dlp_core::ExperimentParams::default();
     let kernels = dlp_kernels::suite();
     let mut cells = Vec::new();
@@ -53,34 +50,6 @@ pub fn walk_grid() -> Vec<GridCell> {
         }
     }
     cells
-}
-
-/// `verify-grid`: the static verifier inside `prepare_kernel` must
-/// accept every lowering of the grid.
-pub fn verify_grid() -> ExitCode {
-    let cells = walk_grid();
-    let mut verified = 0usize;
-    let mut failures = 0usize;
-    for cell in &cells {
-        match &cell.result {
-            Ok(_) => verified += 1,
-            Err(e) => {
-                failures += 1;
-                eprintln!("verify-grid: {} on {}: {e}", cell.kernel, cell.config);
-            }
-        }
-    }
-    println!(
-        "verify-grid: {verified} lowerings statically verified ({} kernels x {} configs)",
-        dlp_kernels::suite().len(),
-        dlp_core::MachineConfig::ALL.len()
-    );
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("verify-grid: {failures} lowerings rejected");
-        ExitCode::FAILURE
-    }
 }
 
 /// One analyzer finding, flattened for the JSON artifact.

@@ -7,15 +7,12 @@
 //!   exist are listed in `detlint.allow`; everything else is a hard CI
 //!   failure. Simulation results must be a pure function of the inputs —
 //!   this lint keeps the property enforceable instead of aspirational.
-//! * `verify-grid` — static-verifier smoke: lowers every suite kernel
-//!   for every published machine configuration and requires the program
-//!   verifier to accept all of them.
-//! * `analyze-grid` — the semantic analyzer over the same grid
-//!   (DESIGN.md §13): prints every `W*` warning, the sound static
-//!   cycle bound per cell, and per-kernel analysis time;
-//!   `--deny-warnings` / `--budget N` gate CI, `--json <path>` writes
-//!   the machine-readable artifact. Shares its grid walk with
-//!   `verify-grid` (the `grid` module).
+//! * `analyze-grid` — lowers every suite kernel for every published
+//!   machine configuration, requires the program verifier to accept all
+//!   of them, and runs the semantic analyzer over each (DESIGN.md §13):
+//!   prints every `W*` warning, the sound static cycle bound per cell,
+//!   and per-kernel analysis time; `--deny-warnings` / `--budget N` gate
+//!   CI, `--json <path>` writes the machine-readable artifact.
 //! * `chaos` — the crash-consistency harness: kills a child sweep at
 //!   every named store crashpoint, fscks the wreckage, resumes, and
 //!   requires the canonical report to be byte-identical to an
@@ -37,14 +34,12 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("detlint") => detlint::main(&args[1..]),
-        Some("verify-grid") => grid::verify_grid(),
         Some("analyze-grid") => grid::analyze_grid(&args[1..]),
         Some("chaos") => chaos::run(&args[1..]),
         Some("asmcheck") => asmcheck::run(),
         _ => {
             eprintln!(
                 "usage: cargo xtask <detlint [allowlist] [--format human|json|github] | \
-                 verify-grid | \
                  analyze-grid [--deny-warnings] [--budget N] [--json path] | \
                  chaos [--quick] [--seed N] [--trials N] | asmcheck>"
             );
