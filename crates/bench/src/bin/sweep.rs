@@ -7,10 +7,11 @@
 //! With `--store` the sweep becomes a service endpoint: results are
 //! content-addressed on disk, so a repeat run executes only cells whose
 //! inputs changed (a fully-warm run executes nothing and finishes in
-//! milliseconds) while emitting a canonically bit-identical report.
-//! `--manifest`/`--resume` checkpoint and restart interrupted runs, and
-//! `--dlq`/`--replay-dlq` capture and re-diagnose cells that exhausted
-//! their retries. See `OPERATIONS.md` for the runbooks.
+//! milliseconds) while emitting a canonically bit-identical report. The
+//! store is also the checkpoint: each cacheable cell is written as it
+//! completes, so an interrupted run finishes by rerunning it with the
+//! same `--store`. `--dlq`/`--replay-dlq` capture and re-diagnose cells
+//! that exhausted their retries. See `OPERATIONS.md` for the runbooks.
 //!
 //! Exit status: non-zero when any cell remains failed or mis-verified
 //! after retries (the artifact is still written), so CI and operators
@@ -32,10 +33,6 @@
 //!   thread counts and store temperatures, for CI diffing.
 //! * `--store DIR` — serve/persist cells through a content-addressed
 //!   result store rooted at DIR.
-//! * `--manifest PATH` — checkpoint each completed cell to PATH (JSONL).
-//! * `--resume PATH` — resume an interrupted run from its manifest,
-//!   executing only the missing cells (refuses a manifest written for a
-//!   different grid).
 //! * `--dlq PATH` — append retry-exhausted cells to a dead-letter queue.
 //! * `--replay-dlq PATH` — re-run the queue's records with
 //!   `faults`-style diagnosis, dropping the ones that now succeed.
@@ -59,7 +56,7 @@ use dlp_core::store::{fsck, load_dlq, rewrite_dlq, CRASHPOINTS};
 use dlp_core::sweep::KernelId;
 use dlp_core::{
     CellOutcome, CellSpec, DeadLetterQueue, DlqRecord, ExperimentParams, MachineConfig,
-    ManifestWriter, ResultStore, Sweep, SweepManifest, SweepPolicy, SweepReport,
+    ResultStore, Sweep, SweepPolicy, SweepReport,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -74,8 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let watchdog: Option<u64> = args.parsed("--watchdog")?;
     let kernels = args.value("--kernels");
     let store_dir = args.value("--store");
-    let resume_path = args.value("--resume");
-    let manifest_path = args.value("--manifest");
     let dlq_path = args.value("--dlq");
     args.finish()?;
 
@@ -122,36 +117,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(dir) = store_dir {
         sweep.set_store(Arc::new(ResultStore::open(dir)?));
     }
-    match (resume_path, manifest_path) {
-        (Some(path), _) => {
-            let path = Path::new(&path);
-            let manifest = SweepManifest::load(path)?;
-            if manifest.grid_digest != sweep.grid_digest() {
-                return Err(format!(
-                    "manifest {} was written for a different grid \
-                     (digest {} vs this sweep's {}); refusing to resume",
-                    path.display(),
-                    manifest.grid_digest,
-                    sweep.grid_digest(),
-                )
-                .into());
-            }
-            eprintln!(
-                "resuming: {} of {} cells already recorded in {}",
-                manifest.completed(),
-                manifest.cells,
-                path.display()
-            );
-            sweep.set_resume(manifest);
-            sweep.set_manifest(ManifestWriter::append_to(path)?);
-        }
-        (None, Some(path)) => {
-            let path = Path::new(&path);
-            sweep.set_manifest(ManifestWriter::create(path, &sweep.cell_digests())?);
-            eprintln!("checkpointing to {}", path.display());
-        }
-        (None, None) => {}
-    }
     let dlq = dlq_path.map(|p| Arc::new(DeadLetterQueue::new(p)));
     if let Some(d) = &dlq {
         sweep.set_dlq(Arc::clone(d));
@@ -172,12 +137,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "schedule cache: {} lowerings prepared, {} cells served from cache",
         report.plans_prepared, report.plan_reuses
     );
-    // Every cell is executed, store-served, resumed, or took the run of
-    // an identical pending cell.
+    // Every cell is executed, store-served, or took the run of an
+    // identical pending cell.
     let shared = total
         .saturating_sub(report.cells_executed)
-        .saturating_sub(report.store_hits as usize)
-        .saturating_sub(report.resumed_cells);
+        .saturating_sub(report.store_hits as usize);
     println!(
         "run sharing: {} cells executed, {shared} took an identical cell's run",
         report.cells_executed
@@ -191,9 +155,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "result store: {} hits, {} misses — {} of {total} cells executed",
             report.store_hits, report.store_misses, report.cells_executed
         );
-    }
-    if report.resumed_cells > 0 {
-        println!("resume: {} cells served from the manifest", report.resumed_cells);
     }
     println!("wall clock: {:.0} ms on {} threads", report.wall_ms, report.threads);
 

@@ -70,6 +70,33 @@ fn sweep_has_no_breaker_flag() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The result store is the sweep's one checkpoint: the manifest flags
+/// are unknown arguments, `--help` offers neither, and the manifest's
+/// crashpoints arm nothing.
+#[test]
+fn sweep_has_no_manifest_flags() {
+    let bin = env!("CARGO_BIN_EXE_sweep");
+    for flag in ["--manifest", "--resume"] {
+        let args = ["--quick", "--kernels", "convert", flag, "m.jsonl"];
+        assert_rejects(bin, "sweep-manifest", &args, flag);
+    }
+    let dir = scratch_dir("sweep-help-manifest");
+    let out = run(bin, &dir, &["--help"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "--help exited with {}", out.status);
+    assert!(!stdout.contains("--manifest") && !stdout.contains("--resume"), "{stdout}");
+    let out = Command::new(bin)
+        .args(["--quick", "--kernels", "convert"])
+        .env("DLP_CRASHPOINT", "manifest.append")
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "DLP_CRASHPOINT=manifest.append exited 0");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("DLP_CRASHPOINT=manifest.append"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `DLP_CRASHPOINT` is the one way to arm a crashpoint: the old flag is
 /// an unknown argument.
 #[test]

@@ -2,7 +2,7 @@
 //! crash-consistency testing of the host persistence layer.
 //!
 //! A *crashpoint* is a named site threaded through a durable write path
-//! (store entries, checkpoint manifests, the dead-letter queue — see
+//! (store entries, the store stamp, the dead-letter queue — see
 //! `dlp_core::store::CRASHPOINTS` for the full list). In normal
 //! operation every site is a no-op costing one atomic load. When a site
 //! is **armed** — via the `DLP_CRASHPOINT=<name>[:N]` environment
@@ -16,8 +16,8 @@
 //! injects deterministic kills into the *host* write paths so the chaos
 //! harness (`cargo xtask chaos`, tier-1 `tests/chaos_recovery.rs`) can
 //! prove crash-anywhere recovery mechanically — kill at every site,
-//! resume, and require the canonical report byte-identical to an
-//! uninterrupted run.
+//! rerun on the same store, and require the canonical report
+//! byte-identical to an uninterrupted run.
 //!
 //! The abort is [`std::process::abort`], not a panic: nothing unwinds,
 //! no destructor runs, no buffered writer flushes — the honest
@@ -102,8 +102,8 @@ mod tests {
             Some(ArmedCrashpoint { name: "entry.tmp".into(), nth: 1 })
         );
         assert_eq!(
-            parse_spec("manifest.append:3"),
-            Some(ArmedCrashpoint { name: "manifest.append".into(), nth: 3 })
+            parse_spec("dlq.append:3"),
+            Some(ArmedCrashpoint { name: "dlq.append".into(), nth: 3 })
         );
         assert_eq!(parse_spec(""), None, "empty name");
         assert_eq!(parse_spec("x:0"), None, "hit ordinals are 1-based");

@@ -21,7 +21,7 @@
 //!   names, e.g. a sweep cell's `"outcome"` is either
 //!   `{"stats": ..., "mismatch": ...}` or `{"error": "..."}`.
 //!
-//! Since the result store, sweep manifests, and dead-letter queue read
+//! Since the result store and dead-letter queue read
 //! their own artifacts back, the module also carries a small recursive-
 //! descent [`parse`] returning a [`JsonValue`] tree. Numbers keep their
 //! raw text ([`JsonValue::Num`]) so that full-precision `u64` values

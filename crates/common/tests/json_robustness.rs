@@ -1,7 +1,7 @@
 //! Property tests for the JSON parser's failure behavior.
 //!
-//! Every durable artifact in the workspace (store entries, manifests,
-//! dead-letter queues) is parsed by `dlp_common::json` after surviving
+//! Every durable artifact in the workspace (store entries, dead-letter
+//! queues) is parsed by `dlp_common::json` after surviving
 //! whatever a crash or a faulty disk left behind, so the parser's
 //! contract under damage is load-bearing: arbitrary garbage, truncated
 //! documents, and bit-flipped bytes must all come back as `Err` — and

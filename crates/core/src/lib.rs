@@ -27,9 +27,9 @@
 //!   Imagine, Tarantula, CryptoManiac, QuadroFX).
 //! * [`store`] — the persistence layer that turns the sweep into a
 //!   service: a content-addressed result store (warm re-runs execute
-//!   nothing), sweep checkpoint/resume manifests, and a dead-letter
-//!   queue of replayable failed cells. See `OPERATIONS.md` for the
-//!   operator guide.
+//!   nothing, and an interrupted sweep resumes from it) and a
+//!   dead-letter queue of replayable failed cells. See `OPERATIONS.md`
+//!   for the operator guide.
 //!
 //! # Quick start
 //!
@@ -76,9 +76,7 @@ pub use runner::{
     ExperimentParams,
     LaneResult, PreparedProgram, RunOutcome, RunScratch, WorkloadCache,
 };
-pub use store::{
-    DeadLetterQueue, Digest, DlqRecord, ManifestWriter, ResultStore, StoreKey, SweepManifest,
-};
+pub use store::{DeadLetterQueue, Digest, DlqRecord, ResultStore, StoreKey};
 pub use sweep::{
     default_worker_count, CellOutcome, CellSpec, Sweep, SweepCell, SweepPolicy, SweepReport,
 };

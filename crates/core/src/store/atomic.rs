@@ -111,19 +111,6 @@ pub struct AppendWriter {
 }
 
 impl AppendWriter {
-    /// Create `path` fresh (truncating), creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors creating the directories or the file.
-    pub fn create(path: &Path, sites: AppendSites) -> io::Result<AppendWriter> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = std::fs::File::create(path)?;
-        Ok(AppendWriter { file: Mutex::new(file), sites })
-    }
-
     /// Open `path` for appending, creating it (and parent directories)
     /// if missing.
     ///
@@ -144,25 +131,14 @@ impl AppendWriter {
     ///
     /// I/O errors from the write or sync, including injected faults.
     pub fn append_line(&self, payload: &str) -> io::Result<()> {
-        self.append_line_at(payload, self.sites)
-    }
-
-    /// [`AppendWriter::append_line`], but firing `sites` instead of the
-    /// writer's defaults — the manifest header write uses this so a
-    /// kill there is distinguishable from a kill on a cell line.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the write or sync, including injected faults.
-    pub fn append_line_at(&self, payload: &str, sites: AppendSites) -> io::Result<()> {
         let line = format!("{}\n", seal_line(payload));
         let filtered = iofault::filter(line.as_bytes())?;
         let bytes = filtered.as_deref().unwrap_or(line.as_bytes());
         let file = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         (&*file).write_all(bytes)?;
-        crashpoint::hit(sites.appended);
+        crashpoint::hit(self.sites.appended);
         file.sync_data()?;
-        crashpoint::hit(sites.synced);
+        crashpoint::hit(self.sites.synced);
         Ok(())
     }
 }
@@ -223,7 +199,7 @@ mod tests {
         let dir = tmpdir("append");
         let path = dir.join("log.jsonl");
         let sites = AppendSites { appended: "test.append", synced: "test.synced" };
-        let w = AppendWriter::create(&path, sites).expect("create");
+        let w = AppendWriter::append_to(&path, sites).expect("create");
         w.append_line("{\"a\":1}").expect("append");
         w.append_line("{\"b\":2}").expect("append");
         drop(w);

@@ -20,7 +20,7 @@
 //! a miss or a recompute, never a wrong result and never a panic.**
 //! Corrupted bytes are caught by the sealed-line digests on read;
 //! injected errors surface as `io::Error` through write paths that are
-//! already best-effort (entry puts, manifest/DLQ appends) or
+//! already best-effort (entry puts, DLQ appends) or
 //! operator-visible (`ResultStore::open`, `rewrite_dlq`).
 
 use std::io;

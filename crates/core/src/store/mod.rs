@@ -1,8 +1,7 @@
-//! The content-addressed result store, sweep checkpoint manifests, and
-//! the dead-letter queue — the persistence layer that turns the sweep
-//! engine into a service.
+//! The content-addressed result store and the dead-letter queue — the
+//! persistence layer that turns the sweep engine into a service.
 //!
-//! Three durable artifacts live here, all built on `dlp_common::json`
+//! Two durable artifacts live here, both built on `dlp_common::json`
 //! (emit *and* parse — nothing else in the workspace reads JSON back):
 //!
 //! * **[`ResultStore`]** — an on-disk cache of cell outcomes keyed by a
@@ -14,12 +13,10 @@
 //!   inputs changed, and the report is bit-identical to a cold run
 //!   (enforced by the `store_sweep` tier-1 test and the CI store-smoke
 //!   job). Corrupt, truncated, or version-mismatched entries are
-//!   treated as misses, never errors.
-//! * **[`SweepManifest`]** — an append-only JSONL checkpoint of one
-//!   sweep run. The engine writes one line per completed cell, so a
-//!   killed process loses only its in-flight cells;
-//!   `sweep --resume <manifest>` re-runs the grid executing only the
-//!   missing ones.
+//!   treated as misses, never errors. The store is also the sweep's
+//!   checkpoint: each cacheable cell is written as it completes, so a
+//!   killed sweep rerun with the same `--store` executes only the cells
+//!   that had not landed.
 //! * **The dead-letter queue** ([`DlqRecord`]) — cells that exhausted
 //!   their [`crate::SweepPolicy`] retries with a *non-cacheable* failure
 //!   (watchdog, unrecoverable fault, internal error) are appended as
@@ -47,8 +44,8 @@
 //! entries. See `OPERATIONS.md` for the operator-facing invalidation
 //! rules and runbooks.
 //!
-//! Every record decodes through its type: entries, manifest lines and
-//! dead-letter records derive `FromJson` beside `ToJson`
+//! Every record decodes through its type: entries and dead-letter
+//! records derive `FromJson` beside `ToJson`
 //! (`dlp_common::json`), so each has one schema and a field added to a
 //! type is read and written alike. Decoding is strict — a record missing
 //! any field, such as one written before a `SimStats` counter existed,
@@ -81,7 +78,7 @@ use std::sync::Mutex;
 
 use dlp_common::crashpoint::CrashSites;
 use dlp_common::json::{self, FromJson, ToJson};
-use dlp_common::{DlpError, FaultPlan, GridShape, Tick, TimingParams};
+use dlp_common::{FaultPlan, GridShape, Tick, TimingParams};
 use dlp_kernels::{DlpKernel, MimdTarget};
 use trips_sim::MechanismSet;
 
@@ -112,10 +109,6 @@ pub const STORE_VERSION: u32 = 2;
 /// needs this manual bump to invalidate warm stores.
 pub const LOWERING_SCHEMA: u32 = 1;
 
-/// Manifest line-format version. Version 2: header and cell lines are
-/// sealed ([`seal_line`]).
-pub const MANIFEST_VERSION: u32 = 2;
-
 /// Dead-letter record format version. Version 2: lines are sealed
 /// ([`seal_line`]).
 pub const DLQ_VERSION: u32 = 2;
@@ -128,11 +121,8 @@ pub const DLQ_VERSION: u32 = 2;
 pub const CRASHPOINTS: &[&str] = &[
     "stamp.tmp",
     "stamp.renamed",
-    "manifest.header",
     "entry.tmp",
     "entry.renamed",
-    "manifest.append",
-    "manifest.synced",
     "dlq.append",
     "dlq.synced",
     "dlq-rewrite.tmp",
@@ -143,10 +133,6 @@ const STAMP_SITES: CrashSites = CrashSites { tmp: "stamp.tmp", renamed: "stamp.r
 const ENTRY_SITES: CrashSites = CrashSites { tmp: "entry.tmp", renamed: "entry.renamed" };
 const DLQ_REWRITE_SITES: CrashSites =
     CrashSites { tmp: "dlq-rewrite.tmp", renamed: "dlq-rewrite.renamed" };
-const MANIFEST_SITES: AppendSites =
-    AppendSites { appended: "manifest.append", synced: "manifest.synced" };
-const MANIFEST_HEADER_SITES: AppendSites =
-    AppendSites { appended: "manifest.header", synced: "manifest.synced" };
 const DLQ_SITES: AppendSites = AppendSites { appended: "dlq.append", synced: "dlq.synced" };
 
 // ---------------------------------------------------------------------------
@@ -544,186 +530,6 @@ impl ResultStore {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep manifests (checkpoint / resume)
-// ---------------------------------------------------------------------------
-
-/// One completed cell recorded in a manifest.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ManifestEntry {
-    /// What happened.
-    pub outcome: CellOutcome,
-    /// Host wall-clock the cell took when first executed, ms.
-    pub wall_ms: f64,
-    /// Attempts spent.
-    pub attempts: u32,
-}
-
-/// A manifest's first line: the grid identity a resume must match.
-#[derive(ToJson, FromJson)]
-struct ManifestHeader {
-    manifest_version: u32,
-    grid_digest: String,
-    cells: usize,
-}
-
-/// One completed cell as a manifest line. `wall_ms` is written as `null`
-/// when it is not finite, and reads back as 0.
-#[derive(ToJson, FromJson)]
-struct ManifestLine {
-    cell: usize,
-    attempts: u32,
-    wall_ms: Option<f64>,
-    outcome: CellOutcome,
-}
-
-/// A parsed sweep checkpoint: the grid identity plus every cell
-/// recorded so far, indexed by push position.
-#[derive(Clone, Debug)]
-pub struct SweepManifest {
-    /// Digest over the per-cell store digests in push order — a resumed
-    /// sweep must present the identical grid.
-    pub grid_digest: Digest,
-    /// Total cells in the grid.
-    pub cells: usize,
-    /// Recorded outcomes (`None` where the cell had not completed).
-    pub entries: Vec<Option<ManifestEntry>>,
-}
-
-impl SweepManifest {
-    /// Number of cells with a recorded outcome.
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
-
-    /// Load a manifest written by [`ManifestWriter`].
-    ///
-    /// Every line must [`unseal_line`]. The final line of a killed run
-    /// may be torn; a seal or parse failure on the *last* line is
-    /// tolerated (that cell reads as missing), while malformed interior
-    /// lines fail the load — they indicate real corruption, not an
-    /// interrupted write.
-    ///
-    /// # Errors
-    ///
-    /// [`DlpError::InvalidConfig`] on I/O failure, a bad header, or
-    /// interior corruption.
-    pub fn load(path: &Path) -> Result<SweepManifest, DlpError> {
-        let bad = |detail: String| DlpError::InvalidConfig { detail };
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| bad(format!("manifest {}: {e}", path.display())))?;
-        let mut lines = text.lines().enumerate().peekable();
-        let (_, header_line) = lines
-            .next()
-            .ok_or_else(|| bad(format!("manifest {}: empty file", path.display())))?;
-        let header = unseal_line(header_line)
-            .ok_or_else(|| bad(format!("manifest {}: broken header seal", path.display())))?;
-        let h: ManifestHeader = json::from_str(header)
-            .ok_or_else(|| bad(format!("manifest {}: malformed header", path.display())))?;
-        if h.manifest_version != MANIFEST_VERSION {
-            return Err(bad(format!(
-                "manifest version {} (this build reads {MANIFEST_VERSION})",
-                h.manifest_version
-            )));
-        }
-        let grid_digest = Digest::from_hex(&h.grid_digest)
-            .ok_or_else(|| bad("manifest header: bad grid_digest".into()))?;
-        let cells = h.cells;
-        let mut entries: Vec<Option<ManifestEntry>> = vec![None; cells];
-        while let Some((lineno, line)) = lines.next() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match unseal_line(line).and_then(json::from_str::<ManifestLine>) {
-                Some(ManifestLine { cell, attempts, wall_ms, outcome }) if cell < cells => {
-                    let wall_ms = wall_ms.unwrap_or(0.0);
-                    entries[cell] = Some(ManifestEntry { outcome, wall_ms, attempts });
-                }
-                Some(ManifestLine { cell, .. }) => {
-                    return Err(bad(format!(
-                        "manifest line {}: cell {cell} out of range (grid has {cells})",
-                        lineno + 1
-                    )))
-                }
-                // A torn final line is the normal kill signature.
-                None if lines.peek().is_none() => break,
-                None => {
-                    return Err(bad(format!("manifest line {}: unparsable entry", lineno + 1)))
-                }
-            }
-        }
-        Ok(SweepManifest { grid_digest, cells, entries })
-    }
-}
-
-/// Incremental manifest writer: a sealed header line at creation, then
-/// one sealed, `fdatasync`ed line per completed cell, so a kill loses
-/// at most the in-flight cells and a machine crash can tear at most
-/// the final line.
-pub struct ManifestWriter {
-    file: AppendWriter,
-}
-
-impl ManifestWriter {
-    /// Create (truncating) a manifest for a grid whose per-cell digests
-    /// are `cell_digests`, in push order.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors creating the file or writing the header.
-    pub fn create(path: &Path, cell_digests: &[Digest]) -> io::Result<ManifestWriter> {
-        let file = AppendWriter::create(path, MANIFEST_SITES)?;
-        let header = ManifestHeader {
-            manifest_version: MANIFEST_VERSION,
-            grid_digest: grid_digest(cell_digests).hex(),
-            cells: cell_digests.len(),
-        };
-        file.append_line_at(&json::to_string(&header), MANIFEST_HEADER_SITES)?;
-        Ok(ManifestWriter { file })
-    }
-
-    /// Reopen an existing manifest for appending — the resume path
-    /// (the header is already on disk). A torn final line from the
-    /// interrupted run is truncated away first, so it can't glue onto
-    /// the next append and corrupt an interior line.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors opening or repairing the file.
-    pub fn append_to(path: &Path) -> io::Result<ManifestWriter> {
-        truncate_torn_tail(path)?;
-        let file = AppendWriter::append_to(path, MANIFEST_SITES)?;
-        Ok(ManifestWriter { file })
-    }
-
-    /// Append a completed cell (thread-safe; sealed and synced before
-    /// returning).
-    pub fn append(&self, cell: usize, entry: &ManifestEntry) {
-        let line = json::to_string(&ManifestLine {
-            cell,
-            attempts: entry.attempts,
-            wall_ms: Some(entry.wall_ms),
-            outcome: entry.outcome.clone(),
-        });
-        // Checkpointing is best-effort by design: an unwritable
-        // manifest must not fail the sweep it is backing up.
-        let _ = self.file.append_line(&line);
-    }
-}
-
-/// The grid-identity digest a manifest pins: the per-cell store digests
-/// in push order.
-#[must_use]
-pub fn grid_digest(cell_digests: &[Digest]) -> Digest {
-    let mut h = Hasher::new();
-    h.field("manifest_version", &MANIFEST_VERSION.to_string());
-    for d in cell_digests {
-        h.field("cell", &d.hex());
-    }
-    h.digest()
-}
-
-// ---------------------------------------------------------------------------
 // Dead-letter queue
 // ---------------------------------------------------------------------------
 
@@ -759,7 +565,7 @@ pub struct DlqRecord {
     pub records: usize,
     /// The rendered error that dead-lettered the cell.
     pub error: String,
-    /// Its [`DlpError::kind`] tag.
+    /// Its [`dlp_common::DlpError::kind`] tag.
     pub kind: String,
     /// Attempts spent before dead-lettering.
     pub attempts: u32,
@@ -844,8 +650,7 @@ impl DeadLetterQueue {
     }
 
     /// Append cell `cell`'s record (thread-safe, sealed, synced;
-    /// best-effort like the manifest — an unwritable queue must not fail
-    /// the sweep).
+    /// best-effort — an unwritable queue must not fail the sweep).
     pub fn append(&self, cell: usize, record: &DlqRecord) {
         let line = json::to_string(record);
         let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -1257,47 +1062,6 @@ mod tests {
         a.order_by_cell().expect("order a");
         b.order_by_cell().expect("order b");
         assert_eq!(seeds(&path), [1, 10, 0]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_round_trip_tolerates_torn_tail_only() {
-        let dir = tmpdir("manifest");
-        let path = dir.join("sweep.manifest.jsonl");
-        let digests = [Digest(1, 1), Digest(2, 2), Digest(3, 3)];
-        let writer = ManifestWriter::create(&path, &digests).expect("create");
-        writer.append(0, &ManifestEntry { outcome: ran_outcome(), wall_ms: 1.5, attempts: 1 });
-        writer.append(2, &ManifestEntry { outcome: ran_outcome(), wall_ms: 2.5, attempts: 2 });
-        drop(writer);
-
-        let m = SweepManifest::load(&path).expect("loads");
-        assert_eq!(m.cells, 3);
-        assert_eq!(m.grid_digest, grid_digest(&digests));
-        assert_eq!(m.completed(), 2);
-        assert!(m.entries[1].is_none());
-        assert_eq!(m.entries[2].as_ref().map(|e| e.attempts), Some(2));
-
-        // Torn final line: tolerated, reads as missing.
-        use std::io::Write as _;
-        let mut f =
-            std::fs::OpenOptions::new().append(true).open(&path).expect("open");
-        write!(f, "{{\"cell\":1,\"atte").expect("write");
-        drop(f);
-        let m = SweepManifest::load(&path).expect("still loads");
-        assert_eq!(m.completed(), 2);
-
-        // Interior corruption: rejected.
-        let text = std::fs::read_to_string(&path).expect("read");
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines[1] = "{broken";
-        std::fs::write(&path, lines.join("\n")).expect("write");
-        assert!(SweepManifest::load(&path).is_err(), "interior corruption must fail");
-
-        // Out-of-range cell index: rejected.
-        let writer = ManifestWriter::create(&path, &digests).expect("recreate");
-        writer.append(7, &ManifestEntry { outcome: ran_outcome(), wall_ms: 0.0, attempts: 1 });
-        drop(writer);
-        assert!(SweepManifest::load(&path).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -42,13 +42,14 @@
 //!   (`parallel == serial`, enforced by the `sweep_determinism` test).
 //! * **Persistence (opt-in)** — a [`crate::store::ResultStore`] serves
 //!   previously-computed cells by content address so a warm re-run
-//!   executes nothing, a [`crate::store::ManifestWriter`] checkpoints
-//!   each completed cell so an interrupted sweep can resume executing
-//!   only the missing ones, and a [`crate::store::DeadLetterQueue`]
-//!   captures retry-exhausted cells as replayable records. All of it is
-//!   observationally pure: the canonical report
-//!   ([`SweepReport::canonical`]) of a warm-store run is bit-identical
-//!   to a cold one, at any worker count (the `store_sweep` test).
+//!   executes nothing. Each cacheable cell is stored as it completes, so
+//!   the store is also the checkpoint: an interrupted sweep rerun on it
+//!   executes only the missing cells. A
+//!   [`crate::store::DeadLetterQueue`] captures retry-exhausted cells
+//!   as replayable records. All of it is observationally pure: the
+//!   canonical report ([`SweepReport::canonical`]) of a warm-store run
+//!   is bit-identical to a cold one, at any worker count (the
+//!   `store_sweep` test).
 //!
 //! The output is a serializable [`SweepReport`] — the artifact behind
 //! `BENCH_sweep.json` — with per-cell statistics, verification results,
@@ -99,8 +100,8 @@ use crate::runner::{
     visible_mechanisms, BatchLane, LaneResult, PreparedProgram, RunScratch, WorkloadCache,
 };
 use crate::store::{
-    self, cacheable, lowering_fingerprint, DeadLetterQueue, Digest, DlqRecord, ManifestEntry,
-    ManifestWriter, ResultStore, StoreKey, SweepManifest, DLQ_VERSION,
+    cacheable, lowering_fingerprint, DeadLetterQueue, DlqRecord, ResultStore, StoreKey,
+    DLQ_VERSION,
 };
 use crate::{ExperimentParams, MachineConfig};
 
@@ -153,8 +154,6 @@ pub struct Sweep {
     threads: usize,
     policy: SweepPolicy,
     result_store: Option<Arc<ResultStore>>,
-    manifest: Option<Arc<ManifestWriter>>,
-    resume: Option<SweepManifest>,
     dlq: Option<Arc<DeadLetterQueue>>,
 }
 
@@ -227,8 +226,6 @@ impl Sweep {
             threads: threads.max(1),
             policy: SweepPolicy::default(),
             result_store: None,
-            manifest: None,
-            resume: None,
             dlq: None,
         }
     }
@@ -277,42 +274,6 @@ impl Sweep {
         self.result_store.as_ref()
     }
 
-    /// Attaches a checkpoint writer: every completed cell (executed,
-    /// store-served, or sharing an identical cell's run) is appended as
-    /// one flushed JSONL line, so a killed sweep loses only its
-    /// in-flight cells.
-    pub fn set_manifest(&mut self, writer: ManifestWriter) {
-        self.manifest = Some(Arc::new(writer));
-    }
-
-    /// Resumes from a loaded checkpoint: cells the manifest records are
-    /// served from it without executing. The caller is responsible for
-    /// validating [`SweepManifest::grid_digest`] against
-    /// [`Sweep::grid_digest`] first (the `sweep` bin refuses a
-    /// mismatch); as a last defense a manifest whose cell count differs
-    /// from this grid is ignored wholesale.
-    ///
-    /// # Examples
-    ///
-    /// ```no_run
-    /// use std::path::Path;
-    /// use dlp_core::store::{ManifestWriter, SweepManifest};
-    /// use dlp_core::sweep::Sweep;
-    ///
-    /// # fn grid() -> Sweep { Sweep::new() }
-    /// let mut sweep = grid(); // same grid the interrupted run pushed
-    /// let path = Path::new("BENCH_sweep.manifest.jsonl");
-    /// let manifest = SweepManifest::load(path)?;
-    /// assert_eq!(manifest.grid_digest, sweep.grid_digest(), "same grid");
-    /// sweep.set_resume(manifest);
-    /// sweep.set_manifest(ManifestWriter::append_to(path)?);
-    /// let report = sweep.run(); // executes only the missing cells
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn set_resume(&mut self, manifest: SweepManifest) {
-        self.resume = Some(manifest);
-    }
-
     /// Attaches a dead-letter queue: cells that exhaust their retries
     /// with a non-[`cacheable`] failure (watchdog, unrecoverable fault,
     /// internal error) are appended as replayable
@@ -321,10 +282,8 @@ impl Sweep {
         self.dlq = Some(dlq);
     }
 
-    /// Every cell's content address, in push order. This is the store's
-    /// key schema made visible: bins use it to create manifests
-    /// ([`ManifestWriter::create`]) and validate resumes
-    /// ([`Sweep::grid_digest`]).
+    /// Every cell's content address, in push order — the store's key
+    /// schema made visible.
     #[must_use]
     pub fn cell_keys(&self) -> Vec<StoreKey> {
         self.keys_for(&self.visible_mechs())
@@ -358,19 +317,6 @@ impl Sweep {
                 )
             })
             .collect()
-    }
-
-    /// The digests of [`Sweep::cell_keys`], in push order — what
-    /// [`ManifestWriter::create`] pins a checkpoint to.
-    #[must_use]
-    pub fn cell_digests(&self) -> Vec<Digest> {
-        self.cell_keys().into_iter().map(|k| k.digest).collect()
-    }
-
-    /// The grid-identity digest a manifest of this sweep carries.
-    #[must_use]
-    pub fn grid_digest(&self) -> Digest {
-        store::grid_digest(&self.cell_digests())
     }
 
     /// Registers a kernel and returns its handle.
@@ -474,17 +420,16 @@ impl Sweep {
     /// the one its kernel can observe ([`crate::visible_mechanisms`]),
     /// computes each cell's [`StoreKey`] (only when a store is
     /// attached; keys keep the named set) and resolves cells whose
-    /// outcome is already known — from the resume manifest first, then
-    /// the result store. **Phase 1** deduplicates the remaining cells'
-    /// lowerings (kernel × visible mechanisms × grid × timing × records)
-    /// and prepares each distinct one once; a fully-resolved sweep
-    /// prepares nothing, which is what makes a warm re-run O(lookup).
-    /// **Phase 2** gathers pending cells with one run key (plan,
-    /// derived seed, fault plan, watchdog) behind the first of them,
-    /// executes the leaders against the shared plans, and streams
-    /// each completion — the leader's, then each follower's with the
-    /// leader's outcome — into the store / manifest / dead-letter queue
-    /// as it lands.
+    /// outcome is already known from the result store. **Phase 1**
+    /// deduplicates the remaining cells' lowerings (kernel × visible
+    /// mechanisms × grid × timing × records) and prepares each distinct
+    /// one once; a fully-resolved sweep prepares nothing, which is what
+    /// makes a warm re-run O(lookup). **Phase 2** gathers pending cells
+    /// with one run key (plan, derived seed, fault plan, watchdog)
+    /// behind the first of them, executes the leaders against the
+    /// shared plans, and streams each completion — the leader's, then
+    /// each follower's with the leader's outcome — into the store and
+    /// dead-letter queue as it lands.
     ///
     /// Cell failures (e.g. incoherent mechanism sets in the
     /// configuration-space sweep) are captured per cell as
@@ -527,40 +472,13 @@ impl Sweep {
             self.result_store.as_ref().map(|_| self.keys_for(&visible));
 
         let mut resolved: Vec<Option<Resolved>> = vec![None; self.cells.len()];
-        let mut resumed_cells = 0usize;
-        if let Some(manifest) = &self.resume {
-            if manifest.cells == self.cells.len() {
-                for (slot, entry) in resolved.iter_mut().zip(&manifest.entries) {
-                    if let Some(e) = entry {
-                        *slot = Some(Resolved {
-                            outcome: e.outcome.clone(),
-                            wall_ms: e.wall_ms,
-                            attempts: e.attempts,
-                            origin: Origin::Resumed,
-                        });
-                        resumed_cells += 1;
-                    }
-                }
-            }
-        }
         if let (Some(store), Some(keys)) = (&self.result_store, &keys) {
-            for (i, slot) in resolved.iter_mut().enumerate() {
-                if slot.is_some() {
-                    continue;
-                }
-                if let Some(outcome) = store.get(&keys[i]) {
+            for (slot, key) in resolved.iter_mut().zip(keys) {
+                if let Some(outcome) = store.get(key) {
                     let attempts = match &outcome {
                         CellOutcome::Failed { attempts, .. } => *attempts,
                         _ => 1,
                     };
-                    // Checkpoint store hits too, so a resume never
-                    // depends on the store still being warm.
-                    if let Some(writer) = &self.manifest {
-                        writer.append(
-                            i,
-                            &ManifestEntry { outcome: outcome.clone(), wall_ms: 0.0, attempts },
-                        );
-                    }
                     *slot = Some(Resolved { outcome, wall_ms: 0.0, attempts, origin: Origin::Store });
                 }
             }
@@ -757,8 +675,6 @@ impl Sweep {
             store_hits,
             store_misses,
             cells_executed,
-            cells_skipped: 0,
-            resumed_cells,
             dlq_appended,
             cells_batched,
             batch_dispatches,
@@ -820,8 +736,8 @@ impl Sweep {
     }
 
     /// Lands cell `i`'s run and hands it to the cells that share it:
-    /// streams the leader and then each follower into the store,
-    /// manifest and dead-letter queue under its own key, pushes the
+    /// streams the leader and then each follower into the store and
+    /// dead-letter queue under its own key, pushes the
     /// followers' results (the leader's outcome and attempts, no wall
     /// time) onto `out`, and returns the leader's own result.
     #[allow(clippy::too_many_arguments)]
@@ -835,32 +751,22 @@ impl Sweep {
         keys: &Option<Vec<StoreKey>>,
         out: &mut Vec<(usize, Resolved)>,
     ) -> Resolved {
-        self.record_completion(i, &outcome, wall_ms, attempts, keys);
+        self.record_completion(i, &outcome, keys);
         for &f in followers {
-            self.record_completion(f, &outcome, 0.0, attempts, keys);
+            self.record_completion(f, &outcome, keys);
             let outcome = outcome.clone();
             out.push((f, Resolved { outcome, wall_ms: 0.0, attempts, origin: Origin::Shared }));
         }
         Resolved { outcome, wall_ms, attempts, origin: Origin::Executed }
     }
 
-    /// Streams one completed cell into the attached store, manifest,
-    /// and dead-letter queue (shared by the scalar and batched paths).
-    fn record_completion(
-        &self,
-        i: usize,
-        outcome: &CellOutcome,
-        wall_ms: f64,
-        attempts: u32,
-        keys: &Option<Vec<StoreKey>>,
-    ) {
+    /// Streams one completed cell into the attached store and
+    /// dead-letter queue (shared by the scalar and batched paths).
+    fn record_completion(&self, i: usize, outcome: &CellOutcome, keys: &Option<Vec<StoreKey>>) {
         if let (Some(store), Some(keys)) = (&self.result_store, keys) {
             // Benign when racing a duplicate cell: identical content;
             // failure is a cache problem, never a sweep problem.
             let _ = store.put(&keys[i], outcome);
-        }
-        if let Some(writer) = &self.manifest {
-            writer.append(i, &ManifestEntry { outcome: outcome.clone(), wall_ms, attempts });
         }
         if let Some(dlq) = &self.dlq {
             if matches!(outcome, CellOutcome::Failed { .. }) && !cacheable(outcome) {
@@ -1116,8 +1022,6 @@ enum Origin {
     Executed,
     /// Served from the attached [`ResultStore`].
     Store,
-    /// Served from the resume manifest.
-    Resumed,
     /// Took the outcome of an identical pending cell's run.
     Shared,
 }
@@ -1305,13 +1209,12 @@ pub struct SweepCell {
     pub outcome: CellOutcome,
     /// Host wall-clock for this cell, milliseconds (informational; not
     /// part of the deterministic output). 0 for store hits and cells
-    /// that took an identical cell's run; a resumed cell keeps the wall
-    /// time its manifest line recorded.
+    /// that took an identical cell's run.
     pub wall_ms: f64,
     /// The analyzer's sound static lower bound on this cell's simulated
     /// cycles (DESIGN.md §13), when its lowering was prepared during
     /// this run. `None` for cells served without preparing a plan
-    /// (store or resume hits) and for cells whose lowering failed —
+    /// (store hits) and for cells whose lowering failed —
     /// provenance, like `wall_ms`, zeroed by
     /// [`SweepReport::canonical`].
     pub predicted_cycles: Option<u64>,
@@ -1375,11 +1278,6 @@ pub struct SweepReport {
     /// that took an identical pending cell's run is not counted here
     /// nor in `store_hits`.
     pub cells_executed: usize,
-    /// Always 0: no cell is ever skipped ([`CellOutcome::Skipped`] is
-    /// never produced). Kept so the canonical report keeps its bytes.
-    pub cells_skipped: usize,
-    /// Cells served from the resume manifest.
-    pub resumed_cells: usize,
     /// Records appended to the dead-letter queue by this run.
     pub dlq_appended: u64,
     /// Pending cells dispatched through the lane-batched engine
@@ -1552,7 +1450,7 @@ mod tests {
     use trips_sim::WATCHDOG_TICKS;
 
     use super::*;
-    use crate::store::tests_support::tmpdir;
+    use crate::store::{self, tests_support::tmpdir};
 
     fn small_sweep(threads: usize) -> SweepReport {
         let params = ExperimentParams::default();
@@ -1896,7 +1794,6 @@ mod tests {
         assert!(matches!(report.cells[0].outcome, CellOutcome::Failed { .. }));
         // The second must have run — a bad cell never poisons the batch.
         assert!(report.cells[1].outcome.verified());
-        assert_eq!(report.cells_skipped, 0);
     }
 
     /// convert on S-O and on S-O-D at 24 records: convert has no lookup
@@ -1980,25 +1877,22 @@ mod tests {
     }
 
     #[test]
-    fn a_follower_missing_from_the_manifest_resumes_alone() {
+    fn a_follower_missing_from_the_store_runs_alone() {
         let dir = tmpdir("twin-resume");
-        let path = dir.join("twins.manifest.jsonl");
+        let store = Arc::new(ResultStore::open(&dir).expect("open store"));
         let mut sweep = twin_sweep(&ExperimentParams::default());
-        sweep.set_manifest(ManifestWriter::create(&path, &sweep.cell_digests()).expect("create"));
+        sweep.set_store(Arc::clone(&store));
         let reference = sweep.run();
 
-        // Keep the header and the leader's line: the leader lands first.
-        let text = std::fs::read_to_string(&path).expect("read manifest");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "header + one line per cell");
-        std::fs::write(&path, format!("{}\n{}\n", lines[0], lines[1])).expect("truncate");
-        let manifest = SweepManifest::load(&path).expect("load manifest");
-        assert!(manifest.entries[0].is_some() && manifest.entries[1].is_none());
+        // Keep only the leader's entry, as a sweep killed between the
+        // leader's write and the follower's would.
+        let keys = sweep.cell_keys();
+        std::fs::remove_file(store.path_of(&keys[1])).expect("remove the follower's entry");
 
         let mut resumed = twin_sweep(&ExperimentParams::default());
-        resumed.set_resume(manifest);
+        resumed.set_store(store);
         let report = resumed.run();
-        assert_eq!((report.resumed_cells, report.cells_executed), (1, 1), "the follower runs");
+        assert_eq!((report.store_hits, report.cells_executed), (1, 1), "the follower runs");
         assert_eq!(report.canonical_json(), reference.canonical_json());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -12,8 +12,9 @@
 //! The setup block preloads three registers before releasing the local PCs
 //! (mirroring the paper's setup-block protocol):
 //!
-//! * `r30` — this node's linear index within the partition,
-//! * `r31` — number of nodes in the partition,
+//! * `r30` — this node's rank: its position, in row-major order, among
+//!   the nodes that run a program,
+//! * `r31` — the number of ranks,
 //! * `r29` — total number of records (kernel instances) to process.
 //!
 //! Kernels typically stride records by `r31` starting at `r30`.
@@ -26,9 +27,9 @@ use dlp_common::{vcode, Coord, DlpError, Value};
 
 use crate::{MemSpace, OpRole, Opcode};
 
-/// Register holding the node's linear index at program start.
+/// Register holding the node's rank at program start.
 pub const REG_NODE_ID: u8 = 30;
-/// Register holding the partition's node count at program start.
+/// Register holding the number of ranks at program start.
 pub const REG_NODE_COUNT: u8 = 31;
 /// Register holding the total record count at program start.
 pub const REG_RECORDS: u8 = 29;
@@ -54,9 +55,9 @@ pub enum MimdOp {
     Bez,
     /// Branch to `imm` when `ra != 0`.
     Bnz,
-    /// Send `ra` to node `imm` (linear index within the partition).
+    /// Send `ra` to rank `imm`.
     Send,
-    /// Receive into `rd` the oldest message sent by node `imm`.
+    /// Receive into `rd` the oldest message sent by rank `imm`.
     Recv,
     /// Stop this node.
     Halt,
@@ -239,14 +240,14 @@ impl MimdAsm {
         self.push(MimdOp::Bnz, 0, ra, 0, 0)
     }
 
-    /// Send `ra` to partition node `node`.
-    pub fn send(&mut self, ra: u8, node: usize) -> &mut Self {
-        self.push(MimdOp::Send, 0, ra, 0, node as i64)
+    /// Send `ra` to rank `rank`.
+    pub fn send(&mut self, ra: u8, rank: usize) -> &mut Self {
+        self.push(MimdOp::Send, 0, ra, 0, rank as i64)
     }
 
-    /// Receive into `rd` from partition node `node`.
-    pub fn recv(&mut self, rd: u8, node: usize) -> &mut Self {
-        self.push(MimdOp::Recv, rd, 0, 0, node as i64)
+    /// Receive into `rd` from rank `rank`.
+    pub fn recv(&mut self, rd: u8, rank: usize) -> &mut Self {
+        self.push(MimdOp::Recv, rd, 0, 0, rank as i64)
     }
 
     /// Stop this node.

@@ -116,12 +116,11 @@ impl NodeFile {
 }
 
 /// Participating node indices in rank order, with each rank's grid
-/// coordinate and where `Send dst` routes to.
+/// coordinate (where `Send dst` routes to).
 #[derive(Default)]
 pub(crate) struct RankMap {
     pub(crate) ranks: Vec<usize>,
     coords: Vec<Coord>,
-    send_coords: Vec<Coord>,
 }
 
 impl RankMap {
@@ -134,11 +133,6 @@ impl RankMap {
         self.ranks.extend((0..programs.len()).filter(|&i| !programs[i].is_empty()));
         self.coords.clear();
         self.coords.extend(self.ranks.iter().map(|&i| grid.coord(i)));
-        // Ranks are assigned in row-major grid order over participating
-        // nodes; with every node participating (the common case) rank ==
-        // linear index.
-        self.send_coords.clear();
-        self.send_coords.extend((0..self.ranks.len()).map(|d| grid.coord(d)));
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -402,7 +396,7 @@ pub(crate) fn step_inst(
             let dst = (imm as usize).min(map.len().saturating_sub(1));
             let arrive = m.router.send_faulty(
                 Endpoint::Node(coord),
-                Endpoint::Node(map.send_coords[dst]),
+                Endpoint::Node(map.coords[dst]),
                 t + alu,
                 &mut m.fault,
             );

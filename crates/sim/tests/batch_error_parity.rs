@@ -1,7 +1,8 @@
 //! The lane-batched engines reject what the scalar engines reject: for
 //! every static rejection, `run_dataflow_batch_in` / `run_mimd_batch_in`
 //! return, for every lane class, exactly the `Err` the scalar run on
-//! that class's machine returns.
+//! that class's machine returns. Both engines also route a `Send` to the
+//! node that holds its destination rank.
 
 use dlp_common::{Coord, DlpError, GridShape, SimStats, TimingParams};
 use trips_isa::{
@@ -153,4 +154,33 @@ fn dataflow_block_on_a_local_pc_machine() {
     let block = dataflow_block(Opcode::Mov);
     let err = assert_dataflow_parity(MechanismSet::mimd(), &block);
     assert!(matches!(err, DlpError::Unsupported { .. }), "{err:?}");
+}
+
+#[test]
+fn mimd_send_routes_to_the_node_holding_the_destination_rank() {
+    // Nodes 0..8 idle, so rank 0 is node 8 at (2, 0) and rank 1 is its
+    // neighbour node 9 at (2, 1): one hop. Routing to linear node 1 at
+    // (0, 1) instead would take three.
+    let assemble = |body: fn(&mut MimdAsm)| {
+        let mut asm = MimdAsm::new();
+        body(&mut asm);
+        asm.halt();
+        asm.assemble().expect("assembles")
+    };
+    let mut programs = vec![MimdProgram::default(); 8];
+    programs.push(assemble(|asm| {
+        asm.li(1, 7).send(1, 1);
+    }));
+    programs.push(assemble(|asm| {
+        asm.recv(1, 0);
+    }));
+    let mech = MechanismSet::mimd();
+    let scalar = machine(grid(), mech)
+        .run_mimd_in(&programs, COUNT, &mut EngineArena::new())
+        .expect("scalar run");
+    assert_eq!(scalar.net_hops, 1, "scalar engine");
+    let mut machines: Vec<Machine> = (0..CLASSES).map(|_| machine(grid(), mech)).collect();
+    for stats in run_mimd_batch_in(&mut machines, &programs, COUNT, &mut EngineArena::new()) {
+        assert_eq!(stats.expect("batched run").net_hops, 1, "batched engine");
+    }
 }

@@ -7,13 +7,14 @@
 //!
 //! 1. runs `sweep --fsck` over the crashed store (quarantine/gc must
 //!    succeed on any post-kill state),
-//! 2. resumes — `--resume` if the manifest still loads, a fresh run
-//!    otherwise — and
+//! 2. reruns the same sweep against the same `--store` (the store is the
+//!    checkpoint: cells that landed before the kill are served, the
+//!    rest execute), and
 //! 3. asserts the canonical `SweepReport` is **byte-identical** to an
 //!    uninterrupted run's.
 //!
 //! Crashpoints are grouped into three legs by the write path that
-//! reaches them: the *normal* leg (stamp, entry, manifest sites), the
+//! reaches them: the *normal* leg (stamp and entry sites), the
 //! *watchdog* leg (`--watchdog 2` dead-letters every cell, reaching the
 //! DLQ append sites), and the *replay* leg (`--replay-dlq` reaches the
 //! atomic queue rewrite; recovery there means the queue converges to
@@ -29,12 +30,12 @@ use std::process::{Command, ExitCode};
 
 use dlp_common::SplitMix64;
 use dlp_common::json::ToJson;
-use dlp_core::store::{load_dlq, DlqRecord, SweepManifest, CRASHPOINTS};
+use dlp_core::store::{load_dlq, DlqRecord, CRASHPOINTS};
 
 /// Which child invocation reaches a crashpoint.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Leg {
-    /// Plain quick sweep with a store and manifest.
+    /// Plain quick sweep with a store.
     Normal,
     /// `--watchdog 2`: every cell dead-letters, reaching the DLQ sites.
     Watchdog,
@@ -65,8 +66,6 @@ struct SiteResult {
     quarantined: u64,
     /// Stale temp files fsck removed.
     gc_tmp: u64,
-    /// Whether the resumed run used `--resume` (the manifest survived).
-    resumed_from_manifest: bool,
     /// The contract: recovery output byte-identical to uninterrupted.
     identical: bool,
 }
@@ -138,14 +137,13 @@ pub fn run(args: &[String]) -> ExitCode {
 
 fn print_result(r: &SiteResult) {
     println!(
-        "  {:<22} nth={} leg={:<8} killed={:<5} fsck(q={},tmp={}) resume={:<5} identical={}",
+        "  {:<22} nth={} leg={:<8} killed={:<5} fsck(q={},tmp={}) identical={}",
         r.site,
         r.nth,
         r.leg,
         r.killed,
         r.quarantined,
         r.gc_tmp,
-        if r.resumed_from_manifest { "warm" } else { "cold" },
         r.identical,
     );
 }
@@ -190,10 +188,10 @@ impl Harness {
         };
         eprintln!("chaos: recording uninterrupted reference runs...");
         let dir = h.fresh_dir("ref-normal");
-        h.run_sweep(&dir, Leg::Normal, None, false);
+        h.run_sweep(&dir, Leg::Normal, None);
         h.normal_ref = std::fs::read(dir.join("report.json")).ok()?;
         let dir = h.fresh_dir("ref-watchdog");
-        h.run_sweep(&dir, Leg::Watchdog, None, false);
+        h.run_sweep(&dir, Leg::Watchdog, None);
         h.watchdog_ref = std::fs::read(dir.join("report.json")).ok()?;
         h.dlq_seed = std::fs::read(dir.join("dlq.jsonl")).ok()?;
         let dir = h.fresh_dir("ref-replay");
@@ -214,20 +212,13 @@ impl Harness {
         dir
     }
 
-    /// One sweep-leg child. `crash` arms `DLP_CRASHPOINT`; `resume`
-    /// adds `--resume` for a surviving manifest. Returns whether the
-    /// child was killed by the crashpoint's abort.
-    fn run_sweep(&self, dir: &Path, leg: Leg, crash: Option<&str>, resume: bool) -> bool {
+    /// One sweep-leg child. `crash` arms `DLP_CRASHPOINT`. Returns
+    /// whether the child was killed by the crashpoint's abort.
+    fn run_sweep(&self, dir: &Path, leg: Leg, crash: Option<&str>) -> bool {
         let mut cmd = Command::new(&self.sweep_bin);
         cmd.args(["--quick", "--threads", "1", "--kernels", "convert", "--canonical"]);
         cmd.arg("--store").arg(dir.join("store"));
         cmd.arg("--out").arg(dir.join("report.json"));
-        let manifest = dir.join("sweep.manifest.jsonl");
-        if resume {
-            cmd.arg("--resume").arg(&manifest);
-        } else {
-            cmd.arg("--manifest").arg(&manifest);
-        }
         if leg == Leg::Watchdog {
             cmd.args(["--watchdog", "2"]);
             cmd.arg("--dlq").arg(dir.join("dlq.jsonl"));
@@ -242,7 +233,7 @@ impl Harness {
         run_child(cmd, crash)
     }
 
-    /// The full kill → fsck → resume → compare cycle for one site.
+    /// The full kill → fsck → rerun → compare cycle for one site.
     /// `require_kill` marks matrix rows, where the site must fire on
     /// its designated leg.
     fn exercise(&self, site: &str, nth: u64, require_kill: bool) -> SiteResult {
@@ -266,12 +257,11 @@ impl Harness {
                 fsck_ok: true,
                 quarantined: 0,
                 gc_tmp: 0,
-                resumed_from_manifest: false,
                 identical,
             };
         }
 
-        let killed = self.run_sweep(&dir, leg, Some(&spec), false);
+        let killed = self.run_sweep(&dir, leg, Some(&spec));
         let fsck = dlp_core::store::fsck(&dir.join("store"));
         let (fsck_ok, quarantined, gc_tmp) = match &fsck {
             Ok(r) => (true, r.quarantined as u64, r.gc_tmp as u64),
@@ -280,8 +270,7 @@ impl Harness {
                 (false, 0, 0)
             }
         };
-        let resume = SweepManifest::load(&dir.join("sweep.manifest.jsonl")).is_ok();
-        self.run_sweep(&dir, leg, None, resume);
+        self.run_sweep(&dir, leg, None);
         let reference =
             if leg == Leg::Watchdog { &self.watchdog_ref } else { &self.normal_ref };
         let identical =
@@ -297,7 +286,6 @@ impl Harness {
             fsck_ok,
             quarantined,
             gc_tmp,
-            resumed_from_manifest: resume,
             identical,
         }
     }

@@ -14,9 +14,9 @@
 //!   and per-kernel analysis time; `--deny-warnings` / `--budget N` gate
 //!   CI, `--json <path>` writes the machine-readable artifact.
 //! * `chaos` — the crash-consistency harness: kills a child sweep at
-//!   every named store crashpoint, fscks the wreckage, resumes, and
-//!   requires the canonical report to be byte-identical to an
-//!   uninterrupted run's; plus a seeded randomized kill campaign. To
+//!   every named store crashpoint, fscks the wreckage, reruns on the
+//!   same store, and requires the canonical report to be byte-identical
+//!   to an uninterrupted run's; plus a seeded randomized kill campaign. To
 //!   fsck a store by hand, run `sweep --fsck DIR`.
 //! * `asmcheck` — the autovectorization gate: emits release assembly
 //!   for `trips-sim` and requires every tagged SIMD pass in the batch

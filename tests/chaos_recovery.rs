@@ -7,12 +7,13 @@
 //! harness test (guarded on `DLP_CHAOS_DIR`, ignored otherwise), which
 //! runs a small fixed grid — two cacheable convert cells plus one
 //! watchdog-strangled cell that dead-letters on every run — against a
-//! store, manifest, and DLQ in the given directory, exercises the
-//! atomic DLQ rewrite, and writes its canonical report last. Arming
+//! store and DLQ in the given directory, exercises the atomic DLQ
+//! rewrite, and writes its canonical report last. Arming
 //! `DLP_CRASHPOINT=<site>` makes the child abort mid-write; the parent
-//! then fscks the wreckage, re-runs the child (which resumes from the
-//! manifest when it still loads), and requires the recovered canonical
-//! report to be byte-identical to an uninterrupted run's.
+//! then fscks the wreckage, re-runs the child on the same store (which
+//! serves the cells that landed before the kill), and requires the
+//! recovered canonical report to be byte-identical to an uninterrupted
+//! run's.
 //!
 //! `cargo xtask chaos` runs the same contract against the release
 //! `sweep` binary; this test pins it in-tree at tier 1.
@@ -23,10 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dlp_core::store::{fsck, iofault, load_dlq, rewrite_dlq, IoFaultPlan, StoreLock, CRASHPOINTS};
-use dlp_core::{
-    CellSpec, DeadLetterQueue, ExperimentParams, MachineConfig, ManifestWriter, ResultStore,
-    Sweep, SweepManifest,
-};
+use dlp_core::{CellSpec, DeadLetterQueue, ExperimentParams, MachineConfig, ResultStore, Sweep};
 
 /// Serializes the chaos tests: crashpoint arming and the iofault shim
 /// are process-global, and the child processes contend for the CPU.
@@ -102,8 +100,8 @@ fn aborted(status: &std::process::ExitStatus) -> bool {
     status.code() == Some(3) // Windows reports abort() as exit code 3
 }
 
-/// The child harness: runs the chaos grid against `DLP_CHAOS_DIR`,
-/// resuming from a surviving manifest; exercises the DLQ rewrite; and
+/// The child harness: runs the chaos grid against the store in
+/// `DLP_CHAOS_DIR` (or `DLP_CHAOS_STORE`); exercises the DLQ rewrite; and
 /// writes the canonical report *last*, so a crashpoint kill anywhere
 /// in the store's write paths precedes it. Ignored unless spawned by a
 /// parent test (it is not a test of anything by itself).
@@ -130,18 +128,6 @@ fn chaos_child() {
 
     let mut sweep = build_grid();
     sweep.set_store(Arc::new(ResultStore::open(&store_dir).expect("open store")));
-    let manifest_path = dir.join("manifest.jsonl");
-    match SweepManifest::load(&manifest_path) {
-        Ok(m) if m.grid_digest == sweep.grid_digest() => {
-            sweep.set_resume(m);
-            sweep.set_manifest(ManifestWriter::append_to(&manifest_path).expect("reopen"));
-        }
-        _ => {
-            sweep.set_manifest(
-                ManifestWriter::create(&manifest_path, &sweep.cell_digests()).expect("create"),
-            );
-        }
-    }
     let dlq_path = dir.join("dlq.jsonl");
     sweep.set_dlq(Arc::new(DeadLetterQueue::new(&dlq_path)));
     let report = sweep.run();
@@ -177,10 +163,9 @@ fn kill_matrix_recovers_byte_identical_reports() {
             .unwrap_or_else(|e| panic!("{site}: post-kill fsck failed: {e}"));
         assert_eq!(repair.quarantined, 0, "{site}: kills tear files, they never corrupt entries");
 
-        // Recovery: the child resumes from whatever survived.
-        let resumed = SweepManifest::load(&dir.join("manifest.jsonl")).is_ok();
+        // Recovery: the child reruns on whatever the store kept.
         let status = run_child(&dir, &[]);
-        assert!(status.success(), "{site}: recovery run failed (resume={resumed}, {status})");
+        assert!(status.success(), "{site}: recovery run failed ({status})");
         let got = std::fs::read_to_string(dir.join("report.json")).expect("recovered report");
         assert_eq!(
             got, reference,

@@ -4,8 +4,9 @@
 //!   bit-identical to the cold run that populated it, at any worker
 //!   count — caching changes *where* results come from, never *what*
 //!   they are.
-//! * **Resume** after an interruption executes only the cells the
-//!   manifest is missing, and still converges to the identical report.
+//! * **Resume** after an interruption — a rerun on the same store —
+//!   executes only the cells the store is missing, and still converges
+//!   to the identical report.
 //! * The **dead-letter queue** preserves the failure taxonomy through a
 //!   full write → load → replay round trip.
 //! * Corrupted or version-skewed store entries degrade to **misses** —
@@ -17,8 +18,7 @@ use std::sync::Arc;
 
 use dlp_core::store::{load_dlq, seal_line, unseal_line, Hasher};
 use dlp_core::{
-    CellSpec, DeadLetterQueue, ExperimentParams, MachineConfig, ManifestWriter, ResultStore,
-    Sweep, SweepManifest, SweepReport,
+    CellSpec, DeadLetterQueue, ExperimentParams, MachineConfig, ResultStore, Sweep, SweepReport,
 };
 
 /// A fresh per-test scratch directory.
@@ -75,17 +75,23 @@ fn warm_store_is_bit_identical_to_cold_at_any_worker_count() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Pins the bytes this grid persists: the manifest grid digest, each
-/// cell's store key, the canonical report and the entry files. Every one
-/// of them is derived from JSON the workspace writes (store keys hash the
-/// JSON of each kernel's IR and MIMD program), so a change to the JSON
-/// encoder that moves any byte shows here.
+/// Pins the bytes this grid persists: the grid digest over its cells'
+/// store keys, each cell's store key, the canonical report and the entry
+/// files. Every one of them is derived from JSON the workspace writes
+/// (store keys hash the JSON of each kernel's IR and MIMD program), so a
+/// change to the JSON encoder that moves any byte shows here.
 fn assert_persisted_encoding(cold: &SweepReport, dir: &std::path::Path) {
     const MSG: &str = "these values are an on-disk format: change them only on purpose, \
                        together with a bump of STORE_VERSION or LOWERING_SCHEMA";
     let grid = build_grid(1);
-    assert_eq!(grid.grid_digest().hex(), "d4e636eb5a98ecce16ef49ce61001309", "{MSG}");
     let keys: Vec<String> = grid.cell_keys().iter().map(|k| k.digest.hex()).collect();
+    // The fold the pinned grid digests were first taken with.
+    let mut h = Hasher::new();
+    h.field("manifest_version", "2");
+    for key in &keys {
+        h.field("cell", key);
+    }
+    assert_eq!(h.digest().hex(), "d4e636eb5a98ecce16ef49ce61001309", "{MSG}");
     assert_eq!(
         keys,
         [
@@ -98,10 +104,10 @@ fn assert_persisted_encoding(cold: &SweepReport, dir: &std::path::Path) {
     );
 
     let canonical = cold.canonical_json();
-    assert_eq!(canonical.len(), 2399, "{MSG}");
+    assert_eq!(canonical.len(), 2363, "{MSG}");
     let mut h = Hasher::new();
     h.update(canonical.as_bytes());
-    assert_eq!(h.digest().hex(), "291fcc65f181b03f96748f4935079d98", "{MSG}");
+    assert_eq!(h.digest().hex(), "acbda62108646b10ecff4ff87d4625a7", "{MSG}");
 
     let mut entries = Vec::new();
     for shard in std::fs::read_dir(dir.join("entries")).expect("entries dir") {
@@ -121,50 +127,28 @@ fn assert_persisted_encoding(cold: &SweepReport, dir: &std::path::Path) {
 #[test]
 fn resume_executes_only_the_missing_cells() {
     let dir = tmpdir("resume");
-    let manifest_path = dir.join("sweep.manifest.jsonl");
+    let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+    let cold = run_with_store(1, &store);
+    let total = cold.cells.len();
 
-    // A complete checkpointed reference run.
-    let mut sweep = build_grid(1);
-    let digests = sweep.cell_digests();
-    sweep.set_manifest(ManifestWriter::create(&manifest_path, &digests).expect("create manifest"));
-    let reference = sweep.run();
-    let total = reference.cells.len();
+    // Simulate the interruption: two cells never landed and a third was
+    // torn mid-write.
+    let keys = build_grid(1).cell_keys();
+    for key in &keys[1..3] {
+        std::fs::remove_file(store.path_of(key)).expect("remove entry");
+    }
+    let torn = store.path_of(&keys[3]);
+    let bytes = std::fs::read(&torn).expect("read entry");
+    std::fs::write(&torn, &bytes[..bytes.len() / 2]).expect("tear entry");
 
-    // Simulate the interruption: keep the header and the first two cell
-    // lines, plus a torn third line (a crash mid-write).
-    let text = std::fs::read_to_string(&manifest_path).expect("read manifest");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), total + 1, "header + one line per cell");
-    let torn = format!("{}\n{}\n{}\n{}", lines[0], lines[1], lines[2], &lines[3][..lines[3].len() / 2]);
-    std::fs::write(&manifest_path, torn).expect("truncate manifest");
-
-    let manifest = SweepManifest::load(&manifest_path).expect("torn final line is tolerated");
-    assert_eq!(manifest.completed(), 2, "two cells survived the crash");
-
-    let mut resumed = build_grid(2);
-    assert_eq!(manifest.grid_digest, resumed.grid_digest(), "same grid");
-    resumed.set_resume(manifest);
-    resumed.set_manifest(ManifestWriter::append_to(&manifest_path).expect("reopen manifest"));
-    let report = resumed.run();
-
-    assert_eq!(report.resumed_cells, 2, "recorded cells are served, not re-run");
-    assert_eq!(report.cells_executed, total - 2, "only the missing cells execute");
+    let report = run_with_store(2, &store);
+    assert_eq!(report.store_hits, 1, "the one intact entry is served, not re-run");
+    assert_eq!(report.cells_executed, total - 1, "only the missing cells execute");
     assert_eq!(
         report.canonical_json(),
-        reference.canonical_json(),
-        "resume converges to the uninterrupted run's exact report"
+        cold.canonical_json(),
+        "the rerun converges to the uninterrupted run's exact report"
     );
-
-    // The resumed run re-checkpointed the missing cells: the manifest is
-    // complete again and a further resume executes nothing.
-    let full = SweepManifest::load(&manifest_path).expect("manifest readable after resume");
-    assert_eq!(full.completed(), total);
-    let mut third = build_grid(1);
-    third.set_resume(full);
-    let report = third.run();
-    assert_eq!(report.resumed_cells, total);
-    assert_eq!(report.cells_executed, 0);
-    assert_eq!(report.canonical_json(), reference.canonical_json());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
