@@ -18,17 +18,11 @@
 //! * `--threads N` — worker-thread count (statistics are bit-identical
 //!   for any N).
 //! * `--out PATH` — JSON destination (default `BENCH_faults.json`).
-//! * `--dlq PATH` — append retry-exhausted cells to a dead-letter queue
-//!   for later `sweep --replay-dlq PATH` diagnosis.
 //! * `--help` — list the flags and exit. Any other argument is an error.
-
-use std::sync::Arc;
 
 use dlp_common::json::ToJson;
 use dlp_common::{FaultPlan, FaultRate};
-use dlp_core::{
-    CellOutcome, DeadLetterQueue, ExperimentParams, MachineConfig, Sweep, SweepPolicy,
-};
+use dlp_core::{CellOutcome, ExperimentParams, MachineConfig, Sweep, SweepPolicy};
 
 /// Uniform per-event fault rates swept, in events per million (the
 /// first entry is the fault-free reference every overhead is measured
@@ -90,7 +84,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = args.switch("--quick");
     let out_path = args.value("--out").unwrap_or_else(|| "BENCH_faults.json".to_string());
     let threads: Option<usize> = args.parsed("--threads")?;
-    let dlq_path = args.value("--dlq");
     args.finish()?;
 
     let mut sweep = threads.map_or_else(Sweep::new, Sweep::with_threads);
@@ -98,10 +91,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // two re-salted draws before its failure is accepted. The watchdog
     // keeps a pathological fault storm from stalling the batch.
     sweep.set_policy(SweepPolicy::default().with_attempts(3));
-    let dlq = dlq_path.map(|p| Arc::new(DeadLetterQueue::new(p)));
-    if let Some(d) = &dlq {
-        sweep.set_dlq(Arc::clone(d));
-    }
 
     let mut specs = Vec::new();
     for (name, config) in GRID {
@@ -213,16 +202,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("fault sweep: {recovered} cells recovered bit-exactly, {failed} degraded cleanly");
-    if let Some(d) = &dlq {
-        if d.appended() > 0 {
-            println!(
-                "  {} unrecoverable cells dead-lettered to {} \
-                 (diagnose with `sweep --replay-dlq`)",
-                d.appended(),
-                d.path().display()
-            );
-        }
-    }
     for row in &rows {
         println!(
             "  {:<10} {:<8} {:>6}ppm  {:<20} injected {:>6}  retries {:>6}  overhead {}",

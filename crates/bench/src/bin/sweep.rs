@@ -10,8 +10,9 @@
 //! milliseconds) while emitting a canonically bit-identical report. The
 //! store is also the checkpoint: each cacheable cell is written as it
 //! completes, so an interrupted run finishes by rerunning it with the
-//! same `--store`. `--dlq`/`--replay-dlq` capture and re-diagnose cells
-//! that exhausted their retries. See `OPERATIONS.md` for the runbooks.
+//! same `--store`. A cell that exhausted its retries is never stored, so
+//! the same rerun executes it again and re-diagnoses it. See
+//! `OPERATIONS.md` for the runbooks.
 //!
 //! Exit status: non-zero when any cell remains failed or mis-verified
 //! after retries (the artifact is still written), so CI and operators
@@ -33,9 +34,6 @@
 //!   thread counts and store temperatures, for CI diffing.
 //! * `--store DIR` — serve/persist cells through a content-addressed
 //!   result store rooted at DIR.
-//! * `--dlq PATH` — append retry-exhausted cells to a dead-letter queue.
-//! * `--replay-dlq PATH` — re-run the queue's records with
-//!   `faults`-style diagnosis, dropping the ones that now succeed.
 //! * `--watchdog TICKS` — per-cell simulated-tick watchdog override.
 //! * `--kernels a,b,c` — restrict the suite to the named kernels (the
 //!   chaos harness uses this to build small deterministic grids).
@@ -52,12 +50,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use dlp_bench::Args;
-use dlp_core::store::{fsck, load_dlq, rewrite_dlq, CRASHPOINTS};
+use dlp_core::store::{fsck, CRASHPOINTS};
 use dlp_core::sweep::KernelId;
-use dlp_core::{
-    CellOutcome, CellSpec, DeadLetterQueue, DlqRecord, ExperimentParams, MachineConfig,
-    ResultStore, Sweep, SweepPolicy, SweepReport,
-};
+use dlp_core::{CellOutcome, ExperimentParams, ResultStore, Sweep, SweepReport};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = Args::from_env();
@@ -65,13 +60,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let canonical = args.switch("--canonical");
     let threads: Option<usize> = args.parsed("--threads")?;
     let fsck_dir = args.value("--fsck");
-    let replay_path = args.value("--replay-dlq");
     let out_path = args.value("--out").unwrap_or_else(|| "BENCH_sweep.json".to_string());
     let scale: usize = args.parsed("--scale")?.unwrap_or(1);
     let watchdog: Option<u64> = args.parsed("--watchdog")?;
     let kernels = args.value("--kernels");
     let store_dir = args.value("--store");
-    let dlq_path = args.value("--dlq");
     args.finish()?;
 
     // A crash test that arms nothing would run to completion unnoticed.
@@ -93,10 +86,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    if let Some(path) = replay_path {
-        return replay_dlq(Path::new(&path), threads);
-    }
-
     let params = ExperimentParams {
         watchdog: watchdog.or(ExperimentParams::default().watchdog),
         ..ExperimentParams::default()
@@ -116,10 +105,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if let Some(dir) = store_dir {
         sweep.set_store(Arc::new(ResultStore::open(dir)?));
-    }
-    let dlq = dlq_path.map(|p| Arc::new(DeadLetterQueue::new(p)));
-    if let Some(d) = &dlq {
-        sweep.set_dlq(Arc::clone(d));
     }
 
     let total = sweep.len();
@@ -166,11 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("wrote {out_path}");
 
     if problems > 0 {
-        let dlq_note = dlq
-            .filter(|d| d.appended() > 0)
-            .map(|d| format!("; {} dead-lettered to {}", d.appended(), d.path().display()))
-            .unwrap_or_default();
-        eprintln!("sweep FAILED: {problems} of {total} cells did not verify{dlq_note}");
+        eprintln!("sweep FAILED: {problems} of {total} cells did not verify");
         std::process::exit(1);
     }
     Ok(())
@@ -204,105 +185,4 @@ fn print_problems(report: &SweepReport) -> usize {
         }
     }
     problems
-}
-
-/// `--replay-dlq`: re-run every record in the dead-letter queue with
-/// bounded retries and `faults`-style diagnosis, then rewrite the queue
-/// with only the records that still fail (removing it when empty).
-fn replay_dlq(path: &Path, threads: Option<usize>) -> Result<(), Box<dyn std::error::Error>> {
-    let records = load_dlq(path);
-    if records.is_empty() {
-        println!("dead-letter queue {} is empty — nothing to replay", path.display());
-        return Ok(());
-    }
-    eprintln!("replaying {} dead-lettered cells from {}...", records.len(), path.display());
-
-    let mut sweep = threads.map_or_else(Sweep::new, Sweep::with_threads);
-    // The faults bin's diagnosis policy: two re-salted retries before a
-    // failure is accepted as real.
-    sweep.set_policy(SweepPolicy::default().with_attempts(3));
-    let mut replayable: Vec<usize> = Vec::new();
-    let mut remaining: Vec<DlqRecord> = Vec::new();
-    for (ri, record) in records.iter().enumerate() {
-        match sweep.add_kernel_by_name(&record.kernel) {
-            Some(id) => {
-                sweep.push_cell(CellSpec {
-                    kernel: id,
-                    config: MachineConfig::ALL
-                        .into_iter()
-                        .find(|c| c.to_string() == record.config),
-                    mech: record.mech,
-                    records: record.records,
-                    params: record.params(),
-                    label: record.label.clone(),
-                });
-                replayable.push(ri);
-            }
-            None => {
-                eprintln!(
-                    "  {} ({}): kernel not in the suite — kept in the queue",
-                    record.kernel, record.config
-                );
-                remaining.push(record.clone());
-            }
-        }
-    }
-
-    let report = sweep.run();
-    let mut recovered = 0usize;
-    for (&ri, cell) in replayable.iter().zip(&report.cells) {
-        let record = &records[ri];
-        match &cell.outcome {
-            CellOutcome::Ran { stats, mismatch: None } => {
-                recovered += 1;
-                println!(
-                    "  RECOVERED {} on {} ({} cycles, {} faults injected, {} retried) — \
-                     original failure was {}",
-                    record.kernel,
-                    record.config,
-                    stats.cycles(),
-                    stats.faults_injected,
-                    stats.fault_retries,
-                    record.kind,
-                );
-            }
-            CellOutcome::Ran { mismatch: Some(at), .. } => {
-                println!(
-                    "  MISMATCH  {} on {}: replay computed a wrong output at word {at}",
-                    record.kernel, record.config
-                );
-                let mut updated = record.clone();
-                updated.error = format!("replay computed a wrong output at word {at}");
-                updated.kind = "verify".to_string();
-                remaining.push(updated);
-            }
-            CellOutcome::Failed { error, kind, attempts, timed_out } => {
-                println!(
-                    "  STILL DEAD {} on {} ({kind}, {attempts} attempts): {error}",
-                    record.kernel, record.config
-                );
-                let mut updated = record.clone();
-                updated.error = error.clone();
-                updated.kind = kind.clone();
-                updated.attempts = *attempts;
-                updated.timed_out = *timed_out;
-                remaining.push(updated);
-            }
-            // Never produced; keep the record untouched.
-            CellOutcome::Skipped { .. } => remaining.push(record.clone()),
-        }
-    }
-
-    rewrite_dlq(path, &remaining)?;
-    println!(
-        "replay: {recovered} of {} recovered; {} remain in {}",
-        records.len(),
-        remaining.len(),
-        path.display()
-    );
-    if !remaining.is_empty() {
-        std::process::exit(1);
-    }
-    println!("queue drained — {} removed", path.display());
-    Ok(())
 }

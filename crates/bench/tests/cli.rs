@@ -70,31 +70,44 @@ fn sweep_has_no_breaker_flag() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The result store is the sweep's one checkpoint: the manifest flags
-/// are unknown arguments, `--help` offers neither, and the manifest's
-/// crashpoints arm nothing.
-#[test]
-fn sweep_has_no_manifest_flags() {
+/// Each of `flags` is an unknown argument to `sweep`, `--help` offers
+/// none of them, and `DLP_CRASHPOINT=crashpoint` arms nothing.
+fn assert_sweep_lacks(tag: &str, flags: &[&str], crashpoint: &str) {
     let bin = env!("CARGO_BIN_EXE_sweep");
-    for flag in ["--manifest", "--resume"] {
-        let args = ["--quick", "--kernels", "convert", flag, "m.jsonl"];
-        assert_rejects(bin, "sweep-manifest", &args, flag);
+    for flag in flags {
+        let args = ["--quick", "--kernels", "convert", flag, "x.jsonl"];
+        assert_rejects(bin, tag, &args, flag);
     }
-    let dir = scratch_dir("sweep-help-manifest");
+    let dir = scratch_dir(&format!("{tag}-help"));
     let out = run(bin, &dir, &["--help"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "--help exited with {}", out.status);
-    assert!(!stdout.contains("--manifest") && !stdout.contains("--resume"), "{stdout}");
+    assert!(flags.iter().all(|flag| !stdout.contains(flag)), "{stdout}");
     let out = Command::new(bin)
         .args(["--quick", "--kernels", "convert"])
-        .env("DLP_CRASHPOINT", "manifest.append")
+        .env("DLP_CRASHPOINT", crashpoint)
         .current_dir(&dir)
         .output()
         .unwrap();
-    assert!(!out.status.success(), "DLP_CRASHPOINT=manifest.append exited 0");
+    assert!(!out.status.success(), "DLP_CRASHPOINT={crashpoint} exited 0");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("DLP_CRASHPOINT=manifest.append"), "{stderr}");
+    assert!(stderr.contains(&format!("DLP_CRASHPOINT={crashpoint}")), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The result store is the sweep's one checkpoint: the manifest flags
+/// and crashpoints are gone.
+#[test]
+fn sweep_has_no_manifest_flags() {
+    assert_sweep_lacks("sweep-manifest", &["--manifest", "--resume"], "manifest.append");
+}
+
+/// A failed cell is recorded once, in the report, and re-diagnosed by a
+/// rerun on the store: the dead-letter queue's flags and crashpoints are
+/// gone.
+#[test]
+fn sweep_has_no_dlq_flags() {
+    assert_sweep_lacks("sweep-dlq", &["--dlq", "--replay-dlq"], "dlq.append");
 }
 
 /// `DLP_CRASHPOINT` is the one way to arm a crashpoint: the old flag is
@@ -124,7 +137,7 @@ fn sweep_rejects_a_crashpoint_that_arms_nothing() {
 
 #[test]
 fn faults_help_lists_flags_and_writes_nothing() {
-    assert_help_runs_nothing(env!("CARGO_BIN_EXE_faults"), "faults-help", "--dlq");
+    assert_help_runs_nothing(env!("CARGO_BIN_EXE_faults"), "faults-help", "--threads");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! crash-consistency testing of the host persistence layer.
 //!
 //! A *crashpoint* is a named site threaded through a durable write path
-//! (store entries, the store stamp, the dead-letter queue — see
+//! (store entries and the store stamp — see
 //! `dlp_core::store::CRASHPOINTS` for the full list). In normal
 //! operation every site is a no-op costing one atomic load. When a site
 //! is **armed** — via the `DLP_CRASHPOINT=<name>[:N]` environment
@@ -102,8 +102,8 @@ mod tests {
             Some(ArmedCrashpoint { name: "entry.tmp".into(), nth: 1 })
         );
         assert_eq!(
-            parse_spec("dlq.append:3"),
-            Some(ArmedCrashpoint { name: "dlq.append".into(), nth: 3 })
+            parse_spec("entry.renamed:3"),
+            Some(ArmedCrashpoint { name: "entry.renamed".into(), nth: 3 })
         );
         assert_eq!(parse_spec(""), None, "empty name");
         assert_eq!(parse_spec("x:0"), None, "hit ordinals are 1-based");

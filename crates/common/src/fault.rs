@@ -37,7 +37,7 @@
 //! rates, the injector draws once per *opportunity* in simulation order,
 //! so equal seeds yield equal fault schedules and equal `SimStats`.
 
-use crate::json::{FromJson, ToJson};
+use crate::json::ToJson;
 
 use crate::{DlpError, SplitMix64, Tick};
 
@@ -51,7 +51,7 @@ const FAULT_STREAM_SALT: u64 = 0xFA17_5EED_0000_2003;
 /// Stored as parts-per-million so plans are exact integers (`Eq`, hashable,
 /// serializable without float noise). `FaultRate(1_000_000)` fires on every
 /// opportunity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, ToJson, FromJson)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, ToJson)]
 pub struct FaultRate(pub u32);
 
 impl FaultRate {
@@ -105,7 +105,7 @@ impl FaultSite {
 
 /// A deterministic transient-fault schedule: per-site rates plus recovery
 /// budgets. Pure data; the run-time state lives in [`FaultInjector`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, ToJson, FromJson)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, ToJson)]
 pub struct FaultPlan {
     /// NoC message-drop rate (per routed message).
     pub noc_drop: FaultRate,

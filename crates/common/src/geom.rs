@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::json::{FromJson, JsonValue, ToJson};
+use crate::json::ToJson;
 
 /// A position on the ALU array: `(row, col)`.
 ///
@@ -127,17 +127,6 @@ impl GridShape {
 impl Default for GridShape {
     fn default() -> Self {
         GridShape::trips_baseline()
-    }
-}
-
-/// Decoded by hand rather than derived: a grid read from a file comes from
-/// outside the program, and a zero dimension must fail the decode instead
-/// of panicking in [`GridShape::new`].
-impl FromJson for GridShape {
-    fn from_json(v: &JsonValue) -> Option<Self> {
-        let rows = u8::from_json(v.get("rows")?)?;
-        let cols = u8::from_json(v.get("cols")?)?;
-        (rows > 0 && cols > 0).then(|| GridShape::new(rows, cols))
     }
 }
 

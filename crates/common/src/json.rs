@@ -21,9 +21,9 @@
 //!   names, e.g. a sweep cell's `"outcome"` is either
 //!   `{"stats": ..., "mismatch": ...}` or `{"error": "..."}`.
 //!
-//! Since the result store and dead-letter queue read
-//! their own artifacts back, the module also carries a small recursive-
-//! descent [`parse`] returning a [`JsonValue`] tree. Numbers keep their
+//! Since the result store reads its own entries back, the module also
+//! carries a small recursive-descent [`parse`] returning a [`JsonValue`]
+//! tree. Numbers keep their
 //! raw text ([`JsonValue::Num`]) so that full-precision `u64` values
 //! (seeds, fingerprints) round-trip exactly — they would be mangled by
 //! an `f64` intermediate. The parser accepts anything [`to_string`]

@@ -8,7 +8,7 @@
 //! All latencies are stored in **ticks** (half-cycles) so that the 0.5-cycle
 //! hop stays integral; see [`crate::Tick`].
 
-use crate::json::{FromJson, ToJson};
+use crate::json::ToJson;
 
 use crate::Tick;
 
@@ -17,7 +17,7 @@ use crate::Tick;
 /// Defaults follow the Alpha 21264's well-known latencies: 1-cycle integer
 /// ALU, 7-cycle integer multiply, 4-cycle FP add/multiply, 12-cycle FP
 /// divide.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson, FromJson)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson)]
 pub struct OpClassLatency {
     /// Integer add/sub/logic/shift/compare/select.
     pub int_alu: Tick,
@@ -53,7 +53,7 @@ impl Default for OpClassLatency {
 }
 
 /// Memory-system parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson, FromJson)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson)]
 pub struct MemParams {
     /// L0 data-store (per-ALU lookup table) access latency, in ticks.
     pub l0_latency: Tick,
@@ -107,7 +107,7 @@ impl Default for MemParams {
 }
 
 /// Operand-network parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson, FromJson)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson)]
 pub struct NetParams {
     /// Per-hop delay in ticks (paper: 0.5 cycles = 1 tick at 10FO4).
     pub hop_ticks: Tick,
@@ -126,7 +126,7 @@ impl Default for NetParams {
 /// This is deliberately a plain, fully public parameter struct (a passive
 /// configuration record); the structured knobs let the A1–A3 ablation
 /// study sweep individual mechanisms without touching simulator code.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson, FromJson, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson, Default)]
 pub struct TimingParams {
     /// Functional-unit latencies.
     pub ops: OpClassLatency,
@@ -141,7 +141,7 @@ pub struct TimingParams {
 }
 
 /// Instruction fetch/map parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson, FromJson)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson)]
 pub struct FetchParams {
     /// Instructions fetched and mapped onto the array per cycle.
     pub insts_per_cycle: u32,
@@ -168,7 +168,7 @@ impl Default for FetchParams {
 }
 
 /// Execution-core storage parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson, FromJson)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson)]
 pub struct CoreParams {
     /// Reservation-station slots per node available to DLP mapping
     /// (instruction revitalization fills all of these).

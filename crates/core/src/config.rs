@@ -63,13 +63,7 @@ impl MachineConfig {
     /// The scheduler-facing lowering choices for this configuration.
     #[must_use]
     pub fn target(self) -> TargetConfig {
-        let m = self.mechanisms();
-        TargetConfig {
-            smc: m.smc,
-            l0_data_store: m.l0_data_store,
-            operand_revitalization: m.operand_revitalization,
-            dlp_unroll: m.inst_revitalization,
-        }
+        crate::runner::dataflow_target(self.mechanisms())
     }
 
     /// The paper's architecture-model description (Table 5, last column).

@@ -239,7 +239,7 @@ fn dataflow_layout() -> LayoutPlan {
 }
 
 /// Map a mechanism set onto the scheduler's target description.
-fn dataflow_target(mech: MechanismSet) -> trips_sched::TargetConfig {
+pub(crate) fn dataflow_target(mech: MechanismSet) -> trips_sched::TargetConfig {
     trips_sched::TargetConfig {
         smc: mech.smc,
         l0_data_store: mech.l0_data_store,
@@ -917,9 +917,9 @@ mod tests {
                 differ += usize::from(assert_visible_set_is_unobservable(k.as_ref(), mech));
             }
         }
-        // Of the 64 kernel × set pairs the X1 configuration-space study
-        // sweeps, 18 reduce to another pair's set: 46 distinct lowerings.
-        assert_eq!(differ, 18);
+        // Of the 56 kernel × set pairs the X1 configuration-space study
+        // sweeps, 16 reduce to another pair's set: 40 distinct lowerings.
+        assert_eq!(differ, 16);
     }
 
     #[test]

@@ -1,28 +1,24 @@
 //! The one write path every durable store artifact goes through.
 //!
-//! Two primitives live here, and `cargo xtask detlint` forbids the
-//! persistence layer from writing files any other way (no bare
-//! `std::fs::write` / `File::create` outside this module):
+//! [`atomic_write_file`] replaces a whole file as tempfile → write →
+//! `fsync` → rename → parent-directory `fsync`. A kill at any instant
+//! leaves either the old content or the new, never a mixture, and the
+//! rename is durable once the parent is synced. `cargo xtask detlint`
+//! forbids the persistence layer from writing files any other way (no
+//! bare `std::fs::write` / `File::create` outside this module).
 //!
-//! * [`atomic_write_file`] — whole-file replacement as tempfile →
-//!   write → `fsync` → rename → parent-directory `fsync`. A kill at
-//!   any instant leaves either the old content or the new, never a
-//!   mixture, and the rename is durable once the parent is synced.
-//! * [`AppendWriter`] — a JSONL appender whose every line is *sealed*
-//!   ([`seal_line`]: a content digest prefixed to the payload), written
-//!   in a single `write_all`, and `fdatasync`ed before the append
-//!   returns. Readers [`unseal_line`] and treat a bad seal as a torn
-//!   or corrupted line, so bit rot can cost a line, never serve a
-//!   wrong one.
+//! What it writes is a *sealed* line ([`seal_line`]: a content digest
+//! prefixed to the payload). Readers [`unseal_line`] and treat a bad seal
+//! as a torn or corrupted file, so bit rot can cost an entry, never
+//! serve a wrong one.
 //!
-//! Both primitives are instrumented for the chaos harness: every write
-//! passes through the [`iofault`] shim (seeded short writes, injected
-//! `ENOSPC`/`EIO`, torn tails, bit flips) and fires
-//! [`dlp_common::crashpoint`] sites on each side of its commit point.
+//! The write is instrumented for the chaos harness: it passes through
+//! the [`iofault`] shim (seeded short writes, injected `ENOSPC`/`EIO`,
+//! torn tails, bit flips) and fires [`dlp_common::crashpoint`] sites on
+//! each side of its commit point.
 
 use std::io::{self, Write as _};
 use std::path::Path;
-use std::sync::Mutex;
 
 use dlp_common::crashpoint::{self, CrashSites};
 
@@ -30,8 +26,8 @@ use super::iofault;
 use super::{Digest, Hasher};
 
 /// Prefix `payload` with the 32-hex content digest of its bytes,
-/// separated by one space — the sealed-line format every JSONL artifact
-/// (and the store entries) are written in as of format version 2.
+/// separated by one space — the sealed-line format the store entries and
+/// the stamp are written in as of format version 2.
 #[must_use]
 pub fn seal_line(payload: &str) -> String {
     let mut h = Hasher::new();
@@ -41,8 +37,7 @@ pub fn seal_line(payload: &str) -> String {
 
 /// Recover the payload of a sealed line, or `None` if the seal is
 /// missing, malformed, or disagrees with the payload bytes (a torn
-/// write or bit corruption — the caller degrades it to a miss, a
-/// skipped line, or a load error by position).
+/// write or bit corruption — the caller degrades it to a miss).
 #[must_use]
 pub fn unseal_line(line: &str) -> Option<&str> {
     let (hex, payload) = line.split_once(' ')?;
@@ -88,59 +83,6 @@ pub fn atomic_write_file(path: &Path, bytes: &[u8], sites: CrashSites) -> io::Re
     }
     crashpoint::hit(sites.renamed);
     Ok(())
-}
-
-/// Crashpoint names for one appender: between the write and its sync,
-/// and after the sync.
-#[derive(Clone, Copy, Debug)]
-pub struct AppendSites {
-    /// Fires after the line's bytes reach the file, before `fdatasync`.
-    pub appended: &'static str,
-    /// Fires after `fdatasync` — the line is durable.
-    pub synced: &'static str,
-}
-
-/// A durable sealed-JSONL appender: each payload is [`seal_line`]d,
-/// written in one `write_all`, and `fdatasync`ed before the call
-/// returns, so a kill loses at most the line being written — and a
-/// machine crash can tear at most the final line, which readers detect
-/// by its broken seal.
-pub struct AppendWriter {
-    file: Mutex<std::fs::File>,
-    sites: AppendSites,
-}
-
-impl AppendWriter {
-    /// Open `path` for appending, creating it (and parent directories)
-    /// if missing.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors creating the directories or opening the file.
-    pub fn append_to(path: &Path, sites: AppendSites) -> io::Result<AppendWriter> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(AppendWriter { file: Mutex::new(file), sites })
-    }
-
-    /// Seal and append one payload line (thread-safe, synced).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the write or sync, including injected faults.
-    pub fn append_line(&self, payload: &str) -> io::Result<()> {
-        let line = format!("{}\n", seal_line(payload));
-        let filtered = iofault::filter(line.as_bytes())?;
-        let bytes = filtered.as_deref().unwrap_or(line.as_bytes());
-        let file = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        (&*file).write_all(bytes)?;
-        crashpoint::hit(self.sites.appended);
-        file.sync_data()?;
-        crashpoint::hit(self.sites.synced);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -191,28 +133,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
             .collect();
         assert!(stray.is_empty(), "no temp files survive a completed write");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn append_writer_produces_sealed_lines() {
-        let dir = tmpdir("append");
-        let path = dir.join("log.jsonl");
-        let sites = AppendSites { appended: "test.append", synced: "test.synced" };
-        let w = AppendWriter::append_to(&path, sites).expect("create");
-        w.append_line("{\"a\":1}").expect("append");
-        w.append_line("{\"b\":2}").expect("append");
-        drop(w);
-        let text = std::fs::read_to_string(&path).expect("read");
-        let payloads: Vec<&str> = text.lines().map(|l| unseal_line(l).expect("sealed")).collect();
-        assert_eq!(payloads, vec!["{\"a\":1}", "{\"b\":2}"]);
-
-        // Reopening for append preserves existing lines.
-        let w = AppendWriter::append_to(&path, sites).expect("reopen");
-        w.append_line("{\"c\":3}").expect("append");
-        drop(w);
-        let text = std::fs::read_to_string(&path).expect("read");
-        assert_eq!(text.lines().count(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

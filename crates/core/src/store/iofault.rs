@@ -11,17 +11,17 @@
 //! [`super::atomic`], which calls the crate-private `filter` hook on
 //! the outgoing bytes
 //! before they touch a file descriptor. Unarmed (the normal case) the
-//! shim is one mutex acquire and a `None` check. Armed — via
-//! [`arm`] or the `DLP_STORE_IOFAULT=seed:error:short:torn:flip`
-//! environment variable (ppm fields) — each write rolls each fault
-//! kind independently.
+//! shim is one mutex acquire and a `None` check. Armed via [`arm`],
+//! each write rolls each fault kind independently.
 //!
 //! The contract the chaos tests pin: **every injected fault degrades to
 //! a miss or a recompute, never a wrong result and never a panic.**
 //! Corrupted bytes are caught by the sealed-line digests on read;
 //! injected errors surface as `io::Error` through write paths that are
-//! already best-effort (entry puts, DLQ appends) or
-//! operator-visible (`ResultStore::open`, `rewrite_dlq`).
+//! already best-effort (entry puts) or operator-visible
+//! (`ResultStore::open`). The fault behaviours are pinned end to end by
+//! the tier-1 `chaos_recovery` test (arming mutates global state, so
+//! in-crate unit tests would race other store tests).
 
 use std::io;
 use std::sync::Mutex;
@@ -53,21 +53,6 @@ impl IoFaultPlan {
     pub fn none() -> IoFaultPlan {
         IoFaultPlan { seed: 0, error_ppm: 0, short_ppm: 0, torn_ppm: 0, flip_ppm: 0 }
     }
-
-    /// Parse the `seed:error:short:torn:flip` spec (the
-    /// `DLP_STORE_IOFAULT` format; all five fields required, ppm).
-    #[must_use]
-    pub fn parse(spec: &str) -> Option<IoFaultPlan> {
-        let mut parts = spec.split(':');
-        let plan = IoFaultPlan {
-            seed: parts.next()?.parse().ok()?,
-            error_ppm: parts.next()?.parse().ok()?,
-            short_ppm: parts.next()?.parse().ok()?,
-            torn_ppm: parts.next()?.parse().ok()?,
-            flip_ppm: parts.next()?.parse().ok()?,
-        };
-        parts.next().is_none().then_some(plan)
-    }
 }
 
 struct State {
@@ -78,7 +63,6 @@ struct State {
 }
 
 static STATE: Mutex<Option<State>> = Mutex::new(None);
-static ENV: std::sync::OnceLock<Option<IoFaultPlan>> = std::sync::OnceLock::new();
 
 fn lock() -> std::sync::MutexGuard<'static, Option<State>> {
     STATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -107,14 +91,6 @@ pub fn injected() -> [u64; 4] {
 /// corrupted bytes instead, or an injected `io::Error`.
 pub(crate) fn filter(bytes: &[u8]) -> io::Result<Option<Vec<u8>>> {
     let mut guard = lock();
-    if guard.is_none() {
-        let env = ENV.get_or_init(|| {
-            std::env::var("DLP_STORE_IOFAULT").ok().as_deref().and_then(IoFaultPlan::parse)
-        });
-        if let Some(plan) = *env {
-            *guard = Some(State { plan, rng: SplitMix64::new(plan.seed), by_fault: [0; 4] });
-        }
-    }
     let Some(state) = guard.as_mut() else { return Ok(None) };
 
     let roll = |rng: &mut SplitMix64, ppm: u32| ppm > 0 && rng.below(1_000_000) < u64::from(ppm);
@@ -148,25 +124,4 @@ pub(crate) fn filter(bytes: &[u8]) -> io::Result<Option<Vec<u8>>> {
         return Ok(Some(out));
     }
     Ok(None)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spec_parsing() {
-        assert_eq!(
-            IoFaultPlan::parse("7:10:20:30:40"),
-            Some(IoFaultPlan { seed: 7, error_ppm: 10, short_ppm: 20, torn_ppm: 30, flip_ppm: 40 })
-        );
-        assert_eq!(IoFaultPlan::parse("7:10:20:30"), None, "five fields required");
-        assert_eq!(IoFaultPlan::parse("7:10:20:30:40:50"), None, "exactly five");
-        assert_eq!(IoFaultPlan::parse("x:0:0:0:0"), None);
-        assert_eq!(IoFaultPlan::parse(""), None);
-    }
-
-    // The fault behaviors themselves are pinned end-to-end by the
-    // tier-1 `chaos_recovery` test (arming mutates global state, so
-    // in-crate unit tests would race other store tests).
 }

@@ -1,28 +1,21 @@
-//! The content-addressed result store and the dead-letter queue — the
-//! persistence layer that turns the sweep engine into a service.
+//! The content-addressed result store — the persistence layer that
+//! turns the sweep engine into a service.
 //!
-//! Two durable artifacts live here, both built on `dlp_common::json`
-//! (emit *and* parse — nothing else in the workspace reads JSON back):
-//!
-//! * **[`ResultStore`]** — an on-disk cache of cell outcomes keyed by a
-//!   128-bit content digest over *every input that can change the
-//!   result*: kernel, configuration, record count, derived workload
-//!   seed, fault plan, watchdog, retry budget, and the **lowering
-//!   fingerprint** (see [`lowering_fingerprint`]). A warm store makes a
-//!   repeat sweep O(lookup): the engine executes only cells whose
-//!   inputs changed, and the report is bit-identical to a cold run
-//!   (enforced by the `store_sweep` tier-1 test and the CI store-smoke
-//!   job). Corrupt, truncated, or version-mismatched entries are
-//!   treated as misses, never errors. The store is also the sweep's
-//!   checkpoint: each cacheable cell is written as it completes, so a
-//!   killed sweep rerun with the same `--store` executes only the cells
-//!   that had not landed.
-//! * **The dead-letter queue** ([`DlqRecord`]) — cells that exhausted
-//!   their [`crate::SweepPolicy`] retries with a *non-cacheable* failure
-//!   (watchdog, unrecoverable fault, internal error) are appended as
-//!   fully self-describing records: kernel, mechanism set, grid, timing,
-//!   fault plan, seed. `sweep --replay-dlq` reconstructs and re-runs
-//!   them with `faults`-style diagnosis.
+//! **[`ResultStore`]** is an on-disk cache of cell outcomes keyed by a
+//! 128-bit content digest over *every input that can change the
+//! result*: kernel, configuration, record count, derived workload
+//! seed, fault plan, watchdog, retry budget, and the **lowering
+//! fingerprint** (see [`lowering_fingerprint`]). It is built on
+//! `dlp_common::json` (emit *and* parse — nothing else in the workspace
+//! reads JSON back). A warm store makes a repeat sweep O(lookup): the
+//! engine executes only cells whose inputs changed, and the report is
+//! bit-identical to a cold run (enforced by the `store_sweep` tier-1
+//! test and the CI store-smoke job). Corrupt, truncated, or
+//! version-mismatched entries are treated as misses, never errors. The
+//! store is also the sweep's checkpoint: each cacheable cell is written
+//! as it completes, so a killed sweep rerun with the same `--store`
+//! executes only the cells that had not landed — and the non-cacheable
+//! failures, which a rerun re-diagnoses.
 //!
 //! # What is cacheable
 //!
@@ -32,8 +25,10 @@
 //! rejections* (verifier, capacity, unsupported-feature, malformed-
 //! program, invalid-config failures). Watchdog trips, fault-budget
 //! exhaustion, and internal panics are **not** cached — they are
-//! exactly the outcomes an operator retries, so they go to the
-//! dead-letter queue instead. [`cacheable`] is the single arbiter.
+//! exactly the outcomes an operator retries, so a rerun on the same
+//! store executes them again. The sweep report records each such failure
+//! ([`crate::SweepReport::failures`]). [`cacheable`] is the single
+//! arbiter.
 //!
 //! # Key schema and invalidation
 //!
@@ -44,23 +39,21 @@
 //! entries. See `OPERATIONS.md` for the operator-facing invalidation
 //! rules and runbooks.
 //!
-//! Every record decodes through its type: entries and dead-letter
-//! records derive `FromJson` beside `ToJson`
-//! (`dlp_common::json`), so each has one schema and a field added to a
-//! type is read and written alike. Decoding is strict — a record missing
-//! any field, such as one written before a `SimStats` counter existed,
-//! reads as corrupt (a miss, a skipped or torn line): recomputing beats
-//! resurrecting a half-zeroed record. The only checks written here by
-//! hand are the format versions and digests.
+//! Every entry decodes through its type: it derives `FromJson` beside
+//! `ToJson` (`dlp_common::json`), so it has one schema and a field added
+//! to a type is read and written alike. Decoding is strict — an entry
+//! missing any field, such as one written before a `SimStats` counter
+//! existed, reads as corrupt (a miss): recomputing beats resurrecting a
+//! half-zeroed record. The only checks written here by hand are the
+//! format versions and digests.
 //!
 //! # Crash consistency
 //!
 //! As of format version 2 every durable write funnels through
 //! [`atomic`]: whole files are replaced via tempfile → `fsync` →
-//! rename ([`atomic_write_file`]), appends are sealed lines (content
-//! digest prefix, [`seal_line`]) written in one `write_all` and
-//! `fdatasync`ed ([`AppendWriter`]). A process killed at *any* instant
-//! — the [`CRASHPOINTS`] enumerate the interesting ones, and
+//! rename ([`atomic_write_file`]), and every file holds one sealed line
+//! (content digest prefix, [`seal_line`]). A process killed at *any*
+//! instant — the [`CRASHPOINTS`] enumerate the interesting ones, and
 //! `cargo xtask chaos` kills at each — leaves a store that resumes to
 //! a byte-identical canonical report. Host-I/O faults (short writes,
 //! `ENOSPC`/`EIO`, torn tails, bit flips; see [`iofault`]) degrade to
@@ -71,10 +64,9 @@
 //! unreadable. `DESIGN.md` §11 states the full
 //! contract.
 
-use std::io::{self, BufRead as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use dlp_common::crashpoint::CrashSites;
 use dlp_common::json::{self, FromJson, ToJson};
@@ -83,14 +75,13 @@ use dlp_kernels::{DlpKernel, MimdTarget};
 use trips_sim::MechanismSet;
 
 use crate::sweep::CellOutcome;
-use crate::ExperimentParams;
 
 pub mod atomic;
 pub mod fsck;
 pub mod iofault;
 pub mod lock;
 
-pub use atomic::{atomic_write_file, seal_line, unseal_line, AppendSites, AppendWriter};
+pub use atomic::{atomic_write_file, seal_line, unseal_line};
 pub use fsck::{fsck, FsckReport};
 pub use iofault::IoFaultPlan;
 pub use lock::StoreLock;
@@ -109,10 +100,6 @@ pub const STORE_VERSION: u32 = 2;
 /// needs this manual bump to invalidate warm stores.
 pub const LOWERING_SCHEMA: u32 = 1;
 
-/// Dead-letter record format version. Version 2: lines are sealed
-/// ([`seal_line`]).
-pub const DLQ_VERSION: u32 = 2;
-
 /// Every named crashpoint threaded through the store's write paths, in
 /// write-path order — the kill matrix `cargo xtask chaos` enumerates.
 /// Arm one via `DLP_CRASHPOINT=<name>[:N]` to abort the process at its
@@ -123,17 +110,10 @@ pub const CRASHPOINTS: &[&str] = &[
     "stamp.renamed",
     "entry.tmp",
     "entry.renamed",
-    "dlq.append",
-    "dlq.synced",
-    "dlq-rewrite.tmp",
-    "dlq-rewrite.renamed",
 ];
 
 const STAMP_SITES: CrashSites = CrashSites { tmp: "stamp.tmp", renamed: "stamp.renamed" };
 const ENTRY_SITES: CrashSites = CrashSites { tmp: "entry.tmp", renamed: "entry.renamed" };
-const DLQ_REWRITE_SITES: CrashSites =
-    CrashSites { tmp: "dlq-rewrite.tmp", renamed: "dlq-rewrite.renamed" };
-const DLQ_SITES: AppendSites = AppendSites { appended: "dlq.append", synced: "dlq.synced" };
 
 // ---------------------------------------------------------------------------
 // Digests
@@ -325,8 +305,9 @@ impl StoreKey {
 
 /// Whether an outcome is a pure function of its [`StoreKey`] and may
 /// enter the result store. See the module docs for the taxonomy split;
-/// the complement of this predicate is exactly the dead-letter set
-/// (plus [`CellOutcome::Skipped`], which the sweep never produces).
+/// the complement of this predicate is exactly the set of failures a
+/// rerun on the same store executes again (plus [`CellOutcome::Skipped`],
+/// which the sweep never produces).
 #[must_use]
 pub fn cacheable(outcome: &CellOutcome) -> bool {
     match outcome {
@@ -529,230 +510,6 @@ impl ResultStore {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dead-letter queue
-// ---------------------------------------------------------------------------
-
-/// A dead-lettered cell: a self-describing, replayable record of a
-/// sweep cell that exhausted its retries with a non-[`cacheable`]
-/// failure. Everything needed to reconstruct the cell is inline —
-/// mechanism set, grid, timing, fault plan, base seed — so a later
-/// `sweep --replay-dlq` needs only the suite kernel by name.
-#[derive(Clone, Debug, PartialEq, ToJson, FromJson)]
-pub struct DlqRecord {
-    /// Record format version.
-    pub dlq_version: u32,
-    /// Kernel name (must be a suite kernel to replay).
-    pub kernel: String,
-    /// Configuration display name (audit; the mechanism set governs).
-    pub config: String,
-    /// The cell's experiment tag.
-    pub label: String,
-    /// The mechanism set the cell ran on.
-    pub mech: MechanismSet,
-    /// Grid shape.
-    pub grid: GridShape,
-    /// Timing model.
-    pub timing: TimingParams,
-    /// Fault plan (with the cell's own base salt — replay re-salts per
-    /// attempt exactly as the original sweep did).
-    pub fault: FaultPlan,
-    /// The *base* experiment seed (pre-derivation).
-    pub base_seed: u64,
-    /// Watchdog override, if any.
-    pub watchdog: Option<Tick>,
-    /// Records processed.
-    pub records: usize,
-    /// The rendered error that dead-lettered the cell.
-    pub error: String,
-    /// Its [`dlp_common::DlpError::kind`] tag.
-    pub kind: String,
-    /// Attempts spent before dead-lettering.
-    pub attempts: u32,
-    /// Always `false`: the sweep has no wall-clock retry budget. Kept
-    /// only so dead-letter lines keep their format ([`DLQ_VERSION`]).
-    pub timed_out: bool,
-}
-
-impl DlqRecord {
-    /// The [`ExperimentParams`] to replay this record under.
-    #[must_use]
-    pub fn params(&self) -> ExperimentParams {
-        ExperimentParams {
-            grid: self.grid,
-            timing: self.timing,
-            seed: self.base_seed,
-            fault: self.fault,
-            watchdog: self.watchdog,
-        }
-    }
-}
-
-/// Cut a torn final line (bytes after the last newline, left by a killed
-/// writer) off the existing file at `path`, so it cannot glue onto the
-/// next appended line. Returns the file's length afterwards.
-fn truncate_torn_tail(path: &Path) -> io::Result<u64> {
-    let bytes = std::fs::read(path)?;
-    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-    if keep < bytes.len() {
-        let file = std::fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(keep as u64)?;
-    }
-    Ok(keep as u64)
-}
-
-/// Append-only dead-letter queue writer (sealed JSONL; one synced line
-/// per record, so records survive a kill and corruption is detected on
-/// load).
-///
-/// Workers append in completion order, which varies run to run. Once a
-/// sweep finishes, [`DeadLetterQueue::order_by_cell`] rewrites the lines
-/// this writer added into cell order, so two runs of one grid write the
-/// same bytes; lines already in the file stay first and untouched.
-pub struct DeadLetterQueue {
-    path: PathBuf,
-    state: Mutex<DlqState>,
-    appended: AtomicU64,
-}
-
-/// The open append handle plus what [`DeadLetterQueue::order_by_cell`]
-/// needs: the file's length before this writer's first pending line, and
-/// the pending sealed lines keyed by cell.
-#[derive(Default)]
-struct DlqState {
-    file: Option<AppendWriter>,
-    prior_len: u64,
-    lines: Vec<(usize, String)>,
-}
-
-impl DeadLetterQueue {
-    /// A queue that will append to `path` (the file is created lazily
-    /// on the first record, so a clean sweep leaves no empty file).
-    #[must_use]
-    pub fn new(path: impl Into<PathBuf>) -> DeadLetterQueue {
-        DeadLetterQueue {
-            path: path.into(),
-            state: Mutex::new(DlqState::default()),
-            appended: AtomicU64::new(0),
-        }
-    }
-
-    /// The queue's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Records appended by this writer so far.
-    #[must_use]
-    pub fn appended(&self) -> u64 {
-        self.appended.load(Ordering::Relaxed)
-    }
-
-    /// Append cell `cell`'s record (thread-safe, sealed, synced;
-    /// best-effort — an unwritable queue must not fail the sweep).
-    pub fn append(&self, cell: usize, record: &DlqRecord) {
-        let line = json::to_string(record);
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if state.file.is_none() {
-            // A torn line an interrupted run left would swallow this
-            // record; unreadable either way, it is cut off first. If that
-            // fails, every existing byte counts as earlier.
-            state.prior_len = truncate_torn_tail(&self.path)
-                .or_else(|_| std::fs::metadata(&self.path).map(|m| m.len()))
-                .unwrap_or(0);
-            state.file = AppendWriter::append_to(&self.path, DLQ_SITES).ok();
-        }
-        if let Some(file) = state.file.as_ref() {
-            if file.append_line(&line).is_ok() {
-                self.appended.fetch_add(1, Ordering::Relaxed);
-                state.lines.push((cell, seal_line(&line)));
-            }
-        }
-    }
-
-    /// Rewrite the lines appended since the last call into cell order
-    /// (stable, so one cell's lines keep their own order), atomically:
-    /// the file's earlier bytes first and unchanged, then the sorted
-    /// lines. A no-op when nothing was appended.
-    ///
-    /// The rewrite happens only when the file's bytes after the earlier
-    /// ones are exactly this writer's lines in append order. Anything
-    /// else there (another process appending to the same path, or a
-    /// failed append's torn bytes) leaves the file in completion order,
-    /// untouched, rather than dropping lines this writer did not write.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors reading or rewriting the file.
-    pub fn order_by_cell(&self) -> io::Result<()> {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if state.lines.is_empty() {
-            return Ok(());
-        }
-        // The next append reopens the file, as the rewrite replaces it.
-        state.file = None;
-        let mut lines = std::mem::take(&mut state.lines);
-        let mut out = std::fs::read(&self.path)?;
-        let prior = usize::try_from(state.prior_len).unwrap_or(usize::MAX).min(out.len());
-        let appended: Vec<u8> =
-            lines.iter().flat_map(|(_, line)| line.bytes().chain(std::iter::once(b'\n'))).collect();
-        if out[prior..] != appended[..] {
-            return Ok(());
-        }
-        lines.sort_by_key(|&(cell, _)| cell);
-        out.truncate(prior);
-        for (_, line) in &lines {
-            out.extend_from_slice(line.as_bytes());
-            out.push(b'\n');
-        }
-        atomic_write_file(&self.path, &out, DLQ_REWRITE_SITES)
-    }
-}
-
-/// Load every valid record from a dead-letter queue file. Lines that
-/// fail to [`unseal_line`] or decode, or carry another [`DLQ_VERSION`],
-/// are skipped (a torn final line is the normal kill signature; a
-/// flipped bit breaks the seal); a missing file is an empty queue.
-#[must_use]
-pub fn load_dlq(path: &Path) -> Vec<DlqRecord> {
-    let Ok(file) = std::fs::File::open(path) else {
-        return Vec::new();
-    };
-    std::io::BufReader::new(file)
-        .lines()
-        .map_while(Result::ok)
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| unseal_line(&l).and_then(json::from_str::<DlqRecord>))
-        .filter(|r| r.dlq_version == DLQ_VERSION)
-        .collect()
-}
-
-/// Rewrite a dead-letter queue with the given records (used by replay
-/// to drop records that now succeed), atomically — a kill mid-rewrite
-/// leaves either the old queue or the new one, never a mixture. An
-/// empty set removes the file.
-///
-/// # Errors
-///
-/// I/O errors writing or removing the file.
-pub fn rewrite_dlq(path: &Path, records: &[DlqRecord]) -> io::Result<()> {
-    if records.is_empty() {
-        match std::fs::remove_file(path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
-    } else {
-        let mut out = String::new();
-        for r in records {
-            out.push_str(&seal_line(&json::to_string(r)));
-            out.push('\n');
-        }
-        atomic_write_file(path, out.as_bytes(), DLQ_REWRITE_SITES)
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests_support {
     //! Shared fixtures for the store submodules' unit tests.
@@ -857,7 +614,7 @@ mod tests {
                 attempts: 1,
                 timed_out: false,
             };
-            assert!(!cacheable(&outcome), "{kind} must go to the DLQ, not the store");
+            assert!(!cacheable(&outcome), "{kind} must rerun, not be stored");
         }
         let timed_out = CellOutcome::Failed {
             error: "e".into(),
@@ -941,128 +698,6 @@ mod tests {
         for outcome in outcomes {
             assert_eq!(json::from_str(&json::to_string(&outcome)), Some(outcome));
         }
-    }
-
-    #[test]
-    fn dlq_record_round_trips_and_replays_params() {
-        let record = DlqRecord {
-            dlq_version: DLQ_VERSION,
-            kernel: "fft".into(),
-            config: "S-O".into(),
-            label: "rate=100ppm".into(),
-            mech: MachineConfig::SO.mechanisms(),
-            grid: GridShape::trips_baseline(),
-            timing: TimingParams::default(),
-            fault: FaultPlan::none().with_salt(5),
-            base_seed: 0xD1_2003,
-            watchdog: Some(50_000_000),
-            records: 24,
-            error: "unrecoverable fault at noc-link (tick 42): 8 retries".into(),
-            kind: "fault-unrecoverable".into(),
-            attempts: 3,
-            timed_out: false,
-        };
-        let back: DlqRecord = json::from_str(&json::to_string(&record)).expect("decodes");
-        assert_eq!(back, record);
-        let params = back.params();
-        assert_eq!(params.seed, 0xD1_2003);
-        assert_eq!(params.watchdog, Some(50_000_000));
-        assert_eq!(params.fault.salt, 5);
-        assert_eq!(params.timing, TimingParams::default());
-    }
-
-    /// A watchdog record for `convert` on M, told apart by `base_seed`.
-    fn dlq_record(base_seed: u64) -> DlqRecord {
-        DlqRecord {
-            dlq_version: DLQ_VERSION,
-            kernel: "convert".into(),
-            config: "M".into(),
-            label: "l".into(),
-            mech: MachineConfig::M.mechanisms(),
-            grid: GridShape::trips_baseline(),
-            timing: TimingParams::default(),
-            fault: FaultPlan::none(),
-            base_seed,
-            watchdog: None,
-            records: 8,
-            error: "e".into(),
-            kind: "watchdog".into(),
-            attempts: 1,
-            timed_out: false,
-        }
-    }
-
-    #[test]
-    fn dlq_file_append_load_rewrite() {
-        let dir = tmpdir("dlq");
-        let path = dir.join("dlq.jsonl");
-        let queue = DeadLetterQueue::new(&path);
-        assert!(!path.exists(), "created lazily");
-        assert!(load_dlq(&path).is_empty(), "missing file is an empty queue");
-
-        let mut record = dlq_record(1);
-        queue.append(0, &record);
-        record.base_seed = 2;
-        queue.append(1, &record);
-        assert_eq!(queue.appended(), 2);
-
-        // A torn final line (kill mid-write) is skipped.
-        use std::io::Write as _;
-        let mut f =
-            std::fs::OpenOptions::new().append(true).open(&path).expect("open");
-        write!(f, "{{\"dlq_version\":1,\"kernel\":\"trunc").expect("write");
-        drop(f);
-        let loaded = load_dlq(&path);
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[1].base_seed, 2);
-
-        // The next run's writer cuts the torn tail before appending, so
-        // its first record stays readable.
-        let next_run = DeadLetterQueue::new(&path);
-        record.base_seed = 3;
-        next_run.append(0, &record);
-        next_run.order_by_cell().expect("order");
-        let loaded = load_dlq(&path);
-        assert_eq!(loaded.len(), 3);
-        assert_eq!(loaded[2].base_seed, 3);
-
-        rewrite_dlq(&path, &loaded[1..]).expect("rewrite");
-        assert_eq!(load_dlq(&path).len(), 2);
-        rewrite_dlq(&path, &[]).expect("rewrite empty");
-        assert!(!path.exists(), "empty queue removes the file");
-        rewrite_dlq(&path, &[]).expect("idempotent on missing file");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dlq_order_by_cell_sorts_own_lines_and_keeps_foreign_ones() {
-        let dir = tmpdir("dlq-order");
-        let path = dir.join("dlq.jsonl");
-        let seeds = |path: &Path| load_dlq(path).iter().map(|r| r.base_seed).collect::<Vec<_>>();
-
-        // One writer: its lines land in cell order behind earlier ones.
-        let earlier = DeadLetterQueue::new(&path);
-        earlier.append(5, &dlq_record(50));
-        earlier.order_by_cell().expect("order");
-        let queue = DeadLetterQueue::new(&path);
-        queue.append(2, &dlq_record(2));
-        queue.append(0, &dlq_record(0));
-        queue.append(1, &dlq_record(1));
-        queue.order_by_cell().expect("order");
-        assert_eq!(seeds(&path), [50, 0, 1, 2]);
-
-        // Two writers on one path: neither rewrite may drop the other's
-        // lines, so both leave completion order.
-        std::fs::remove_file(&path).expect("remove");
-        let a = DeadLetterQueue::new(&path);
-        let b = DeadLetterQueue::new(&path);
-        a.append(1, &dlq_record(1));
-        b.append(0, &dlq_record(10));
-        a.append(0, &dlq_record(0));
-        a.order_by_cell().expect("order a");
-        b.order_by_cell().expect("order b");
-        assert_eq!(seeds(&path), [1, 10, 0]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

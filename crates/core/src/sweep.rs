@@ -44,12 +44,11 @@
 //!   previously-computed cells by content address so a warm re-run
 //!   executes nothing. Each cacheable cell is stored as it completes, so
 //!   the store is also the checkpoint: an interrupted sweep rerun on it
-//!   executes only the missing cells. A
-//!   [`crate::store::DeadLetterQueue`] captures retry-exhausted cells
-//!   as replayable records. All of it is observationally pure: the
-//!   canonical report ([`SweepReport::canonical`]) of a warm-store run
-//!   is bit-identical to a cold one, at any worker count (the
-//!   `store_sweep` test).
+//!   executes only the missing cells — and the retry-exhausted failures,
+//!   which are never stored, so a rerun re-diagnoses them. All of it is
+//!   observationally pure: the canonical report
+//!   ([`SweepReport::canonical`]) of a warm-store run is bit-identical to
+//!   a cold one, at any worker count (the `store_sweep` test).
 //!
 //! The output is a serializable [`SweepReport`] — the artifact behind
 //! `BENCH_sweep.json` — with per-cell statistics, verification results,
@@ -99,10 +98,7 @@ use crate::runner::{
     default_records, natural_unroll, prepare_kernel, run_prepared_batch_in, run_prepared_in,
     visible_mechanisms, BatchLane, LaneResult, PreparedProgram, RunScratch, WorkloadCache,
 };
-use crate::store::{
-    cacheable, lowering_fingerprint, DeadLetterQueue, DlqRecord, ResultStore, StoreKey,
-    DLQ_VERSION,
-};
+use crate::store::{lowering_fingerprint, ResultStore, StoreKey};
 use crate::{ExperimentParams, MachineConfig};
 
 /// Handle to a kernel registered with a [`Sweep`].
@@ -154,7 +150,6 @@ pub struct Sweep {
     threads: usize,
     policy: SweepPolicy,
     result_store: Option<Arc<ResultStore>>,
-    dlq: Option<Arc<DeadLetterQueue>>,
 }
 
 /// Degradation policy for failing cells: how hard a sweep tries before
@@ -226,7 +221,6 @@ impl Sweep {
             threads: threads.max(1),
             policy: SweepPolicy::default(),
             result_store: None,
-            dlq: None,
         }
     }
 
@@ -272,14 +266,6 @@ impl Sweep {
     #[must_use]
     pub fn store(&self) -> Option<&Arc<ResultStore>> {
         self.result_store.as_ref()
-    }
-
-    /// Attaches a dead-letter queue: cells that exhaust their retries
-    /// with a non-[`cacheable`] failure (watchdog, unrecoverable fault,
-    /// internal error) are appended as replayable
-    /// [`DlqRecord`]s.
-    pub fn set_dlq(&mut self, dlq: Arc<DeadLetterQueue>) {
-        self.dlq = Some(dlq);
     }
 
     /// Every cell's content address, in push order — the store's key
@@ -428,8 +414,8 @@ impl Sweep {
     /// with one run key (plan, derived seed, fault plan, watchdog)
     /// behind the first of them, executes the leaders against the
     /// shared plans, and streams each completion — the leader's, then
-    /// each follower's with the leader's outcome — into the store and
-    /// dead-letter queue as it lands.
+    /// each follower's with the leader's outcome — into the store as it
+    /// lands.
     ///
     /// Cell failures (e.g. incoherent mechanism sets in the
     /// configuration-space sweep) are captured per cell as
@@ -630,12 +616,6 @@ impl Sweep {
             .sum();
         let cells_executed =
             cell_results.iter().filter(|r| r.origin == Origin::Executed).count();
-        let dlq_appended = self.dlq.as_ref().map_or(0, |d| {
-            // Best-effort like the appends: the streamed lines stay valid
-            // (in completion order) if the rewrite fails.
-            let _ = d.order_by_cell();
-            d.appended()
-        });
         // Provenance, like the cache counters: a warm run prepares no
         // plans and so carries no warnings or predictions.
         let analysis_warnings: u64 = plans
@@ -675,7 +655,6 @@ impl Sweep {
             store_hits,
             store_misses,
             cells_executed,
-            dlq_appended,
             cells_batched,
             batch_dispatches,
             batch_occupancy,
@@ -736,9 +715,8 @@ impl Sweep {
     }
 
     /// Lands cell `i`'s run and hands it to the cells that share it:
-    /// streams the leader and then each follower into the store and
-    /// dead-letter queue under its own key, pushes the
-    /// followers' results (the leader's outcome and attempts, no wall
+    /// streams the leader and then each follower into the store under
+    /// its own key, pushes the followers' results (the leader's outcome and attempts, no wall
     /// time) onto `out`, and returns the leader's own result.
     #[allow(clippy::too_many_arguments)]
     fn land(
@@ -760,18 +738,13 @@ impl Sweep {
         Resolved { outcome, wall_ms, attempts, origin: Origin::Executed }
     }
 
-    /// Streams one completed cell into the attached store and
-    /// dead-letter queue (shared by the scalar and batched paths).
+    /// Streams one completed cell into the attached store (shared by the
+    /// scalar and batched paths).
     fn record_completion(&self, i: usize, outcome: &CellOutcome, keys: &Option<Vec<StoreKey>>) {
         if let (Some(store), Some(keys)) = (&self.result_store, keys) {
             // Benign when racing a duplicate cell: identical content;
             // failure is a cache problem, never a sweep problem.
             let _ = store.put(&keys[i], outcome);
-        }
-        if let Some(dlq) = &self.dlq {
-            if matches!(outcome, CellOutcome::Failed { .. }) && !cacheable(outcome) {
-                dlq.append(i, &self.dlq_record(i, outcome));
-            }
         }
     }
 
@@ -885,34 +858,6 @@ impl Sweep {
                 visible
             })
             .collect()
-    }
-
-    /// Builds the replayable dead-letter record for a failed cell.
-    fn dlq_record(&self, i: usize, outcome: &CellOutcome) -> DlqRecord {
-        let cell = &self.cells[i];
-        let (error, kind, attempts, timed_out) = match outcome {
-            CellOutcome::Failed { error, kind, attempts, timed_out } => {
-                (error.clone(), kind.clone(), *attempts, *timed_out)
-            }
-            _ => (String::new(), String::new(), 0, false),
-        };
-        DlqRecord {
-            dlq_version: DLQ_VERSION,
-            kernel: self.kernels[cell.kernel].name().to_string(),
-            config: cell.config_name(),
-            label: cell.label.clone(),
-            mech: cell.mech,
-            grid: cell.params.grid,
-            timing: cell.params.timing,
-            fault: cell.params.fault,
-            base_seed: cell.params.seed,
-            watchdog: cell.params.watchdog,
-            records: cell.records,
-            error,
-            kind,
-            attempts,
-            timed_out,
-        }
     }
 
     /// Each cell's effective unroll — the one [`prepare_kernel`] will
@@ -1152,13 +1097,12 @@ pub enum CellOutcome {
         /// lowering itself failed and the cell never executed).
         attempts: u32,
         /// Always `false` from the sweep; kept only so stored outcomes
-        /// and dead-letter records keep their format.
+        /// keep their format.
         timed_out: bool,
     },
     /// Never produced: the sweep skips no cell since its circuit
     /// breaker was removed. Kept so the benchmark harness, which
-    /// matches every variant, builds unchanged; never cached or
-    /// dead-lettered.
+    /// matches every variant, builds unchanged; never cached.
     Skipped {
         /// Human-readable reason.
         reason: String,
@@ -1278,8 +1222,6 @@ pub struct SweepReport {
     /// that took an identical pending cell's run is not counted here
     /// nor in `store_hits`.
     pub cells_executed: usize,
-    /// Records appended to the dead-letter queue by this run.
-    pub dlq_appended: u64,
     /// Pending cells dispatched through the lane-batched engine
     /// (DESIGN.md §10) rather than one-at-a-time. A pure function of
     /// the grid and the resolve phase — never of worker count — and
@@ -1450,7 +1392,7 @@ mod tests {
     use trips_sim::WATCHDOG_TICKS;
 
     use super::*;
-    use crate::store::{self, tests_support::tmpdir};
+    use crate::store::tests_support::tmpdir;
 
     fn small_sweep(threads: usize) -> SweepReport {
         let params = ExperimentParams::default();
@@ -1852,13 +1794,10 @@ mod tests {
     }
 
     #[test]
-    fn failing_twins_share_the_failure_and_both_dead_letter() {
-        let dir = tmpdir("twin-dlq");
-        let path = dir.join("twins.dlq.jsonl");
+    fn failing_twins_share_the_failure_and_both_report_it() {
         let params = ExperimentParams { watchdog: Some(2), ..ExperimentParams::default() };
         let mut sweep = twin_sweep(&params);
         sweep.set_policy(SweepPolicy::default().with_attempts(2));
-        sweep.set_dlq(Arc::new(DeadLetterQueue::new(&path)));
         let report = sweep.run();
         assert_eq!(report.cells_executed, 1);
         for cell in &report.cells {
@@ -1870,10 +1809,8 @@ mod tests {
             }
         }
         assert_eq!(report.extra_attempts, 1, "only the leader spent attempts");
-        assert_eq!(report.dlq_appended, 2);
-        let configs: Vec<String> = store::load_dlq(&path).into_iter().map(|r| r.config).collect();
-        assert_eq!(configs, ["S-O", "S-O-D"], "each cell is dead-lettered under its own name");
-        let _ = std::fs::remove_dir_all(&dir);
+        let configs: Vec<&str> = report.failures().iter().map(|c| c.config.as_str()).collect();
+        assert_eq!(configs, ["S-O", "S-O-D"], "each cell reports the failure under its own name");
     }
 
     #[test]

@@ -2,14 +2,14 @@
 
 use std::fmt;
 
-use dlp_common::json::{FromJson, ToJson};
+use dlp_common::json::ToJson;
 
 /// Which of the paper's universal mechanisms are enabled on the machine.
 ///
 /// The paper's Table 5 configurations are specific combinations of these
 /// flags (constructed by `dlp-core`); up to 20 combinations are meaningful,
 /// and the flags here can express all of them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, ToJson, FromJson)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, ToJson)]
 pub struct MechanismSet {
     /// Software-managed streamed memory: SMC banks, DMA staging, row
     /// streaming channels and wide LMW loads (§4.2). When off, all memory
@@ -71,8 +71,9 @@ impl MechanismSet {
     /// mechanisms "can be combined in different ways … to produce as many
     /// as 20 different run-time machine configurations"; with the
     /// constraints encoded in [`MechanismSet::is_coherent`] this
-    /// enumeration yields the full space (16 machines: 2 SMC × 2 L0-data ×
-    /// {plain, inst-revit, inst+operand-revit, local-PC}).
+    /// enumeration yields the full space (14 machines: 2 L0-data ×
+    /// {plain, inst-revit, inst+operand-revit} × 2 SMC, plus 2 L0-data ×
+    /// local-PC, which needs the SMC).
     #[must_use]
     pub fn all_coherent() -> Vec<MechanismSet> {
         let mut out = Vec::new();
@@ -88,8 +89,9 @@ impl MechanismSet {
                         l0_data_store: l0,
                         local_pc: pc,
                     };
-                    debug_assert!(m.is_coherent());
-                    out.push(m);
+                    if m.is_coherent() {
+                        out.push(m);
+                    }
                 }
             }
         }
@@ -101,13 +103,17 @@ impl MechanismSet {
     /// Instruction revitalization sequences the whole array from the block
     /// control unit, while local PCs sequence each node independently; a
     /// machine cannot do both at once. Likewise operand revitalization only
-    /// means something under instruction revitalization.
+    /// means something under instruction revitalization. Local PCs need the
+    /// SMC: every MIMD program the suite lowers issues SMC accesses.
     #[must_use]
     pub fn is_coherent(self) -> bool {
         if self.inst_revitalization && self.local_pc {
             return false;
         }
         if self.operand_revitalization && !self.inst_revitalization {
+            return false;
+        }
+        if self.local_pc && !self.smc {
             return false;
         }
         true
@@ -165,14 +171,16 @@ mod tests {
         let orphan_op =
             MechanismSet { operand_revitalization: true, ..Default::default() };
         assert!(!orphan_op.is_coherent());
+        let pc_without_smc = MechanismSet { local_pc: true, ..Default::default() };
+        assert!(!pc_without_smc.is_coherent());
     }
 
     #[test]
     fn configuration_space_is_complete_and_coherent() {
         let all = MechanismSet::all_coherent();
-        assert_eq!(all.len(), 16);
+        assert_eq!(all.len(), 14);
         let unique: std::collections::HashSet<_> = all.iter().copied().collect();
-        assert_eq!(unique.len(), 16, "no duplicates");
+        assert_eq!(unique.len(), 14, "no duplicates");
         assert!(all.iter().all(|m| m.is_coherent()));
         // The named configurations are all members of the space.
         for named in [

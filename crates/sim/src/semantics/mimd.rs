@@ -142,7 +142,8 @@ impl RankMap {
 
 /// The static checks a MIMD run makes before touching machine state:
 /// local PCs, no more programs than array nodes, L0 instruction-store
-/// capacity, and the mechanisms each instruction needs.
+/// capacity, and the L0 data store a `lut` needs. (The SMC every memory
+/// access needs comes with local PCs: [`crate::MechanismSet::is_coherent`].)
 pub(crate) fn check_programs(m: &Machine, programs: &[MimdProgram]) -> Result<(), DlpError> {
     let mech = m.mechanisms();
     if !mech.local_pc {
@@ -167,20 +168,10 @@ pub(crate) fn check_programs(m: &Machine, programs: &[MimdProgram]) -> Result<()
                 available: cap,
             });
         }
-        for inst in p.insts() {
-            match inst.op {
-                MimdOp::Lut if !mech.l0_data_store => {
-                    return Err(DlpError::Unsupported {
-                        what: "lut instruction without the L0 data store".into(),
-                    })
-                }
-                MimdOp::Ld(MemSpace::Smc) | MimdOp::St(MemSpace::Smc) if !mech.smc => {
-                    return Err(DlpError::Unsupported {
-                        what: "SMC memory access without the SMC mechanism".into(),
-                    })
-                }
-                _ => {}
-            }
+        if !mech.l0_data_store && p.insts().iter().any(|inst| matches!(inst.op, MimdOp::Lut)) {
+            return Err(DlpError::Unsupported {
+                what: "lut instruction without the L0 data store".into(),
+            });
         }
     }
     Ok(())

@@ -123,20 +123,6 @@ fn mimd_lut_without_the_l0_data_store() {
 }
 
 #[test]
-fn mimd_smc_access_without_smc() {
-    let no_smc = MechanismSet { local_pc: true, ..MechanismSet::default() };
-    let ld = mimd_program(|asm| {
-        asm.ld(MemSpace::Smc, 1, 0, 0);
-    });
-    let err = assert_mimd_parity(no_smc, &ld);
-    assert!(matches!(err, DlpError::Unsupported { .. }), "{err:?}");
-    let st = mimd_program(|asm| {
-        asm.st(MemSpace::Smc, 0, 0, 1);
-    });
-    assert_eq!(assert_mimd_parity(no_smc, &st), err);
-}
-
-#[test]
 fn dataflow_lut_without_the_l0_data_store() {
     let err = assert_dataflow_parity(MechanismSet::simd(), &dataflow_block(Opcode::Lut));
     assert!(matches!(err, DlpError::Unsupported { .. }), "{err:?}");

@@ -13,13 +13,9 @@
 //! 3. asserts the canonical `SweepReport` is **byte-identical** to an
 //!    uninterrupted run's.
 //!
-//! Crashpoints are grouped into three legs by the write path that
-//! reaches them: the *normal* leg (stamp and entry sites), the
-//! *watchdog* leg (`--watchdog 2` dead-letters every cell, reaching the
-//! DLQ append sites), and the *replay* leg (`--replay-dlq` reaches the
-//! atomic queue rewrite; recovery there means the queue converges to
-//! the uninterrupted rewrite's records). A seeded randomized campaign
-//! then replays the same check at random `(site, nth-hit)` pairs.
+//! Every crashpoint (the stamp and entry sites) is reached by the same
+//! quick sweep with a store. A seeded randomized campaign then replays
+//! the same check at random `(site, nth-hit)` pairs.
 //!
 //! The run writes `BENCH_chaos.json` and exits non-zero on any
 //! divergence. `sweep --fsck DIR` runs the same fsck the harness uses
@@ -30,34 +26,12 @@ use std::process::{Command, ExitCode};
 
 use dlp_common::SplitMix64;
 use dlp_common::json::ToJson;
-use dlp_core::store::{load_dlq, DlqRecord, CRASHPOINTS};
-
-/// Which child invocation reaches a crashpoint.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Leg {
-    /// Plain quick sweep with a store.
-    Normal,
-    /// `--watchdog 2`: every cell dead-letters, reaching the DLQ sites.
-    Watchdog,
-    /// `--replay-dlq`: reaches the atomic queue-rewrite sites.
-    Replay,
-}
-
-fn leg_of(site: &str) -> Leg {
-    if site.starts_with("dlq-rewrite.") {
-        Leg::Replay
-    } else if site.starts_with("dlq.") {
-        Leg::Watchdog
-    } else {
-        Leg::Normal
-    }
-}
+use dlp_core::store::CRASHPOINTS;
 
 #[derive(ToJson)]
 struct SiteResult {
     site: String,
     nth: u64,
-    leg: &'static str,
     /// Whether the armed crashpoint actually aborted the child.
     killed: bool,
     /// Whether the post-kill store fsck'd clean (no I/O errors).
@@ -102,12 +76,10 @@ pub fn run(args: &[String]) -> ExitCode {
     // pairs. Deeper hits may never fire (the child completes) — the
     // recovery check still runs on whatever state the child left.
     let mut rng = SplitMix64::new(seed);
-    let sweep_sites: Vec<&&str> =
-        CRASHPOINTS.iter().filter(|s| leg_of(s) != Leg::Replay).collect();
     let mut campaign = Vec::new();
     println!("chaos: randomized campaign, seed {seed}, {trials} trials");
     for _ in 0..trials {
-        let site = sweep_sites[rng.below(sweep_sites.len() as u64) as usize];
+        let site = CRASHPOINTS[rng.below(CRASHPOINTS.len() as u64) as usize];
         let nth = 1 + rng.below(3);
         let result = harness.exercise(site, nth, false);
         print_result(&result);
@@ -137,10 +109,9 @@ pub fn run(args: &[String]) -> ExitCode {
 
 fn print_result(r: &SiteResult) {
     println!(
-        "  {:<22} nth={} leg={:<8} killed={:<5} fsck(q={},tmp={}) identical={}",
+        "  {:<22} nth={} killed={:<5} fsck(q={},tmp={}) identical={}",
         r.site,
         r.nth,
-        r.leg,
         r.killed,
         r.quarantined,
         r.gc_tmp,
@@ -151,17 +122,12 @@ fn print_result(r: &SiteResult) {
 struct Harness {
     sweep_bin: PathBuf,
     workdir: PathBuf,
-    /// Uninterrupted canonical reports, one per sweep leg.
-    normal_ref: Vec<u8>,
-    watchdog_ref: Vec<u8>,
-    /// The pristine DLQ the replay leg starts from, and the records an
-    /// uninterrupted replay leaves behind.
-    dlq_seed: Vec<u8>,
-    replay_ref: Vec<DlqRecord>,
+    /// The uninterrupted canonical report.
+    reference: Vec<u8>,
 }
 
 impl Harness {
-    /// Build the release sweep binary and the per-leg references.
+    /// Build the release sweep binary and the reference report.
     fn build() -> Option<Harness> {
         let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
         eprintln!("chaos: building release sweep binary...");
@@ -178,28 +144,13 @@ impl Harness {
         let _ = std::fs::remove_dir_all(&workdir);
         std::fs::create_dir_all(&workdir).ok()?;
 
-        let mut h = Harness {
-            sweep_bin,
-            workdir,
-            normal_ref: Vec::new(),
-            watchdog_ref: Vec::new(),
-            dlq_seed: Vec::new(),
-            replay_ref: Vec::new(),
-        };
-        eprintln!("chaos: recording uninterrupted reference runs...");
-        let dir = h.fresh_dir("ref-normal");
-        h.run_sweep(&dir, Leg::Normal, None);
-        h.normal_ref = std::fs::read(dir.join("report.json")).ok()?;
-        let dir = h.fresh_dir("ref-watchdog");
-        h.run_sweep(&dir, Leg::Watchdog, None);
-        h.watchdog_ref = std::fs::read(dir.join("report.json")).ok()?;
-        h.dlq_seed = std::fs::read(dir.join("dlq.jsonl")).ok()?;
-        let dir = h.fresh_dir("ref-replay");
-        std::fs::write(dir.join("dlq.jsonl"), &h.dlq_seed).ok()?;
-        h.run_replay(&dir, None);
-        h.replay_ref = load_dlq(&dir.join("dlq.jsonl"));
-        if h.normal_ref.is_empty() || h.dlq_seed.is_empty() || h.replay_ref.is_empty() {
-            eprintln!("chaos: reference runs produced empty artifacts");
+        let mut h = Harness { sweep_bin, workdir, reference: Vec::new() };
+        eprintln!("chaos: recording the uninterrupted reference run...");
+        let dir = h.fresh_dir("ref");
+        h.run_sweep(&dir, None);
+        h.reference = std::fs::read(dir.join("report.json")).ok()?;
+        if h.reference.is_empty() {
+            eprintln!("chaos: the reference run produced an empty report");
             return None;
         }
         Some(h)
@@ -212,56 +163,21 @@ impl Harness {
         dir
     }
 
-    /// One sweep-leg child. `crash` arms `DLP_CRASHPOINT`. Returns
-    /// whether the child was killed by the crashpoint's abort.
-    fn run_sweep(&self, dir: &Path, leg: Leg, crash: Option<&str>) -> bool {
+    /// One sweep child. `crash` arms `DLP_CRASHPOINT`. Returns whether
+    /// the child was killed by the crashpoint's abort.
+    fn run_sweep(&self, dir: &Path, crash: Option<&str>) -> bool {
         let mut cmd = Command::new(&self.sweep_bin);
         cmd.args(["--quick", "--threads", "1", "--kernels", "convert", "--canonical"]);
         cmd.arg("--store").arg(dir.join("store"));
         cmd.arg("--out").arg(dir.join("report.json"));
-        if leg == Leg::Watchdog {
-            cmd.args(["--watchdog", "2"]);
-            cmd.arg("--dlq").arg(dir.join("dlq.jsonl"));
-        }
-        run_child(cmd, crash)
-    }
-
-    /// One replay-leg child over `dir/dlq.jsonl`.
-    fn run_replay(&self, dir: &Path, crash: Option<&str>) -> bool {
-        let mut cmd = Command::new(&self.sweep_bin);
-        cmd.args(["--threads", "1", "--replay-dlq"]).arg(dir.join("dlq.jsonl"));
         run_child(cmd, crash)
     }
 
     /// The full kill → fsck → rerun → compare cycle for one site.
-    /// `require_kill` marks matrix rows, where the site must fire on
-    /// its designated leg.
+    /// `require_kill` marks matrix rows, where the site must fire.
     fn exercise(&self, site: &str, nth: u64, require_kill: bool) -> SiteResult {
-        let leg = leg_of(site);
         let dir = self.fresh_dir(&format!("kill-{site}-{nth}"));
-        let spec = format!("{site}:{nth}");
-
-        if leg == Leg::Replay {
-            std::fs::write(dir.join("dlq.jsonl"), &self.dlq_seed).expect("seed dlq");
-            let killed = self.run_replay(&dir, Some(&spec));
-            // Recovery: rerun the replay uninterrupted; the queue must
-            // converge to the reference records whichever side of the
-            // atomic rewrite the kill landed on.
-            self.run_replay(&dir, None);
-            let identical = load_dlq(&dir.join("dlq.jsonl")) == self.replay_ref;
-            return SiteResult {
-                site: site.to_string(),
-                nth,
-                leg: "replay",
-                killed,
-                fsck_ok: true,
-                quarantined: 0,
-                gc_tmp: 0,
-                identical,
-            };
-        }
-
-        let killed = self.run_sweep(&dir, leg, Some(&spec));
+        let killed = self.run_sweep(&dir, Some(&format!("{site}:{nth}")));
         let fsck = dlp_core::store::fsck(&dir.join("store"));
         let (fsck_ok, quarantined, gc_tmp) = match &fsck {
             Ok(r) => (true, r.quarantined as u64, r.gc_tmp as u64),
@@ -270,18 +186,15 @@ impl Harness {
                 (false, 0, 0)
             }
         };
-        self.run_sweep(&dir, leg, None);
-        let reference =
-            if leg == Leg::Watchdog { &self.watchdog_ref } else { &self.normal_ref };
+        self.run_sweep(&dir, None);
         let identical =
-            std::fs::read(dir.join("report.json")).is_ok_and(|got| &got == reference);
+            std::fs::read(dir.join("report.json")).is_ok_and(|got| got == self.reference);
         if require_kill && !killed {
-            eprintln!("  {site}: crashpoint never fired on its designated leg");
+            eprintln!("  {site}: crashpoint never fired");
         }
         SiteResult {
             site: site.to_string(),
             nth,
-            leg: if leg == Leg::Watchdog { "watchdog" } else { "normal" },
             killed,
             fsck_ok,
             quarantined,
@@ -295,7 +208,7 @@ impl Harness {
 /// `DLP_CRASHPOINT` when `crash` is set. Returns whether the child died
 /// by the crashpoint abort (`SIGABRT`) rather than exiting.
 fn run_child(mut cmd: Command, crash: Option<&str>) -> bool {
-    cmd.env_remove("DLP_CRASHPOINT").env_remove("DLP_STORE_IOFAULT");
+    cmd.env_remove("DLP_CRASHPOINT");
     if let Some(spec) = crash {
         cmd.env("DLP_CRASHPOINT", spec);
     }

@@ -47,13 +47,13 @@
 //! Additionally forbidden in the persistence layer
 //! (`crates/core/src/store/`), whose crash-consistency contract
 //! (DESIGN.md §11) requires every durable write to go through the
-//! atomic-writer primitives — bare writes have no fsync, no rename
-//! commit point, no seal, and no crashpoint instrumentation:
+//! atomic writer — bare writes have no fsync, no rename commit point,
+//! no seal, and no crashpoint instrumentation:
 //!
-//! * `fs::write` / `File::create` — use `atomic_write_file` or
-//!   `AppendWriter`. Test modules are exempt (corrupting files is how
-//!   the tests exercise the recovery paths): the store rule scans only
-//!   the code before the first `#[cfg(test)]`.
+//! * `fs::write` / `File::create` — use `atomic_write_file`. Test
+//!   modules are exempt (corrupting files is how the tests exercise the
+//!   recovery paths): the store rule scans only the code before the
+//!   first `#[cfg(test)]`.
 //!
 //! The allowlist (`detlint.allow`) holds one entry per line:
 //! `<path> <token> # <justification>`. Entries without a justification
@@ -109,13 +109,13 @@ const HASH_TOKENS: &[(&str, &str)] = &[
 ];
 
 /// The persistence layer, where every durable write must go through
-/// the atomic-writer primitives.
+/// the atomic writer.
 const STORE_DIR: &str = "crates/core/src/store/";
 
 /// Tokens forbidden in non-test code under [`STORE_DIR`].
 const STORE_TOKENS: &[(&str, &str)] = &[
     ("fs::write", "bare write has no fsync/rename commit point; use atomic_write_file"),
-    ("File::create", "bare creation bypasses the atomic writer; use AppendWriter"),
+    ("File::create", "bare creation bypasses the atomic writer; use atomic_write_file"),
 ];
 
 /// The lane-batched engine sources and the shared instruction semantics

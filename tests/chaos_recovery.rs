@@ -6,9 +6,9 @@
 //! The child is this same test binary re-invoked on the `chaos_child`
 //! harness test (guarded on `DLP_CHAOS_DIR`, ignored otherwise), which
 //! runs a small fixed grid — two cacheable convert cells plus one
-//! watchdog-strangled cell that dead-letters on every run — against a
-//! store and DLQ in the given directory, exercises the atomic DLQ
-//! rewrite, and writes its canonical report last. Arming
+//! watchdog-strangled cell that fails on every run and is never stored
+//! — against a store in the given directory, and writes its canonical
+//! report last. Arming
 //! `DLP_CRASHPOINT=<site>` makes the child abort mid-write; the parent
 //! then fscks the wreckage, re-runs the child on the same store (which
 //! serves the cells that landed before the kill), and requires the
@@ -23,8 +23,8 @@ use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dlp_core::store::{fsck, iofault, load_dlq, rewrite_dlq, IoFaultPlan, StoreLock, CRASHPOINTS};
-use dlp_core::{CellSpec, DeadLetterQueue, ExperimentParams, MachineConfig, ResultStore, Sweep};
+use dlp_core::store::{fsck, iofault, IoFaultPlan, StoreLock, CRASHPOINTS};
+use dlp_core::{CellSpec, ExperimentParams, MachineConfig, ResultStore, Sweep};
 
 /// Serializes the chaos tests: crashpoint arming and the iofault shim
 /// are process-global, and the child processes contend for the CPU.
@@ -44,7 +44,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 const RECORDS: usize = 8;
 
 /// The chaos grid: two cacheable cells plus a 2-tick-watchdog cell
-/// that dead-letters on every run (reaching the DLQ write paths).
+/// that fails on every run, so a rerun on the store executes it again.
 fn build_grid() -> Sweep {
     let params = ExperimentParams::default();
     let mut sweep = Sweep::with_threads(1);
@@ -75,7 +75,6 @@ fn spawn_child(dir: &Path, extra: &[(&str, &str)]) -> std::process::Child {
     let mut cmd = Command::new(exe);
     cmd.args(["chaos_child", "--exact", "--ignored"])
         .env_remove("DLP_CRASHPOINT")
-        .env_remove("DLP_STORE_IOFAULT")
         .env("DLP_CHAOS_DIR", dir)
         .stdout(Stdio::null())
         .stderr(Stdio::null());
@@ -101,8 +100,8 @@ fn aborted(status: &std::process::ExitStatus) -> bool {
 }
 
 /// The child harness: runs the chaos grid against the store in
-/// `DLP_CHAOS_DIR` (or `DLP_CHAOS_STORE`); exercises the DLQ rewrite; and
-/// writes the canonical report *last*, so a crashpoint kill anywhere
+/// `DLP_CHAOS_DIR` (or `DLP_CHAOS_STORE`) and writes the canonical
+/// report *last*, so a crashpoint kill anywhere
 /// in the store's write paths precedes it. Ignored unless spawned by a
 /// parent test (it is not a test of anything by itself).
 #[test]
@@ -128,15 +127,7 @@ fn chaos_child() {
 
     let mut sweep = build_grid();
     sweep.set_store(Arc::new(ResultStore::open(&store_dir).expect("open store")));
-    let dlq_path = dir.join("dlq.jsonl");
-    sweep.set_dlq(Arc::new(DeadLetterQueue::new(&dlq_path)));
     let report = sweep.run();
-
-    // Exercise the atomic queue rewrite (the dlq-rewrite.* sites).
-    let records = load_dlq(&dlq_path);
-    if !records.is_empty() {
-        rewrite_dlq(&dlq_path, &records).expect("rewrite dlq");
-    }
     std::fs::write(dir.join("report.json"), report.canonical_json()).expect("write report");
 }
 
@@ -267,7 +258,6 @@ fn injected_io_faults_degrade_to_misses_never_wrong_results() {
         let _disarm = Disarm;
         let mut sweep = build_grid();
         sweep.set_store(Arc::clone(&store));
-        sweep.set_dlq(Arc::new(DeadLetterQueue::new(dir.join("dlq.jsonl"))));
         let faulted = sweep.run();
         assert_eq!(
             faulted.canonical_json(),

@@ -8,31 +8,21 @@ use dlp_core::{
 use dlp_kernels::suite;
 use trips_sim::MechanismSet;
 
-/// Every coherent mechanism combination either runs `convert` correctly or
-/// fails with a clean "unsupported" error (MIMD programs need the SMC).
+/// Every coherent mechanism combination runs `convert` correctly (a MIMD
+/// machine always has the SMC its programs need).
 #[test]
 fn configuration_space_is_sound_on_convert() {
     let params = ExperimentParams::default();
     let kernels = suite();
     let kernel = kernels.iter().find(|k| k.name() == "convert").expect("kernel");
-    let mut ran = 0;
-    for mech in MechanismSet::all_coherent() {
-        match run_kernel_mech(kernel.as_ref(), mech, 16, &params) {
-            Ok((stats, mismatch)) => {
-                assert_eq!(mismatch, None, "{mech} computed wrong results");
-                assert!(stats.cycles() > 0);
-                ran += 1;
-            }
-            Err(e) => {
-                // Only the SMC-less MIMD machines may refuse.
-                assert!(
-                    mech.local_pc && !mech.smc,
-                    "{mech} unexpectedly failed: {e}"
-                );
-            }
-        }
+    let space = MechanismSet::all_coherent();
+    assert_eq!(space.len(), 14);
+    for mech in space {
+        let (stats, mismatch) = run_kernel_mech(kernel.as_ref(), mech, 16, &params)
+            .unwrap_or_else(|e| panic!("{mech} failed: {e}"));
+        assert_eq!(mismatch, None, "{mech} computed wrong results");
+        assert!(stats.cycles() > 0);
     }
-    assert_eq!(ran, 14, "14 of the 16 machines run convert");
 }
 
 /// The energy model shows each mechanism's signature saving (§7 future

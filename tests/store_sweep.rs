@@ -7,8 +7,9 @@
 //! * **Resume** after an interruption — a rerun on the same store —
 //!   executes only the cells the store is missing, and still converges
 //!   to the identical report.
-//! * The **dead-letter queue** preserves the failure taxonomy through a
-//!   full write → load → replay round trip.
+//! * A **failed cell** is never stored: a rerun on the same store
+//!   executes it again, keeps its failure taxonomy, and reproduces the
+//!   first run's report.
 //! * Corrupted or version-skewed store entries degrade to **misses** —
 //!   a damaged cache can cost time, never correctness and never a
 //!   panic.
@@ -16,10 +17,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dlp_core::store::{load_dlq, seal_line, unseal_line, Hasher};
-use dlp_core::{
-    CellSpec, DeadLetterQueue, ExperimentParams, MachineConfig, ResultStore, Sweep, SweepReport,
-};
+use dlp_core::store::{seal_line, unseal_line, Hasher};
+use dlp_core::{CellSpec, ExperimentParams, MachineConfig, ResultStore, Sweep, SweepReport};
 
 /// A fresh per-test scratch directory.
 fn tmpdir(tag: &str) -> PathBuf {
@@ -104,10 +103,10 @@ fn assert_persisted_encoding(cold: &SweepReport, dir: &std::path::Path) {
     );
 
     let canonical = cold.canonical_json();
-    assert_eq!(canonical.len(), 2363, "{MSG}");
+    assert_eq!(canonical.len(), 2346, "{MSG}");
     let mut h = Hasher::new();
     h.update(canonical.as_bytes());
-    assert_eq!(h.digest().hex(), "acbda62108646b10ecff4ff87d4625a7", "{MSG}");
+    assert_eq!(h.digest().hex(), "cc09e56e02bffdcd7b18c1c9708d596a", "{MSG}");
 
     let mut entries = Vec::new();
     for shard in std::fs::read_dir(dir.join("entries")).expect("entries dir") {
@@ -153,90 +152,41 @@ fn resume_executes_only_the_missing_cells() {
 }
 
 #[test]
-fn dead_letter_queue_round_trips_the_failure_taxonomy() {
-    let dir = tmpdir("dlq");
-    let dlq_path = dir.join("sweep.dlq.jsonl");
+fn a_failed_cell_reruns_from_the_store() {
+    let dir = tmpdir("failed-rerun");
+    let store = Arc::new(ResultStore::open(&dir).expect("open store"));
 
-    // A 2-tick watchdog is nondeterministic-by-taxonomy (a different
-    // budget could pass), so the failure is uncacheable and must be
-    // dead-lettered.
-    let params = ExperimentParams { watchdog: Some(2), ..ExperimentParams::default() };
-    let mut sweep = Sweep::with_threads(1);
-    let id = sweep.add_kernel_by_name("convert").expect("suite kernel");
-    sweep.push_cell(CellSpec {
-        kernel: id,
-        config: Some(MachineConfig::S),
-        mech: MachineConfig::S.mechanisms(),
-        records: 24,
-        params,
-        label: "strangled".into(),
-    });
-    let dlq = Arc::new(DeadLetterQueue::new(&dlq_path));
-    sweep.set_dlq(Arc::clone(&dlq));
-    let report = sweep.run();
-
-    assert_eq!(report.failures().len(), 1);
-    assert_eq!(report.dlq_appended, 1, "the watchdog failure is dead-lettered");
-    assert_eq!(report.cells[0].outcome.failure_kind(), Some("watchdog"));
-
-    let records = load_dlq(&dlq_path);
-    assert_eq!(records.len(), 1);
-    let record = &records[0];
-    assert_eq!(record.kernel, "convert");
-    assert_eq!(record.config, "S");
-    assert_eq!(record.kind, "watchdog", "the DlpError taxonomy survives the queue");
-    assert_eq!(record.watchdog, Some(2), "the failing parameters are replayable");
-
-    // Replaying the record's own parameters reproduces the same failure
-    // kind — the record is a faithful reproduction recipe.
-    let mut replay = Sweep::with_threads(1);
-    let id = replay.add_kernel_by_name(&record.kernel).expect("suite kernel");
-    replay.push_cell(CellSpec {
-        kernel: id,
-        config: None,
-        mech: record.mech,
-        records: record.records,
-        params: record.params(),
-        label: record.label.clone(),
-    });
-    let replayed = replay.run();
-    assert_eq!(replayed.cells[0].outcome.failure_kind(), Some("watchdog"));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn dead_letter_queue_lines_follow_cell_order() {
-    // Every cell dead-letters (2-tick watchdog) on two workers, so the
-    // appends arrive in completion order; the queue must still end up in
-    // cell order, after the lines an earlier run left, byte for byte.
-    let dir = tmpdir("dlq-order");
-    let earlier = b"{\"an earlier run's line\":1}\n";
-    let run = |tag: &str| {
-        let path = dir.join(format!("{tag}.dlq.jsonl"));
-        std::fs::write(&path, earlier).expect("seed queue");
-        let params = ExperimentParams { watchdog: Some(2), ..ExperimentParams::default() };
-        let mut sweep = Sweep::with_threads(2);
-        for name in ["convert", "blowfish", "md5"] {
-            let id = sweep.add_kernel_by_name(name).expect("suite kernel");
-            for config in MachineConfig::ALL {
-                sweep.push_config(id, config, 24, &params);
-            }
+    // Two cacheable cells beside a 2-tick watchdog: a watchdog trip is
+    // nondeterministic-by-taxonomy (a different budget could pass), so
+    // the failure is never stored and a rerun executes it again.
+    let run = || {
+        let mut sweep = Sweep::with_threads(1);
+        let id = sweep.add_kernel_by_name("convert").expect("suite kernel");
+        for config in [MachineConfig::Baseline, MachineConfig::S] {
+            sweep.push_config(id, config, 24, &ExperimentParams::default());
         }
-        sweep.set_dlq(Arc::new(DeadLetterQueue::new(&path)));
-        let report = sweep.run();
-        assert_eq!(report.dlq_appended as usize, report.cells.len());
-        let cells: Vec<(String, String)> =
-            report.cells.iter().map(|c| (c.kernel.clone(), c.config.clone())).collect();
-        (std::fs::read(&path).expect("read queue"), cells)
+        sweep.push_cell(CellSpec {
+            kernel: id,
+            config: Some(MachineConfig::SO),
+            mech: MachineConfig::SO.mechanisms(),
+            records: 24,
+            params: ExperimentParams { watchdog: Some(2), ..ExperimentParams::default() },
+            label: "strangled".into(),
+        });
+        sweep.set_store(Arc::clone(&store));
+        sweep.run()
     };
-    let (first, cells) = run("a");
-    let (second, _) = run("b");
-    assert_eq!(first, second, "two runs write the same queue bytes");
-    assert!(first.starts_with(earlier), "earlier lines stay first and unchanged");
-    let path = dir.join("a.dlq.jsonl");
-    let order: Vec<(String, String)> =
-        load_dlq(&path).into_iter().map(|r| (r.kernel, r.config)).collect();
-    assert_eq!(order, cells, "records follow cell order");
+
+    let first = run();
+    let failures = first.failures();
+    assert_eq!(failures.len(), 1);
+    assert_eq!((failures[0].config.as_str(), failures[0].label.as_str()), ("S-O", "strangled"));
+    assert_eq!(failures[0].outcome.failure_kind(), Some("watchdog"));
+
+    let rerun = run();
+    assert_eq!(rerun.store_hits, 2, "both cacheable cells are served");
+    assert_eq!(rerun.cells_executed, 1, "only the failed cell executes again");
+    assert_eq!(rerun.canonical_json(), first.canonical_json(), "the rerun re-diagnoses it");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,17 +2,17 @@
 //!
 //! Every field a record's type writes is required when it is read back.
 //! A record that lost any one field, or carries a value its field cannot
-//! hold, reads as corrupt: a store miss or a skipped dead-letter line —
-//! never a record with a field quietly defaulted. Each case edits a
+//! hold, reads as corrupt: a store miss — never a record with a field
+//! quietly defaulted. Each case edits a
 //! record the store really wrote, re-seals it so the seal passes, and
 //! reads it back.
 
 use std::path::PathBuf;
 
 use dlp_common::json::{self, JsonValue};
-use dlp_common::{FaultPlan, GridShape, SimStats, TimingParams};
-use dlp_core::store::{load_dlq, rewrite_dlq, seal_line, unseal_line};
-use dlp_core::{CellOutcome, Digest, DlqRecord, MachineConfig, ResultStore, StoreKey};
+use dlp_common::{FaultPlan, SimStats};
+use dlp_core::store::{seal_line, unseal_line};
+use dlp_core::{CellOutcome, Digest, ResultStore, StoreKey};
 
 /// A fresh per-test scratch directory.
 fn tmpdir(tag: &str) -> PathBuf {
@@ -153,58 +153,5 @@ fn a_store_entry_missing_any_field_it_is_read_by_is_a_miss() {
     }
     std::fs::write(&file, sealed(&both)).expect("write entry");
     assert_eq!(store.get(&key), None, "a broken ran outcome is not read as a failure");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn dlq_record() -> DlqRecord {
-    DlqRecord {
-        dlq_version: 2,
-        kernel: "fft".into(),
-        config: "S-O".into(),
-        label: "rate=100ppm".into(),
-        mech: MachineConfig::SO.mechanisms(),
-        grid: GridShape::trips_baseline(),
-        timing: TimingParams::default(),
-        fault: FaultPlan::none().with_salt(5),
-        base_seed: 0xD1_2003,
-        watchdog: Some(50_000_000),
-        records: 24,
-        error: "unrecoverable fault".into(),
-        kind: "fault-unrecoverable".into(),
-        attempts: 3,
-        timed_out: false,
-    }
-}
-
-#[test]
-fn a_dead_letter_line_missing_any_field_or_with_a_zero_grid_is_skipped() {
-    let dir = tmpdir("dlq");
-    let queue = dir.join("dlq.jsonl");
-    let record = dlq_record();
-    rewrite_dlq(&queue, std::slice::from_ref(&record)).expect("write queue");
-    let good = std::fs::read_to_string(&queue).expect("read queue");
-    let v = unseal_parse(&good);
-    assert_eq!(load_dlq(&queue), std::slice::from_ref(&record));
-
-    // Each bad line sits between two good ones; only the good ones load.
-    let expect_skipped = |bad: &JsonValue, what: &str| {
-        std::fs::write(&queue, format!("{good}{}{good}", sealed(bad))).expect("write queue");
-        assert_eq!(load_dlq(&queue), [record.clone(), record.clone()], "{what}");
-    };
-    let paths = member_paths(&v);
-    assert!(paths.contains(&path(&["timing", "mem", "l1_bytes"])), "nested fields are covered");
-    for p in paths {
-        expect_skipped(&edit(&v, &p, None), &format!("line without {}", p.join(".")));
-    }
-    for dim in ["rows", "cols"] {
-        expect_skipped(&edit(&v, &path(&["grid", dim]), Some(&num(0))), &format!("grid.{dim} = 0"));
-    }
-    expect_skipped(&edit(&v, &path(&["grid", "rows"]), Some(&num(256))), "grid.rows = 256");
-    expect_skipped(&edit(&v, &path(&["dlq_version"]), Some(&num(3))), "another dlq_version");
-
-    // A null watchdog is a record without one, not a broken line.
-    let unwatched = edit(&v, &path(&["watchdog"]), Some(&JsonValue::Null));
-    std::fs::write(&queue, sealed(&unwatched)).expect("write queue");
-    assert_eq!(load_dlq(&queue), [DlqRecord { watchdog: None, ..record }]);
     let _ = std::fs::remove_dir_all(&dir);
 }
